@@ -1,13 +1,17 @@
 """Bench: time the mpGEMM kernel backends (reference/naive/blocked).
 
 This is the acceptance gate for the kernel-backend subsystem: the
-blocked default must beat the legacy naive path on the prefill shape
-(M=64, N=K=1024, bits=4) while never materializing the naive path's
-``(M, bits, G, N)`` intermediate, and every LUT backend must agree with
-the dequantization reference to float noise in the lossless config.
+blocked default must beat the legacy naive path in both of its blocking
+regimes — the serving decode shape (M=8, N=K=128: one column block, the
+row block bounds the work set) and the wide prefill shape (M=64,
+N=K=1024, bits=4: the element budget cuts N into 16-column blocks) —
+while never materializing the naive path's ``(M, bits, G, N)``
+intermediate, and every LUT backend must agree with the dequantization
+reference to float noise in the lossless config.
 """
 
 from benchmarks.conftest import run_once
+from repro.kernels.backends import BLOCK_ELEMS
 
 
 def test_bench_backends(benchmark, show):
@@ -15,16 +19,23 @@ def test_bench_backends(benchmark, show):
     show(run.text)
     rows = {(r.shape_label, r.backend): r for r in run.value}
 
-    naive = rows[("prefill", "lut-naive")]
-    blocked = rows[("prefill", "lut-blocked")]
-    # The blocked fast path must be strictly faster than the legacy path.
-    assert blocked.time_s < naive.time_s
-    # ... without ever allocating an (M, bits, G, N)-sized intermediate:
-    # its traced peak must sit far below that single naive allocation
-    # (which the naive run must itself exceed).
-    assert blocked.peak_traced_bytes is not None
-    assert blocked.peak_traced_bytes < naive.naive_intermediate_bytes // 4
-    assert naive.peak_traced_bytes >= naive.naive_intermediate_bytes
+    for label in ("decode", "prefill"):
+        naive = rows[(label, "lut-naive")]
+        blocked = rows[(label, "lut-blocked")]
+        # The blocked fast path must be strictly faster than the legacy path.
+        assert blocked.time_s < naive.time_s, label
+        # ... without ever allocating an (M, bits, G, N)-sized intermediate
+        # (which the naive run must itself exceed): its traced peak is a
+        # fixed few BLOCK_ELEMS blocks (accumulator, plane and zero-point
+        # temporaries) plus tables and output, which stay far below that
+        # single naive allocation. At the decode shape the fixed term is
+        # the whole of it; at the prefill shape it is noise.
+        assert blocked.peak_traced_bytes is not None
+        assert blocked.peak_traced_bytes < (
+            4 * BLOCK_ELEMS * 8 + naive.naive_intermediate_bytes // 4
+        )
+        assert blocked.peak_traced_bytes < naive.peak_traced_bytes
+        assert naive.peak_traced_bytes >= naive.naive_intermediate_bytes
 
     # Lossless configuration: LUT backends match the dequant reference
     # to float accumulation noise, the reference backend exactly.

@@ -1,14 +1,17 @@
 """Kernel-backend microbenchmark: reference vs lut-naive vs lut-blocked.
 
-Times the actual NumPy mpGEMM kernels (not the analytic GPU models)
-across a decode shape (M = 1) and a prefill shape (M = 64) so the
-repo's perf trajectory tracks real kernel speed. For each backend the
-experiment reports wall time, speedup over the legacy ``lut-naive``
-path, the max absolute error against the dequantization reference
-(zero-loss configuration, so LUT backends must match to float noise),
-and — for the LUT backends on the prefill shape — the tracemalloc peak
-of one matmul, which is what proves the blocked path never materializes
-the naive path's ``(M, bits, G, N)`` intermediate.
+Times the actual NumPy mpGEMM kernels (not the analytic GPU models) so
+the repo's perf trajectory tracks real kernel speed, on both sides of
+the blocked backend's two-level blocking: the serving decode shape
+(M = 8, N = K = 128), where one column block spans all of N and only
+the row block bounds the work set, and wide N = K = 1024 layers at
+M = 1 / 8 / 64, where the element budget cuts N into 16 - 128-column
+blocks. For each backend the experiment reports wall time, speedup over
+the legacy ``lut-naive`` path, the max absolute error against the
+dequantization reference (zero-loss configuration, so LUT backends must
+match to float noise), and — for the LUT backends — the tracemalloc
+peak of one matmul, which is what proves the blocked path never
+materializes the naive path's ``(M, bits, G, N)`` intermediate.
 
 Extends Section 3.2 of the paper (the software kernel pipeline); there
 is no corresponding figure — this is the repo's own regression bench.
@@ -30,24 +33,28 @@ from repro.lut.mpgemm import (
 )
 from repro.quant.weight import quantize_weights
 
-#: (label, M, N, K) — decode is the GEMV regime, prefill the batched one.
+#: (label, M, N, K). ``decode`` is the serving batch on a bench-128
+#: layer (rows-limited blocking); the 1024-wide rows are column-limited.
 SHAPES: tuple[tuple[str, int, int, int], ...] = (
-    ("decode", 1, 1024, 1024),
+    ("decode", 8, 128, 128),
+    ("gemv", 1, 1024, 1024),
+    ("decode-wide", 8, 1024, 1024),
     ("prefill", 64, 1024, 1024),
 )
 WEIGHT_BITS = 4
 LUT_K = 4
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
-#: Repetitions per timing (min is reported); heavier shapes use fewer.
-DECODE_REPS = 5
-PREFILL_REPS = 2
+#: Repetitions per timing (min is reported): this many MACs' worth,
+#: clamped to [2, MAX_REPS], so heavier shapes use fewer.
+REPS_MACS = 1 << 25
+MAX_REPS = 50
 
 META = ExperimentMeta(
     title="mpGEMM kernel backends: reference vs lut-naive vs lut-blocked",
     paper_ref="Section 3.2 (repo extension)",
     kind="ablation",
     tags=("kernel", "backend"),
-    expected_runtime_s=8.0,
+    expected_runtime_s=15.0,
     # Wall-clock + tracemalloc numbers are machine-state-dependent:
     # never replay them from the result cache as if freshly measured,
     # and never time them while sibling experiments saturate the pool.
@@ -75,7 +82,7 @@ class BackendBenchRow:
     time_s: float
     speedup_vs_naive: float
     max_abs_err: float
-    #: tracemalloc peak of one matmul (LUT backends, prefill shape only).
+    #: tracemalloc peak of one matmul (LUT backends only).
     peak_traced_bytes: int | None
 
     @property
@@ -126,7 +133,7 @@ def run(
         )
         acts = rng.normal(size=(m, kdim))
         ref = dequant_mpgemm_reference(acts, weight)
-        reps = DECODE_REPS if m == 1 else PREFILL_REPS
+        reps = max(2, min(MAX_REPS, REPS_MACS // (m * n * kdim)))
         engines = {
             name: LutMpGemmEngine(
                 weight, LutMpGemmConfig(k=LUT_K, backend=name)
@@ -141,7 +148,7 @@ def run(
         }
         for name, engine in engines.items():
             peak = None
-            if label == "prefill" and name.startswith("lut-"):
+            if name.startswith("lut-"):
                 peak = _traced_peak(engine, acts)
             err = float(np.abs(engine.matmul(acts) - ref).max())
             rows.append(
@@ -164,7 +171,7 @@ def run(
 def format_result(rows: list[BackendBenchRow]) -> str:
     lines = [
         "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive)",
-        f"{'shape':>8} {'backend':>12} {'M':>4} {'N':>5} {'K':>5} "
+        f"{'shape':>11} {'backend':>12} {'M':>4} {'N':>5} {'K':>5} "
         f"{'ms':>9} {'speedup':>8} {'max|err|':>9} {'peak MiB':>9}",
     ]
     for row in rows:
@@ -174,7 +181,7 @@ def format_result(rows: list[BackendBenchRow]) -> str:
             else f"{'-':>9}"
         )
         lines.append(
-            f"{row.shape_label:>8} {row.backend:>12} {row.m:>4} {row.n:>5} "
+            f"{row.shape_label:>11} {row.backend:>12} {row.m:>4} {row.n:>5} "
             f"{row.kdim:>5} {row.time_s * 1e3:>9.2f} "
             f"{row.speedup_vs_naive:>7.2f}x {row.max_abs_err:>9.2e} {peak}"
         )

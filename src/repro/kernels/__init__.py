@@ -7,8 +7,11 @@ implementations, all fed by one shared offline :class:`WeightPlan`:
 - ``reference``  — dequantize-then-GEMM (the paper's indirect path);
 - ``lut-naive``  — the original broadcast-gather LUT path
   (materializes a ``(M, bits, G, N)`` intermediate);
-- ``lut-blocked`` — the default: column-tiled, flat-``np.take`` gathers,
-  preallocated accumulator, peak memory ``O(M·G·tile_n)``.
+- ``lut-blocked`` — the default: the paper's elongated tile. A block of
+  ``BLOCK_ROWS`` (8) activation rows keeps one signed, plane-scaled
+  table resident with rows innermost, and the weight columns sweep it
+  in blocks of at most ``BLOCK_ELEMS`` (2**15) gathered values; peak
+  memory is a few such blocks, whatever M, N and the weight width.
 
 Select a backend per call via ``LutMpGemmConfig(backend=...)`` (or the
 ``backend=`` argument on `lut_mpgemm`/`lut_gemv`), or globally via the

@@ -9,16 +9,21 @@ Three implementations of the same contract (:class:`MpGemmBackend`):
   ``np.take_along_axis`` materializes a ``(M, bits, G, N)`` intermediate,
   so peak memory grows with the *product* of every dimension; kept as
   the legacy/debugging path and as the perf baseline.
-- ``lut-blocked`` — the default. Tiles the output columns, loops over
-  bit-planes, and gathers with flat ``np.take`` into a preallocated
-  per-tile accumulator; peak intermediate memory is ``O(M·G·tile_n)``
-  regardless of weight width or N.
+- ``lut-blocked`` — the default, and the software image of the paper's
+  elongated M-small × N-long tile: a block of :data:`BLOCK_ROWS`
+  activation rows keeps one signed, plane-scaled table resident, rows
+  innermost, while every weight column sweeps it in column blocks. Peak
+  intermediate memory is a few :data:`BLOCK_ELEMS` buffers plus one
+  ``bits·G·W·BLOCK_ROWS`` table, whatever M, N and the weight width.
 
 Bit-identity contract: ``lut-naive`` and ``lut-blocked`` perform the
-same scalar operations in the same order for every output element — the
-per-plane multiplies are exact (±1 signs and power-of-two shifts), and
-both reduce planes in LSB-first order and groups in ascending-g order
-through the shared helpers below — so their float64 outputs are equal
+same scalar operations in the same order for every output element. The
+blocked path moves only the per-plane ``±1`` sign and ``2**i`` shift,
+from the looked-up value to the table entry: both are exact in IEEE
+arithmetic (a sign flip, an exponent increment) and a gather only
+copies, so ``take(T)[j]·c == take(T·c)[j]``. Planes still add LSB first,
+the affine correction is the same element-wise ``s·(acc − z·Σa)`` and
+groups still add in ascending-g order, so the float64 outputs are equal
 bit for bit, which the cross-backend tests assert with strict equality.
 """
 
@@ -37,14 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Default output-column tile width for the grouped-gather helpers.
 DEFAULT_TILE_N = 128
 
-#: Element budget (float64) for one gathered ``(M, G, tile)`` block when
-#: the blocked backend picks its own tile width: 2**21 doubles = 16 MiB,
-#: small enough to stay cache-friendly, large enough that the per-tile
-#: Python overhead vanishes (decode shapes collapse to a single tile).
-TARGET_TILE_ELEMS = 1 << 21
+#: Activation rows per block of the blocked backend: the innermost axis
+#: of its table, so one gather index copies this many contiguous doubles
+#: (one 64-byte cache line).
+BLOCK_ROWS = 8
 
-#: Floor on the auto-picked tile width.
-MIN_TILE_N = 16
+#: Element budget (float64) of one gathered ``(G, tile, rows)`` block:
+#: 2**15 doubles = 256 KiB keeps a block, its plane temporary and the
+#: table inside L2. Measured best of 2**14 - 2**18 (ARCHITECTURE
+#: section 6); neither constant ever changes the output bits.
+BLOCK_ELEMS = 1 << 15
 
 
 @runtime_checkable
@@ -98,6 +105,19 @@ def sum_groups(per_group: np.ndarray) -> np.ndarray:
     return out
 
 
+def sum_groups_leading(per_group: np.ndarray) -> np.ndarray:
+    """Reduce ``(G, ...)`` over its leading axis in ascending-g order.
+
+    numpy reduces an axis that is not the fastest-varying one by adding
+    whole g-slices one after another: :func:`sum_groups`' order without
+    its Python loop. Only a single-element slice collapses to numpy's
+    1-D pairwise loop, so that case takes the explicit one.
+    """
+    if per_group[0].size == 1:
+        return sum_groups(per_group[None])[0]
+    return np.add.reduce(per_group, axis=0)
+
+
 def affine_reduce(
     per_group: np.ndarray,
     scale_gn: np.ndarray,
@@ -110,9 +130,8 @@ def affine_reduce(
     ``out[m, n] = Σ_g s'[g, n]·(per_group[m, g, n] − z'[g, n]·Σ_j a[m, g, j])``
 
     All operations are element-wise except the final group reduction,
-    which :func:`sum_groups` keeps order-deterministic; the same helper
-    therefore serves full-width (naive) and tiled (blocked) callers with
-    bit-identical results.
+    which :func:`sum_groups` keeps order-deterministic. The blocked
+    backend applies the same expression in place on its own layout.
     """
     if has_zero_point:
         corrected = scale_gn[None] * (
@@ -182,74 +201,54 @@ class LutNaiveBackend:
 
 
 class LutBlockedBackend:
-    """Column-tiled LUT path with flat gathers — the default backend.
+    """Rows-innermost, cache-blocked LUT path — the default backend.
 
-    For each tile of output columns, the per-group accumulator
-    ``(M, G, tile)`` is allocated once and reused across bit-planes; each
-    plane performs one flat ``np.take`` on the ``(M, G·entries)`` table
-    view. Peak intermediate memory is a couple of ``M·G·tile`` buffers
-    — independent of both the weight width and the full N — while the
-    scalar arithmetic (and hence the float64 output) exactly matches
-    ``lut-naive``.
-
-    ``tile_n=None`` (the default) sizes the tile so one gathered block
-    holds ~:data:`TARGET_TILE_ELEMS` float64 values: small batches get
-    wide tiles (decode runs as a single tile), large batches get narrow
-    ones. The tile width never changes the output bits, only speed.
+    Per block of ``r <= BLOCK_ROWS`` activation rows the signed table
+    ``[T, -T]`` (just ``T`` for full tables) is transposed to
+    ``(G·W, r)`` and scaled once per bit-plane into ``(bits, G·W, r)``.
+    Each plane of the plan's :meth:`~WeightPlan.flat_lookup_indices` then
+    gathers along axis 0 — one index copies ``r`` contiguous doubles —
+    into a ``(G, tile, r)`` block, ``tile`` chosen so the block holds at
+    most :data:`BLOCK_ELEMS` values. Planes accumulate LSB first in
+    place, the ``(G, tile, 1)`` affine correction is applied in place,
+    and groups reduce in ascending-g order over the leading axis. See
+    the module docstring for why this equals ``lut-naive`` bit for bit.
     """
 
     name = "lut-blocked"
     needs_table = True
 
-    def __init__(self, tile_n: int | None = None) -> None:
-        if tile_n is not None and tile_n < 1:
-            raise ValueError("tile_n must be >= 1")
-        self.tile_n = tile_n
-
-    def _tile_width(self, m: int, ngroups: int, n: int) -> int:
-        if self.tile_n is not None:
-            return self.tile_n
-        per_column = max(1, m * ngroups)
-        return max(MIN_TILE_N, min(n, TARGET_TILE_ELEMS // per_column or 1))
-
     def execute(self, plan, config, activations, table):
-        acts = effective_activations(activations, config)
-        sums = group_sums(plan, acts)
-        m = acts.shape[0]
+        m, _, entries = table.shape
         bits, ngroups, n = plan.bits, plan.ngroups, plan.n
-        entries = table.shape[-1]
-        # Symmetric tables gather from the signed extension [T, -T]: the
-        # negation is exactly the naive path's ±1 sign multiply (IEEE
-        # `-x` ≡ `x·(-1.0)`), applied once per table entry instead of
-        # once per gathered element, and the sign moves into the
-        # precomputed flat indices.
-        if config.symmetric_table:
-            table = np.concatenate([table, -table], axis=-1)
         flat = plan.flat_lookup_indices(entries, config.symmetric_table)
-        table2d = np.ascontiguousarray(table).reshape(m, -1)
-        shifts = plan.shifts
+        shifts = plan.shifts[1:, None, None]
+        scale = plan.scale_gn[:, :, None]
+        zero = plan.zero_gn[:, :, None] if plan.has_zero_point else None
+        if zero is not None:
+            acts = effective_activations(activations, config)
+            sums = group_sums(plan, acts).T[:, None, :]  # (G, 1, M)
         out = np.empty((m, n))
-        acc: np.ndarray | None = None
-        tile_n = self._tile_width(m, ngroups, n)
-        for n0 in range(0, n, tile_n):
-            n1 = min(n0 + tile_n, n)
-            width = n1 - n0
-            if acc is None or acc.shape[2] != width:
-                acc = np.empty((m, ngroups, width))
-            for i in range(bits):
-                gathered = np.take(table2d, flat[i, :, n0:n1].ravel(), axis=1)
-                gathered = gathered.reshape(m, ngroups, width)
-                if i == 0:
-                    np.multiply(gathered, shifts[0], out=acc)
-                else:
-                    acc += shifts[i] * gathered
-            out[:, n0:n1] = affine_reduce(
-                acc,
-                plan.scale_gn[:, n0:n1],
-                plan.zero_gn[:, n0:n1],
-                sums,
-                plan.has_zero_point,
-            )
+        for m0 in range(0, m, BLOCK_ROWS):
+            block = table[m0 : m0 + BLOCK_ROWS]
+            r = block.shape[0]
+            if config.symmetric_table:
+                # IEEE `-x` is exactly the naive path's `x·(-1.0)`; the
+                # sign itself lives in the plan's flat indices.
+                block = np.concatenate([block, -block], axis=-1)
+            planes = np.empty((bits, block[0].size, r))
+            planes[0] = block.reshape(r, -1).T
+            np.multiply(planes[0], shifts, out=planes[1:])
+            tile = max(1, BLOCK_ELEMS // (ngroups * r))
+            for n0 in range(0, n, tile):
+                cols = slice(n0, n0 + tile)
+                acc = np.take(planes[0], flat[0, :, cols], axis=0)
+                for i in range(1, bits):
+                    acc += np.take(planes[i], flat[i, :, cols], axis=0)
+                if zero is not None:
+                    acc -= zero[:, cols] * sums[:, :, m0 : m0 + r]
+                acc *= scale[:, cols]
+                out[m0 : m0 + r, cols] = sum_groups_leading(acc).T
         return out
 
 

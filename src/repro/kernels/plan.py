@@ -24,6 +24,7 @@ across all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -200,7 +201,7 @@ class WeightPlan:
             self._flat_cache[key] = cached
         return cached
 
-    @property
+    @cached_property
     def shifts(self) -> np.ndarray:
         """Bit-serial plane weights ``2**i`` as float64, LSB first."""
         return (1 << np.arange(self.bits, dtype=np.int64)).astype(np.float64)

@@ -20,6 +20,8 @@ accumulation — see :func:`remap_weight_bits_offline`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.datatypes.formats import DataType
@@ -30,11 +32,17 @@ from repro.errors import LutError
 DEFAULT_K = 4
 
 
+@lru_cache(maxsize=8)
 def _sign_patterns(k: int) -> np.ndarray:
-    """(2**k, k) matrix of ±1 patterns; row idx encodes bit_k(idx)*2-1."""
+    """(2**k, k) float64 matrix of ±1 patterns; row idx encodes bit_k(idx)*2-1.
+
+    Built once per *k* and shared read-only by every table precompute.
+    """
     idx = np.arange(1 << k, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(k, dtype=np.int64)[None, :]) & 1
-    return 2 * bits - 1
+    patterns = (2 * bits - 1).astype(np.float64)
+    patterns.setflags(write=False)
+    return patterns
 
 
 def precompute_table(
@@ -69,9 +77,8 @@ def precompute_table(
     if act_dtype is not None:
         activations = quantize_to_format(activations, act_dtype)
     grouped = activations.reshape(*activations.shape[:-1], -1, k)
-    patterns = _sign_patterns(k).astype(np.float64)
     # (..., ngroups, k) @ (k, 2**k) -> (..., ngroups, 2**k)
-    return grouped @ patterns.T
+    return grouped @ _sign_patterns(k).T
 
 
 def precompute_symmetric_table(

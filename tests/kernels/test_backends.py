@@ -13,6 +13,7 @@ import pytest
 
 from repro.datatypes.formats import FP16, INT8
 from repro.errors import LutError
+from repro.kernels import backends
 from repro.kernels import (
     DEFAULT_BACKEND,
     ENV_VAR,
@@ -95,15 +96,114 @@ class TestCrossBackendEquivalence:
         row = lut_mpgemm(a, qw, backend=backend)[0]
         np.testing.assert_array_equal(gemv, row)
 
-    @pytest.mark.parametrize("tile_n", [1, 3, 7, 100])
-    def test_blocked_tile_width_never_changes_bits(self, tile_n):
-        a, qw = make_case(m=4, n=37, kdim=32, bits=4, seed=13)
-        engine = LutMpGemmEngine(qw, LutMpGemmConfig(backend="lut-naive"))
-        expected = engine.matmul(a)
-        tiled = LutBlockedBackend(tile_n=tile_n)
-        table = engine.precompute(a)
-        out = tiled.execute(engine.plan, engine.config, a, table)
-        np.testing.assert_array_equal(out, expected)
+    @pytest.mark.parametrize(
+        "block_rows, block_elems",
+        [(1, 1), (1, 1 << 15), (8, 1), (3, 100), (5, 7 * 8 * 5), (8, 1 << 15)],
+    )
+    @pytest.mark.parametrize("m", [1, 7, 9, 177])
+    def test_block_sizes_never_change_bits(
+        self, monkeypatch, block_rows, block_elems, m
+    ):
+        """1 row, 1 column, odd and default blocks over ragged M."""
+        monkeypatch.setattr(backends, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(backends, "BLOCK_ELEMS", block_elems)
+        a, qw = make_case(m=m, n=37, kdim=32, bits=4, seed=13)
+        naive = lut_mpgemm(a, qw, backend="lut-naive")
+        blocked = lut_mpgemm(a, qw, backend="lut-blocked")
+        np.testing.assert_array_equal(blocked, naive)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(symmetric_table=False),
+            dict(act_dtype=FP16),
+            dict(table_dtype=INT8),
+            dict(symmetric_table=False, act_dtype=FP16, table_dtype=INT8),
+        ],
+        ids=lambda cfg: "+".join(sorted(cfg)),
+    )
+    @pytest.mark.parametrize("granularity", ["per-group", "symmetric"])
+    def test_configs_bit_identical_across_blocks(
+        self, monkeypatch, cfg, granularity
+    ):
+        """Asymmetric tables, zero-points (per-group) and their absence
+        (symmetric), act/table dtypes — over several row *and* column
+        blocks, so every branch of the blocked kernel is crossed."""
+        monkeypatch.setattr(backends, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(backends, "BLOCK_ELEMS", 4 * 4 * 5)
+        a, qw = make_case(m=11, n=13, kdim=16, bits=3, seed=5,
+                          **GRANULARITIES[granularity])
+        plan = LutMpGemmEngine(qw).plan
+        assert plan.has_zero_point == (granularity == "per-group")
+        naive = lut_mpgemm(a, qw, LutMpGemmConfig(**cfg, backend="lut-naive"))
+        blocked = lut_mpgemm(
+            a, qw, LutMpGemmConfig(**cfg, backend="lut-blocked")
+        )
+        np.testing.assert_array_equal(blocked, naive)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (8, 16), (64, 3)])
+    def test_group_reduction_stays_ordered_at_large_g(self, m, n):
+        """G = 256 groups of mixed-magnitude activations: a pairwise (or
+        any reassociated) group reduction rounds differently from the
+        ascending-g loop (next test), so strict equality with
+        ``lut-naive`` pins the order. (1, 1) is the shape where numpy
+        itself would go pairwise."""
+        rng = np.random.default_rng(97)
+        kdim = 1024
+        a = rng.normal(size=(m, kdim)) * 10.0 ** rng.integers(
+            -6, 7, size=(m, kdim)
+        )
+        qw = quantize_weights(rng.normal(size=(n, kdim)), 4, axis=0)
+        naive = lut_mpgemm(a, qw, backend="lut-naive")
+        blocked = lut_mpgemm(a, qw, backend="lut-blocked")
+        np.testing.assert_array_equal(blocked, naive)
+
+    def test_pairwise_group_reduction_would_be_caught(self):
+        """The pin above has teeth: on the same kind of data numpy's 1-D
+        (pairwise) sum differs from the ascending loop ``sum_groups``
+        and ``sum_groups_leading`` both implement."""
+        rng = np.random.default_rng(97)
+        terms = rng.normal(size=(256, 6)) * 10.0 ** rng.integers(
+            -6, 7, size=(256, 6)
+        )
+        ordered = backends.sum_groups(terms[None])[0]
+        np.testing.assert_array_equal(
+            backends.sum_groups_leading(terms), ordered
+        )
+        for j in range(terms.shape[1]):
+            column = np.ascontiguousarray(terms[:, j])
+            np.testing.assert_array_equal(
+                backends.sum_groups_leading(column[:, None]), ordered[j : j + 1]
+            )
+        pairwise = np.array([terms[:, j].copy().sum() for j in range(6)])
+        assert np.any(pairwise != ordered)
+
+    def test_dispatch_retains_only_the_flat_indices(self):
+        """A blocked dispatch leaves on the plan exactly what the parent
+        kernel left: one ``(bits, G, N)`` int64 flat-index array per
+        (entries, symmetric) key and the two ``(G, N)`` affine arrays —
+        no per-plan table, scale or index array was added for speed."""
+        a, qw = make_case(m=9, n=24, kdim=32, bits=4, seed=3)
+        engine = LutMpGemmEngine(qw, LutMpGemmConfig(backend="lut-blocked"))
+        plan = engine.plan
+        assert plan._flat_cache == {} and plan._scale_gn is None
+        engine.matmul(a)
+        engine.matmul(a[:1])
+        bits, g, n = plan.bits, plan.ngroups, plan.n
+        assert list(plan._flat_cache) == [(1 << (plan.k - 1), True)]
+        flat = plan._flat_cache[(1 << (plan.k - 1), True)]
+        assert flat.dtype == np.int64 and flat.shape == (bits, g, n)
+        retained = {
+            name: value.nbytes
+            for name, value in vars(plan).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert retained == {
+            "_indices": bits * g * n * 8,
+            "_scale_gn": g * n * 8,
+            "_zero_gn": g * n * 8,
+            "shifts": bits * 8,
+        }
 
     def test_act_dtype_agrees_across_backends(self):
         a, qw = make_case(bits=2, seed=17)
