@@ -29,7 +29,13 @@ paged design:
   applies at ``context == block_size``). Because groups never span
   blocks, full blocks quantize once and are cached; only the trailing
   block — the only place scales can still change — is requantized
-  when its fill changed.
+  when its fill changed. The fused kernels read the pool's V arenas,
+  which :meth:`BlockAllocator.refresh_v_arenas` brings up to date
+  **once per layer per step**: the batch's stale blocks are stacked
+  into one ``(blocks · kv_heads · head_dim, block_size)`` weight for
+  one quantize + plan build. V scales belong to one weight row and
+  every plan array is per output column, so each stacked column is
+  bit-identical to the per-block, per-head build.
 
 :func:`paged_decode_attention` stitches the blocks back together
 bit-exactly: every output column of the score mpGEMM depends only on
@@ -76,7 +82,9 @@ order as the sequential loop), then :meth:`BlockAllocator.append_rows`
 lands every row with **one** stacked quantize + plan build. Per-row
 scales are row-local and every derived plan array is per output
 column, so the resulting pool state is bit-identical to the
-sequential loop.
+sequential loop. A prompt goes the same way: one
+:meth:`PagedLayerCache.append` quantizes all its K rows in one stacked
+call and hands each block its slice, however many blocks it spans.
 
 **Float-KV fused decode.** :func:`fused_paged_decode_attention` also
 serves pools built with ``bits=None``: the float K/V slabs are
@@ -293,6 +301,8 @@ class BlockAllocator:
         # QuantizedKvCache.quantize would pick at context == block_size.
         self._k_group = KV_GROUP if head_dim % KV_GROUP == 0 else None
         self._v_group = KV_GROUP if block_size % KV_GROUP == 0 else None
+        #: Bit-plane weights ``2**i`` (LSB first) for the fused kernels.
+        self.shifts = (1 << np.arange(bits or 0)).astype(np.float64)
 
         cap = num_blocks if num_blocks is not None else INITIAL_POOL_BLOCKS
         self._alloc_storage(cap)
@@ -395,7 +405,7 @@ class BlockAllocator:
             )
             # V side (context mpGEMM, the block consumed as a
             # (head_dim, block_size) weight): refreshed per fill level by
-            # :meth:`refresh_v_arena` — ``_va_fill`` records the fill the
+            # :meth:`refresh_v_arenas` — ``_va_fill`` records the fill the
             # arena was built at (-1 = never), so full blocks refresh once
             # and only the trailing block pays per-step requantization.
             self._va_fill = np.full(cap, -1, dtype=np.int64)
@@ -795,8 +805,87 @@ class BlockAllocator:
         return new
 
     # ------------------------------------------------------------------
+    def _quantize_rows(self, rows: np.ndarray, group: int | None):
+        """Per-row affine quantization of a 2-D weight — one scale per
+        row, or per *group* consecutive columns of a row when set."""
+        if group:
+            return quantize_weights(rows, self.bits, axis=1, group_size=group)
+        return quantize_weights(rows, self.bits, axis=0)
+
+    def _k_columns(self, k_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Quantize ``(R, kv_heads, head_dim)`` K rows into pool columns.
+
+        **One** stacked quantize + plan over all ``R * kv_heads`` rows,
+        whichever blocks they are bound for: per-row scales are
+        row-local and every derived plan array is per output column, so
+        each row's codes, scales and K-arena columns are bit-identical
+        to quantizing it alone (or per head, as the unfused path's
+        :meth:`k_plans` do). Returns ``(codes, scale, zero_point,
+        arena flat indices, arena scale, arena zero)``, row axis
+        leading — slice to split rows across blocks; :meth:`_land_rows`
+        scatters them. Owns the ``k_plan_s`` timer (plan work only).
+        """
+        r = k_rows.shape[0]
+        qw = self._quantize_rows(
+            k_rows.reshape(r * self.kv_heads, self.head_dim), self._k_group
+        )
+        started = time.perf_counter()
+        sub = build_weight_plan(qw, self.lut_k)
+        gk = self.head_dim // self.lut_k
+        flat_idx = sub.flat_lookup_indices(1 << (self.lut_k - 1), True)
+        shape = (r, self.kv_heads, -1)
+        cols = (
+            qw.codes.reshape(shape),
+            qw.scale.reshape(shape),
+            qw.zero_point.reshape(shape),
+            # (bits, gk, R * kv_heads) plan columns, row axis first.
+            flat_idx.reshape(sub.bits, gk, r, self.kv_heads)
+            .transpose(2, 3, 0, 1),
+            sub.scale_gn.reshape(gk, r, self.kv_heads).transpose(1, 2, 0),
+            sub.zero_gn.reshape(gk, r, self.kv_heads).transpose(1, 2, 0),
+        )
+        self.stats["k_plan_s"] += time.perf_counter() - started
+        return cols
+
+    def _land_rows(self, bids, offs, k_rows, v_rows, k_cols=None) -> None:
+        """Scatter row ``i`` of ``(R, kv_heads, head_dim)`` K/V rows to
+        slot ``offs[i]`` of block ``bids[i]`` (or of the one block
+        ``bids``): float slabs, then the quantized K state (*k_cols*,
+        or a fresh :meth:`_k_columns`)."""
+        self._k[bids, :, offs] = k_rows
+        self._v[bids, :, offs] = v_rows
+        if self.bits is None:
+            return
+        if k_cols is None:
+            k_cols = self._k_columns(k_rows)
+        codes, scale, zero_point, ka_flat, ka_scale, ka_zero = k_cols
+        self._k_codes[bids, :, offs] = codes
+        self._k_scale[bids, :, offs] = scale
+        self._k_zp[bids, :, offs] = zero_point
+        self._ka_flat[bids, :, :, :, offs] = ka_flat
+        self._ka_scale[bids, :, :, offs] = ka_scale
+        self._ka_zero[bids, :, :, offs] = ka_zero
+        self.stats["k_plan_cols"] += len(offs) * self.kv_heads
+
+    def _sync_legacy_plans(self, block_id: int, r0: int, r1: int) -> None:
+        """Rows ``[r0, r1)`` just landed in a block: extend its per-head
+        K plans if the unfused path materialized them (same columns as
+        the arena's, so only their time is added) and drop its V cache
+        (the trailing group's scales may have changed)."""
+        plans = self._k_plans.get(block_id)
+        if plans is not None:
+            started = time.perf_counter()
+            for h, plan in enumerate(plans):
+                plan.extend(self.k_row_weight(block_id, h, r0, r1))
+            self.stats["k_plan_s"] += time.perf_counter() - started
+        self._v_cache.pop(block_id, None)
+
     def write_rows(
-        self, block_id: int, k_rows: np.ndarray, v_rows: np.ndarray
+        self,
+        block_id: int,
+        k_rows: np.ndarray,
+        v_rows: np.ndarray,
+        k_cols: tuple[np.ndarray, ...] | None = None,
     ) -> None:
         """Append ``(t, kv_heads, head_dim)`` rows into one block.
 
@@ -804,11 +893,14 @@ class BlockAllocator:
         scales — independent of every other row, hence equal to a
         from-scratch quantize), extends the block's K plans if they are
         already materialized, and invalidates the block's V cache (its
-        trailing group's scales may have changed). Shared blocks are
-        read-only at this layer: writing one is an error — callers must
-        go through :meth:`cow_clone` first. A stale prefix-index entry
-        for the block is dropped before the rows land (the caller
-        re-registers the grown content afterwards if it tracks tokens).
+        trailing group's scales may have changed). *k_cols* hands in
+        the rows' slice of an already-built :meth:`_k_columns` — how
+        :meth:`PagedLayerCache.append` quantizes a multi-block prompt
+        once. Shared blocks are read-only at this layer: writing one is
+        an error — callers must go through :meth:`cow_clone` first. A
+        stale prefix-index entry for the block is dropped before the
+        rows land (the caller re-registers the grown content afterwards
+        if it tracks tokens).
         """
         if self._refcount[block_id] > 1:
             raise ServingError(
@@ -823,55 +915,11 @@ class BlockAllocator:
             raise ServingError(
                 f"block overflow: {off} + {t_new} > {self.block_size}"
             )
-        self._k[block_id][:, off:off + t_new] = k_rows.transpose(1, 0, 2)
-        self._v[block_id][:, off:off + t_new] = v_rows.transpose(1, 0, 2)
+        self._land_rows(
+            block_id, np.arange(off, off + t_new), k_rows, v_rows, k_cols
+        )
         if self.bits is not None:
-            flat = k_rows.transpose(1, 0, 2).reshape(-1, self.head_dim)
-            if self._k_group:
-                qw = quantize_weights(
-                    flat, self.bits, axis=1, group_size=self._k_group
-                )
-            else:
-                qw = quantize_weights(flat, self.bits, axis=0)
-            sl = np.s_[block_id, :, off:off + t_new]
-            self._k_codes[sl] = qw.codes.reshape(
-                self.kv_heads, t_new, self.head_dim
-            )
-            shape = (self.kv_heads, t_new, -1)
-            self._k_scale[sl] = qw.scale.reshape(shape)
-            self._k_zp[sl] = qw.zero_point.reshape(shape)
-            # K arena: the new rows' plan columns in slab layout. One
-            # stacked plan over all KV heads' rows — every derived array
-            # is per output column, so its columns are bit-identical to
-            # the per-head plans the unfused path builds. This is the
-            # canonical per-step K plan work, so it owns the
-            # ``k_plan_cols`` count; the legacy extend below only adds
-            # its timing (same columns, counted once).
-            started = time.perf_counter()
-            sub = build_weight_plan(qw, self.lut_k)
-            gk = self.head_dim // self.lut_k
-            flat_idx = sub.flat_lookup_indices(1 << (self.lut_k - 1), True)
-            self._ka_flat[block_id, :, :, :, off:off + t_new] = (
-                flat_idx.reshape(sub.bits, gk, self.kv_heads, t_new)
-                .transpose(2, 0, 1, 3)
-            )
-            self._ka_scale[block_id, :, :, off:off + t_new] = (
-                sub.scale_gn.reshape(gk, self.kv_heads, t_new)
-                .transpose(1, 0, 2)
-            )
-            self._ka_zero[block_id, :, :, off:off + t_new] = (
-                sub.zero_gn.reshape(gk, self.kv_heads, t_new)
-                .transpose(1, 0, 2)
-            )
-            self.stats["k_plan_cols"] += t_new * self.kv_heads
-            self.stats["k_plan_s"] += time.perf_counter() - started
-            plans = self._k_plans.get(block_id)
-            if plans is not None:
-                started = time.perf_counter()
-                for h, plan in enumerate(plans):
-                    plan.extend(self.k_row_weight(block_id, h, off, off + t_new))
-                self.stats["k_plan_s"] += time.perf_counter() - started
-            self._v_cache.pop(block_id, None)
+            self._sync_legacy_plans(block_id, off, off + t_new)
         self._fill[block_id] = off + t_new
 
     def append_rows(
@@ -883,9 +931,8 @@ class BlockAllocator:
         ``v_rows`` are ``(B, kv_heads, head_dim)`` — one new token per
         block. Semantically B single-row :meth:`write_rows` calls,
         executed as one vectorized slab write plus **one** stacked
-        quantize + plan build over all ``B * kv_heads`` rows: per-row
-        quantization scales are row-local and every derived plan array
-        is per output column, so the codes, scales and K-arena columns
+        quantize + plan build over all ``B * kv_heads`` rows
+        (:meth:`_k_columns`), so the codes, scales and K-arena columns
         land bit-identical to the sequential loop (the batched-append
         parity tests pin this). Staleness accounting is per block
         exactly as in :meth:`write_rows`: stale prefix-index entries
@@ -924,51 +971,10 @@ class BlockAllocator:
                 f"block overflow: a destination block is already at "
                 f"fill {self.block_size}"
             )
-        self._k[bids, :, offs] = k_rows
-        self._v[bids, :, offs] = v_rows
+        self._land_rows(bids, offs, k_rows, v_rows)
         if self.bits is not None:
-            flat = k_rows.reshape(nb * self.kv_heads, self.head_dim)
-            if self._k_group:
-                qw = quantize_weights(
-                    flat, self.bits, axis=1, group_size=self._k_group
-                )
-            else:
-                qw = quantize_weights(flat, self.bits, axis=0)
-            self._k_codes[bids, :, offs] = qw.codes.reshape(
-                nb, self.kv_heads, self.head_dim
-            )
-            qshape = (nb, self.kv_heads, -1)
-            self._k_scale[bids, :, offs] = qw.scale.reshape(qshape)
-            self._k_zp[bids, :, offs] = qw.zero_point.reshape(qshape)
-            started = time.perf_counter()
-            sub = build_weight_plan(qw, self.lut_k)
-            gk = self.head_dim // self.lut_k
-            flat_idx = sub.flat_lookup_indices(1 << (self.lut_k - 1), True)
-            # (bits, gk, B * kv_heads) columns scattered per block.
-            self._ka_flat[bids, :, :, :, offs] = (
-                flat_idx.reshape(sub.bits, gk, nb, self.kv_heads)
-                .transpose(2, 3, 0, 1)
-            )
-            self._ka_scale[bids, :, :, offs] = (
-                sub.scale_gn.reshape(gk, nb, self.kv_heads)
-                .transpose(1, 2, 0)
-            )
-            self._ka_zero[bids, :, :, offs] = (
-                sub.zero_gn.reshape(gk, nb, self.kv_heads)
-                .transpose(1, 2, 0)
-            )
-            self.stats["k_plan_cols"] += nb * self.kv_heads
-            self.stats["k_plan_s"] += time.perf_counter() - started
-            for j, bid in enumerate(bids):
-                bid = int(bid)
-                plans = self._k_plans.get(bid)
-                if plans is not None:
-                    started = time.perf_counter()
-                    off = int(offs[j])
-                    for h, plan in enumerate(plans):
-                        plan.extend(self.k_row_weight(bid, h, off, off + 1))
-                    self.stats["k_plan_s"] += time.perf_counter() - started
-                self._v_cache.pop(bid, None)
+            for bid, off in zip(bids.tolist(), offs.tolist()):
+                self._sync_legacy_plans(bid, off, off + 1)
         self._fill[bids] = offs + 1
 
     def k_row_weight(
@@ -1029,70 +1035,76 @@ class BlockAllocator:
         if cached is not None and cached[0] == fill:
             return cached[1], cached[2]
         started = time.perf_counter()
-        v_quant = []
-        for h in range(self.kv_heads):
-            v_t = self._v[block_id, h].T  # (head_dim, block_size)
-            if self._v_group:
-                v_quant.append(
-                    quantize_weights(
-                        v_t, self.bits, axis=1, group_size=self._v_group
-                    )
-                )
-            else:
-                v_quant.append(quantize_weights(v_t, self.bits, axis=0))
+        v_quant = [
+            # (head_dim, block_size) weight per head
+            self._quantize_rows(self._v[block_id, h].T, self._v_group)
+            for h in range(self.kv_heads)
+        ]
         plans = [build_weight_plan(q, self.lut_k) for q in v_quant]
         self.stats["v_quant_cols"] += self.block_size * self.kv_heads
         self.stats["v_quant_s"] += time.perf_counter() - started
         self._v_cache[block_id] = (fill, v_quant, plans)
         return v_quant, plans
 
-    def refresh_v_arena(self, block_id: int) -> None:
-        """Bring one block's V arena slabs up to its current fill.
+    def _v_arena_columns(
+        self, v_slabs: np.ndarray, deq: bool = True
+    ) -> tuple[np.ndarray, ...]:
+        """V-arena columns of ``(C, kv_heads, block_size, head_dim)`` slabs.
 
-        One stacked quantize + plan over all KV heads' ``(head_dim,
-        block_size)`` V weights — per-row scales are head-local, so the
-        stacked plan's columns are bit-identical to the per-head
-        :meth:`v_quantized` plans. No-op when ``_va_fill`` already
-        matches (full blocks refresh once, ever); the fused decode calls
-        this only for stale gathered blocks, so steady-state per-step
-        V-quant work is one trailing block per sequence per layer —
-        exactly the unfused path's cost.
+        Each slab is consumed as ``kv_heads`` ``(head_dim, block_size)``
+        weights; all ``C * kv_heads * head_dim`` weight rows go through
+        **one** stacked quantize + plan. V scales are per weight row
+        (grouped along the block context) and every plan array is per
+        output column, so the stacked columns are bit-identical to the
+        per-block, per-head :meth:`v_quantized` plans. Returns ``(flat
+        indices, scale, zero, dequantized)`` with the slab axis leading,
+        in arena layout (``dequantized`` is ``None`` unless *deq*: only
+        table-less backends read it). Owns the ``v_quant_s`` timer —
+        quantize, plan and index build — and the ``v_quant_cols`` count.
         """
-        fill = int(self._fill[block_id])
-        if int(self._va_fill[block_id]) == fill:
-            return
         started = time.perf_counter()
-        # (kv_heads * head_dim, block_size): head h's rows h*hd..h*hd+hd.
-        v_t = self._v[block_id].transpose(0, 2, 1).reshape(
-            -1, self.block_size
-        )
-        if self._v_group:
-            qw = quantize_weights(
-                v_t, self.bits, axis=1, group_size=self._v_group
-            )
-        else:
-            qw = quantize_weights(v_t, self.bits, axis=0)
+        c = v_slabs.shape[0]
+        kv, hd = self.kv_heads, self.head_dim
+        # (C * kv_heads * head_dim, block_size): slab-major, then head.
+        v_t = v_slabs.transpose(0, 1, 3, 2).reshape(-1, self.block_size)
+        qw = self._quantize_rows(v_t, self._v_group)
         plan = build_weight_plan(qw, self.lut_k)
         gv = self.block_size // self.lut_k
         flat_idx = plan.flat_lookup_indices(1 << (self.lut_k - 1), True)
-        self._va_flat[block_id] = (
-            flat_idx.reshape(plan.bits, gv, self.kv_heads, self.head_dim)
-            .transpose(2, 0, 1, 3)
+        cols = (
+            flat_idx.reshape(plan.bits, gv, c, kv, hd)
+            .transpose(2, 3, 0, 1, 4),
+            plan.scale_gn.reshape(gv, c, kv, hd).transpose(1, 2, 0, 3),
+            plan.zero_gn.reshape(gv, c, kv, hd).transpose(1, 2, 0, 3),
+            plan.dequantized.reshape(c, kv, hd, self.block_size)
+            if deq else None,
         )
-        self._va_scale[block_id] = (
-            plan.scale_gn.reshape(gv, self.kv_heads, self.head_dim)
-            .transpose(1, 0, 2)
-        )
-        self._va_zero[block_id] = (
-            plan.zero_gn.reshape(gv, self.kv_heads, self.head_dim)
-            .transpose(1, 0, 2)
-        )
-        self._va_deq[block_id] = plan.dequantized.reshape(
-            self.kv_heads, self.head_dim, self.block_size
-        )
-        self._va_fill[block_id] = fill
-        self.stats["v_quant_cols"] += self.block_size * self.kv_heads
+        self.stats["v_quant_cols"] += c * self.block_size * kv
         self.stats["v_quant_s"] += time.perf_counter() - started
+        return cols
+
+    def refresh_v_arenas(self, block_ids) -> None:
+        """Bring the V arena slabs of *block_ids* up to their current fill.
+
+        Blocks whose ``_va_fill`` already matches are skipped (full
+        blocks refresh once, ever; duplicate ids count once); the stale
+        ones are rebuilt by **one** stacked :meth:`_v_arena_columns`
+        call and scattered with one write per arena. The fused decode
+        calls this once per layer per step with every gathered block:
+        steady-state V-quant work is still one trailing block per
+        sequence per layer, in one quantize + plan instead of B.
+        """
+        bids = np.unique(np.asarray(block_ids, dtype=np.int64))
+        stale = bids[self._va_fill[bids] != self._fill[bids]]
+        if stale.size == 0:
+            return
+        (
+            self._va_flat[stale],
+            self._va_scale[stale],
+            self._va_zero[stale],
+            self._va_deq[stale],
+        ) = self._v_arena_columns(self._v[stale])
+        self._va_fill[stale] = self._fill[stale]
 
 
 class PagedLayerCache:
@@ -1238,6 +1250,12 @@ class PagedLayerCache:
                 # Earlier rows arrived untracked; prefix keys derived
                 # from a partial history would lie about block content.
                 track = False
+        # One stacked K quantize + plan for the whole append, however
+        # many blocks a prompt spans; each block gets its rows' slice.
+        k_cols = (
+            self.pool._k_columns(k_rows)
+            if self.bits is not None and total else None
+        )
         written = 0
         while written < total:
             off = self.length % self.block_size
@@ -1248,10 +1266,12 @@ class PagedLayerCache:
                 self.block_ids[-1] = self.pool.cow_clone(shared)
                 self.pool.free(shared)
             take = min(self.block_size - off, total - written)
+            rows = np.s_[written:written + take]
             self.pool.write_rows(
                 self.block_ids[-1],
-                k_rows[written:written + take],
-                v_rows[written:written + take],
+                k_rows[rows],
+                v_rows[rows],
+                k_cols and tuple(col[rows] for col in k_cols),
             )
             self.length += take
             written += take
@@ -1748,14 +1768,12 @@ def fused_paged_decode_attention(
             f"backend {kernel.name!r} has no tables and cannot model "
             f"table_dtype={config.table_dtype.name} quantization"
         )
-    # Bring stale V arenas up to date — in steady state only each
-    # sequence's trailing block; full blocks refresh once, ever.
-    live = np.unique(ids[table_valid])
-    for bid in live[pool._va_fill[live] != pool._fill[live]]:
-        pool.refresh_v_arena(int(bid))
+    # One stacked refresh of the batch's stale V arenas — in steady
+    # state each sequence's trailing block; full blocks refresh once.
+    pool.refresh_v_arenas(ids[table_valid])
 
     gk, gv = hd // pool.lut_k, block_size // pool.lut_k
-    shifts = (1 << np.arange(pool.bits, dtype=np.int64)).astype(np.float64)
+    shifts = pool.shifts
     q2 = queries.reshape(b * heads, hd)
     if kernel.needs_table:
         q_half = precompute_tables(q2, config)
@@ -1946,16 +1964,11 @@ def fused_paged_verify_attention(
     # queried time); rows whose time-j trailing block was partial get a
     # fresh zero-masked requantization below, so partial-now blocks are
     # never read from the arena.
-    live = np.unique(ids[table_valid])
-    full = live[
-        (pool._fill[live] == block_size)
-        & (pool._va_fill[live] != pool._fill[live])
-    ]
-    for bid in full:
-        pool.refresh_v_arena(int(bid))
+    live = ids[table_valid]
+    pool.refresh_v_arenas(live[pool._fill[live] == block_size])
 
     gk, gv = hd // pool.lut_k, block_size // pool.lut_k
-    shifts = (1 << np.arange(pool.bits, dtype=np.int64)).astype(np.float64)
+    shifts = pool.shifts
     q2 = queries.reshape(bt * heads, hd)
     if kernel.needs_table:
         q_half = precompute_tables(q2, config)
@@ -2010,40 +2023,19 @@ def fused_paged_verify_attention(
     fill_rows = f_rows - tb_rows * block_size  # its time-j fill
     fresh = np.nonzero(fill_rows < block_size)[0]
     if fresh.size:
-        c = fresh.size
-        cbids = ids_rows[fresh, tb_rows[fresh]]
-        v_src = pool._v[cbids]  # (C, kv, block_size, head_dim)
+        tb = tb_rows[fresh]
+        v_src = pool._v[ids_rows[fresh, tb]]  # (C, kv, block_size, hd)
         keep = (
             np.arange(block_size)[None, None, :, None]
             < fill_rows[fresh][:, None, None, None]
         )
-        v_masked = np.where(keep, v_src, 0.0)
-        v_t = v_masked.transpose(0, 1, 3, 2).reshape(-1, block_size)
-        if pool._v_group:
-            qw = quantize_weights(
-                v_t, pool.bits, axis=1, group_size=pool._v_group
-            )
-        else:
-            qw = quantize_weights(v_t, pool.bits, axis=0)
-        started = time.perf_counter()
-        plan = build_weight_plan(qw, pool.lut_k)
-        flat_idx = plan.flat_lookup_indices(1 << (pool.lut_k - 1), True)
-        flv6[fresh, :, tb_rows[fresh]] = (
-            flat_idx.reshape(plan.bits, gv, c, kv, hd)
-            .transpose(2, 3, 0, 1, 4)
+        cols = pool._v_arena_columns(
+            np.where(keep, v_src, 0.0), deq=deq6 is not None
         )
-        scv6[fresh, :, tb_rows[fresh]] = (
-            plan.scale_gn.reshape(gv, c, kv, hd).transpose(1, 2, 0, 3)
-        )
-        zrv6[fresh, :, tb_rows[fresh]] = (
-            plan.zero_gn.reshape(gv, c, kv, hd).transpose(1, 2, 0, 3)
-        )
+        at = (fresh, slice(None), tb)
+        flv6[at], scv6[at], zrv6[at] = cols[:3]
         if deq6 is not None:
-            deq6[fresh, :, tb_rows[fresh]] = plan.dequantized.reshape(
-                c, kv, hd, block_size
-            )
-        pool.stats["v_quant_cols"] += c * block_size * kv
-        pool.stats["v_quant_s"] += time.perf_counter() - started
+            deq6[at] = cols[3]
 
     probs4 = probs.reshape(bt, heads, maxb, block_size)
     p2 = probs4.reshape(bt * heads * maxb, block_size)
