@@ -7,7 +7,9 @@ row block bounds the work set) and the wide prefill shape (M=64,
 N=K=1024, bits=4: the element budget cuts N into 16-column blocks) —
 while never materializing the naive path's ``(M, bits, G, N)``
 intermediate, and every LUT backend must agree with the dequantization
-reference to float noise in the lossless config.
+reference to float noise in the lossless config. The fused attention
+executor's row-shared layout is gated the same way: one M = 2 dispatch
+must beat two M = 1 dispatches.
 """
 
 from benchmarks.conftest import run_once
@@ -36,6 +38,14 @@ def test_bench_backends(benchmark, show):
         )
         assert blocked.peak_traced_bytes < naive.peak_traced_bytes
         assert naive.peak_traced_bytes >= naive.naive_intermediate_bytes
+
+    # The fused attention executor: one dispatch whose M = 2 query heads
+    # share each gathered weight row beats the two M = 1 dispatches a
+    # per-head gather makes, at both decode-step shapes.
+    for label in ("attn-score", "attn-context"):
+        shared = rows[(label, "rowwise-shared")]
+        assert shared.time_s < rows[(label, "rowwise-per-head")].time_s, label
+        assert shared.max_abs_err == 0.0, label
 
     # Lossless configuration: LUT backends match the dequant reference
     # to float accumulation noise, the reference backend exactly.

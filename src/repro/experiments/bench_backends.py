@@ -13,6 +13,13 @@ match to float noise), and — for the LUT backends — the tracemalloc
 peak of one matmul, which is what proves the blocked path never
 materializes the naive path's ``(M, bits, G, N)`` intermediate.
 
+Two more rows time the fused int4-KV attention executor
+(:func:`~repro.kernels.rowwise_lut_execute`) at the bench-128 decode
+step's two dispatch shapes, once with the M = 2 query heads of each KV
+head sharing one gathered weight row and once as the two M = 1
+dispatches a per-head gather would make: same values, half the gather
+indices.
+
 Extends Section 3.2 of the paper (the software kernel pipeline); there
 is no corresponding figure — this is the repo's own regression bench.
 """
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.meta import ExperimentMeta
+from repro.kernels import rowwise_lut_execute
 from repro.lut.mpgemm import (
     LutMpGemmConfig,
     LutMpGemmEngine,
@@ -41,6 +49,16 @@ SHAPES: tuple[tuple[str, int, int, int], ...] = (
     ("decode-wide", 8, 1024, 1024),
     ("prefill", 64, 1024, 1024),
 )
+#: (label, R, G, N) of the fused decode attention at B = 8, kv_heads =
+#: 4, head_dim = block_size = 16: scores over 4 blocks of cached tokens
+#: (one row per sequence and KV head), context per block.
+ATTN_SHAPES: tuple[tuple[str, int, int, int], ...] = (
+    ("attn-score", 32, 4, 64),
+    ("attn-context", 128, 4, 16),
+)
+#: Query heads per KV head (the executor's shared-row axis M).
+ATTN_M = 2
+ATTN_BACKENDS = ("rowwise-per-head", "rowwise-shared")
 WEIGHT_BITS = 4
 LUT_K = 4
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
@@ -65,13 +83,21 @@ META = ExperimentMeta(
         "weight_bits": WEIGHT_BITS,
         "lut_k": LUT_K,
         "backends": BACKENDS,
+        "attn_shapes": ATTN_SHAPES,
+        "attn_m": ATTN_M,
     },
 )
 
 
 @dataclass(frozen=True)
 class BackendBenchRow:
-    """One (shape, backend) timing cell."""
+    """One (shape, backend) timing cell.
+
+    On the ``attn-*`` rows the "backends" are the two ways to dispatch
+    :data:`ATTN_M` activation rows per weight row, ``speedup_vs_naive``
+    is over the per-head one and ``max_abs_err`` the difference between
+    the two (they are bit-identical: 0).
+    """
 
     shape_label: str
     backend: str
@@ -122,8 +148,64 @@ def _traced_peak(engine: LutMpGemmEngine, acts: np.ndarray) -> int:
     return max(0, peak - baseline)
 
 
+def _attention_rows(rng, label, r, g, n) -> list[BackendBenchRow]:
+    """Time one ``M = ATTN_M`` dispatch against ``ATTN_M`` ``M = 1`` ones."""
+    width = 1 << LUT_K  # signed half-table extension [T, -T]
+    args = dict(
+        table=rng.normal(size=(r, g, width, ATTN_M)),
+        flat_idx=rng.integers(0, width, size=(r, WEIGHT_BITS, g, n))
+        + (np.arange(g) * width)[:, None],
+        scale=rng.normal(size=(r, g, n)),
+        zero=rng.normal(size=(r, g, n)),
+        sums=rng.normal(size=(r, g, ATTN_M)),
+        shifts=(1 << np.arange(WEIGHT_BITS)).astype(np.float64),
+        apply_zero=True,
+    )
+
+    singles = [
+        {
+            **args,
+            "table": np.ascontiguousarray(args["table"][..., m:m + 1]),
+            "sums": args["sums"][..., m:m + 1],
+        }
+        for m in range(ATTN_M)
+    ]
+
+    def shared():
+        return rowwise_lut_execute(**args)
+
+    def per_head():
+        return [rowwise_lut_execute(**single) for single in singles]
+
+    err = float(
+        np.abs(shared() - np.concatenate(per_head(), axis=-1)).max()
+    )
+    times = dict.fromkeys(ATTN_BACKENDS, np.inf)
+    for _ in range(MAX_REPS):  # interleaved, min of each
+        for name, fn in zip(ATTN_BACKENDS, (per_head, shared)):
+            started = time.perf_counter()
+            fn()
+            times[name] = min(times[name], time.perf_counter() - started)
+    return [
+        BackendBenchRow(
+            shape_label=label,
+            backend=name,
+            m=ATTN_M,
+            n=n,
+            kdim=g * LUT_K,
+            bits=WEIGHT_BITS,
+            time_s=times[name],
+            speedup_vs_naive=times[ATTN_BACKENDS[0]] / times[name],
+            max_abs_err=err,
+            peak_traced_bytes=None,
+        )
+        for name in ATTN_BACKENDS
+    ]
+
+
 def run(
     shapes: tuple[tuple[str, int, int, int], ...] = SHAPES,
+    attn_shapes: tuple[tuple[str, int, int, int], ...] = ATTN_SHAPES,
 ) -> list[BackendBenchRow]:
     rng = np.random.default_rng(2025)
     rows: list[BackendBenchRow] = []
@@ -165,13 +247,16 @@ def run(
                     peak_traced_bytes=peak,
                 )
             )
+    for label, r, g, n in attn_shapes:
+        rows.extend(_attention_rows(rng, label, r, g, n))
     return rows
 
 
 def format_result(rows: list[BackendBenchRow]) -> str:
     lines = [
-        "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive)",
-        f"{'shape':>11} {'backend':>12} {'M':>4} {'N':>5} {'K':>5} "
+        "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive,"
+        " attn-* rows vs rowwise-per-head)",
+        f"{'shape':>12} {'backend':>16} {'M':>4} {'N':>5} {'K':>5} "
         f"{'ms':>9} {'speedup':>8} {'max|err|':>9} {'peak MiB':>9}",
     ]
     for row in rows:
@@ -181,7 +266,7 @@ def format_result(rows: list[BackendBenchRow]) -> str:
             else f"{'-':>9}"
         )
         lines.append(
-            f"{row.shape_label:>11} {row.backend:>12} {row.m:>4} {row.n:>5} "
+            f"{row.shape_label:>12} {row.backend:>16} {row.m:>4} {row.n:>5} "
             f"{row.kdim:>5} {row.time_s * 1e3:>9.2f} "
             f"{row.speedup_vs_naive:>7.2f}x {row.max_abs_err:>9.2e} {peak}"
         )

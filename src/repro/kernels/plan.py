@@ -5,31 +5,33 @@ offline, and reused by every backend and every matmul call:
 
 1. **reinterpret** the unsigned affine codes onto the symmetric odd grid
    (Eq. 2) so each bit-plane is ±1;
-2. **bit-planes → grouped K-bit indices**: each plane's bits are packed
-   into one lookup index per (plane, group, output column);
+2. **codes → grouped K-bit indices**: each plane's bits are packed
+   into one lookup index per (plane, group, output column)
+   (:func:`lookup_indices`: every plane at once, through a spread table);
 3. **symmetric folding**: the Eq. 5/6 MSB rule is resolved into
-   half-table (index, sign) pairs (:meth:`WeightPlan.sym_fold`) — the
-   runtime lookup needs no bit manipulation at all, regardless of whether
-   the engine models the remap as offline (Eq. 6) or at runtime (Eq. 5),
-   since both produce the identical pairs;
+   half-table (index, sign) pairs (:func:`fold_tables`, one entry per
+   K-bit index) — the runtime lookup needs no bit manipulation at all,
+   regardless of whether the engine models the remap as offline (Eq. 6)
+   or at runtime (Eq. 5), since both produce the identical pairs;
 4. **per-group affine**: scales and zero-points are validated to be
    constant within each k-group and reduced to ``(G, N)`` arrays in the
    layout the kernels consume.
 
 The plan depends only on ``(weight, k)`` — not on activation formats,
 table quantization, or backend choice — which is what makes it shareable
-across all of them.
+across all of them. Steps 2 and 3 are module functions over bare code
+arrays: the paged KV pool, whose "weights" arrive online, builds its
+arena columns through the same calls without a plan object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from repro.errors import LutError
-from repro.quant.bitplane import to_bitplanes
+from repro.errors import LutError, QuantizationError
 from repro.quant.reinterpret import ReinterpretedWeight, reinterpret_symmetric
 from repro.quant.weight import QuantizedWeight
 
@@ -62,6 +64,92 @@ def group_affine(
             "multiple of k for the LUT path"
         )
     return grouped[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _spread_table(bits: int, k: int, first: int, count: int) -> np.ndarray:
+    """``2**bits`` entries: code ``q`` -> its bits ``first .. first+count``
+    laid out in ``k``-bit lanes (bit ``first + i`` at position ``i·k``)."""
+    lanes = np.arange(count)
+    table = (
+        ((np.arange(1 << bits)[:, None] >> (first + lanes)) & 1) << (k * lanes)
+    ).sum(axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def lookup_indices(codes: np.ndarray, bits: int, k: int) -> np.ndarray:
+    """Plain K-bit lookup indices of unsigned *codes*, every plane at once.
+
+    *codes* is ``(..., K)``; entry ``[i, ..., g]`` of the ``(bits, ...,
+    K // k)`` result is ``Σ_j bit_i(codes[..., g·k + j]) << j`` — plane
+    *i*'s index into group *g*'s table, LSB plane first. The spread
+    table puts bit *i* of a code at the bottom of lane *i*; one int64
+    ``@ [1, 2, 4, …]`` over a group's *k* codes shifts code *j* left by
+    *j* inside every lane (*k* wide, so nothing carries), which makes
+    lane *i* of the product exactly that sum.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    # Viewed unsigned a negative code is huge: one reduction, both ends.
+    if codes.view(np.uint64).max(initial=0) >= (1 << bits):
+        raise QuantizationError(f"codes do not fit in {bits} unsigned bits")
+    kdim = codes.shape[-1]
+    if kdim % k != 0:
+        raise LutError(f"K dimension {kdim} not divisible by k={k}")
+    grouped = codes.reshape(*codes.shape[:-1], kdim // k, k)
+    out = np.empty((bits,) + grouped.shape[:-1], dtype=np.int64)
+    per_word = 62 // k  # lanes one int64 holds
+    for first in range(0, bits, per_word):
+        count = min(per_word, bits - first)
+        packed = _spread_table(bits, k, first, count)[grouped] @ (
+            1 << np.arange(k, dtype=np.int64)
+        )
+        shifts = (k * np.arange(count)).reshape((count,) + (1,) * packed.ndim)
+        np.right_shift(packed, shifts, out=out[first:first + count])
+    out &= (1 << k) - 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def fold_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Eq. 5/6 symmetric fold as two ``2**k``-entry tables: ``low``
+    in ``[0, 2**(k-1))`` and ``sign`` (±1 float64). An index with the
+    MSB set addresses the complemented low bits and flips the
+    accumulator sign — identical to applying the Eq. 6 offline remap
+    (:func:`repro.lut.table.remap_weight_bits_offline`) and then
+    splitting the result at lookup time."""
+    idx = np.arange(1 << k, dtype=np.int64)
+    half_mask = (1 << (k - 1)) - 1
+    msb = idx >> (k - 1)
+    low = (idx & half_mask) ^ (msb * half_mask)
+    sign = 1.0 - 2.0 * msb
+    low.flags.writeable = sign.flags.writeable = False
+    return low, sign
+
+
+def flat_lookup(
+    indices: np.ndarray, k: int, entries: int, symmetric: bool,
+    group_axis: int = -1,
+) -> np.ndarray:
+    """Flat gather indices into a row-flattened ``(G·width,)`` table.
+
+    *indices* are plain K-bit indices with the group along *group_axis*.
+    For the symmetric half table the caller gathers from the signed
+    extension ``[T, -T]`` (width ``2·entries`` per group): the MSB sign
+    is folded into the index as ``low + entries·(sign < 0)``, so the
+    runtime kernel needs neither bit manipulation nor a sign multiply.
+    The full table takes the plain indices. Group *g*'s offset
+    ``g·width`` is folded in too.
+    """
+    width = entries
+    if symmetric:
+        low, sign = fold_tables(k)
+        indices = (low + entries * (sign < 0))[indices]
+        width = 2 * entries
+    shape = [1] * indices.ndim
+    shape[group_axis] = -1
+    offsets = np.arange(indices.shape[group_axis], dtype=np.int64) * width
+    return indices + offsets.reshape(shape)
 
 
 @dataclass
@@ -121,14 +209,14 @@ class WeightPlan:
     @property
     def indices(self) -> np.ndarray:
         if self._indices is None:
-            rw = self.reinterpreted
-            # Per-plane unsigned bits of the symmetric code: q' maps back
-            # to unsigned q, whose plain bit-planes index the ±1 tables.
-            planes = to_bitplanes(rw.unsigned_codes(), self.bits)
-            grouped = planes.reshape(self.bits, self.n, self.ngroups, self.k)
-            weights_of_bits = 1 << np.arange(self.k, dtype=np.int64)
-            idx = np.tensordot(grouped, weights_of_bits, axes=(3, 0))
-            self._indices = np.transpose(idx, (0, 2, 1))  # (bits, G, N)
+            # The symmetric code q' maps back to unsigned q, whose plain
+            # bit-planes index the ±1 tables.
+            idx = lookup_indices(
+                self.reinterpreted.unsigned_codes(), self.bits, self.k
+            )
+            self._indices = np.ascontiguousarray(
+                idx.transpose(0, 2, 1)  # (bits, G, N)
+            )
         return self._indices
 
     @property
@@ -155,49 +243,26 @@ class WeightPlan:
         return self._has_zero_point
 
     def sym_fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """Half-table ``(low, sign)`` pairs for the symmetric lookup.
-
-        Resolves the Eq. 5 MSB rule: indices with the MSB set address
-        the complemented low bits and flip the accumulator sign —
-        identical to applying the Eq. 6 offline remap
-        (:func:`repro.lut.table.remap_weight_bits_offline`) and then
-        splitting the result at lookup time. Returned arrays are
-        ``(bits, G, N)``: ``low`` in ``[0, 2**(k-1))``, ``sign`` ±1
+        """Half-table ``(low, sign)`` pairs for the symmetric lookup:
+        :func:`fold_tables` gathered at :attr:`indices`. Returned arrays
+        are ``(bits, G, N)``: ``low`` in ``[0, 2**(k-1))``, ``sign`` ±1
         float64. Computed per call (the arrays are matmul-transient for
         the naive backend; the blocked backend folds them into the
         cached :meth:`flat_lookup_indices` instead).
         """
-        half_mask = (1 << (self.k - 1)) - 1
-        msb = (self.indices >> (self.k - 1)) & 1
-        low = self.indices & half_mask
-        sym_low = np.where(msb == 1, (~low) & half_mask, low)
-        sym_sign = np.where(msb == 1, -1.0, 1.0)
-        return sym_low, sym_sign
+        low, sign = fold_tables(self.k)
+        return low[self.indices], sign[self.indices]
 
     def flat_lookup_indices(self, entries: int, symmetric: bool) -> np.ndarray:
-        """``(bits, G, N)`` flat gather indices for a row-flattened table.
-
-        For the symmetric half table the caller gathers from the signed
-        extension ``[T, -T]`` (width ``2·entries`` per group): the MSB
-        sign is folded into the index as ``low + entries·(sign < 0)``, so
-        the runtime kernel needs neither bit manipulation nor a sign
-        multiply. For the full table the plain indices are used. Group
-        *g*'s offset ``g·width`` is folded in too; everything is
-        activation-independent, computed once per (entries, symmetric)
-        and cached on the plan.
-        """
+        """``(bits, G, N)`` :func:`flat_lookup` gather indices for a
+        row-flattened table — activation-independent, computed once per
+        (entries, symmetric) and cached on the plan."""
         key = (entries, symmetric)
         cached = self._flat_cache.get(key)
         if cached is None:
-            if symmetric:
-                width = 2 * entries
-                sym_low, sym_sign = self.sym_fold()
-                base = sym_low + entries * (sym_sign < 0)
-            else:
-                width = entries
-                base = self.indices
-            offsets = np.arange(self.ngroups, dtype=np.int64) * width
-            cached = base + offsets[None, :, None]
+            cached = flat_lookup(
+                self.indices, self.k, entries, symmetric, group_axis=1
+            )
             self._flat_cache[key] = cached
         return cached
 

@@ -76,6 +76,35 @@ def _grouped_view(
     return grouped, moved.shape
 
 
+def affine_quantize(
+    weights: np.ndarray, lo: np.ndarray, hi: np.ndarray, bits: int,
+    symmetric: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantizer's arithmetic: ``(codes, scale, zero_point)`` of
+    *weights* given each scale group's range.
+
+    *lo* / *hi* are the per-group minimum and maximum, broadcastable
+    against *weights*; scale and zero-point come back in their shape.
+    Every operation is element-wise, so a code depends only on its own
+    group's range, however the groups are laid out or stacked —
+    :func:`quantize_weights` and the paged KV pool both end here.
+    """
+    if weights.size == 0:
+        raise QuantizationError("cannot quantize an empty tensor")
+    qmax = (1 << bits) - 1
+    if symmetric:
+        amax = np.maximum(np.abs(lo), np.abs(hi))
+        # Map [-amax, amax] onto [0, qmax] with midpoint zero.
+        scale = np.where(amax > 0, 2.0 * amax / qmax, 1.0)
+        zero_point = np.full_like(scale, qmax / 2.0)
+    else:
+        span = hi - lo
+        scale = np.where(span > 0, span / qmax, 1.0)
+        zero_point = -lo / scale
+    codes = np.round(weights / scale + zero_point)
+    return np.clip(codes, 0, qmax).astype(np.int64), scale, zero_point
+
+
 def quantize_weights(
     weights: np.ndarray,
     bits: int,
@@ -108,8 +137,6 @@ def quantize_weights(
     if group_size is not None and axis is None:
         raise QuantizationError("group_size requires axis")
 
-    qmax = (1 << bits) - 1
-
     if axis is None:
         reduce_axes: tuple[int, ...] | None = None
         lo = weights.min()
@@ -132,18 +159,9 @@ def quantize_weights(
             np.broadcast_to(hi_g, grouped.shape).reshape(moved_shape), -1, axis
         )
 
-    if symmetric:
-        amax = np.maximum(np.abs(lo), np.abs(hi))
-        # Map [-amax, amax] onto [0, qmax] with midpoint zero.
-        scale = np.where(amax > 0, 2.0 * amax / qmax, 1.0)
-        zero_point = np.full_like(scale, qmax / 2.0)
-    else:
-        span = hi - lo
-        scale = np.where(span > 0, span / qmax, 1.0)
-        zero_point = -lo / scale
-
-    codes = np.round(weights / scale + zero_point)
-    codes = np.clip(codes, 0, qmax).astype(np.int64)
+    codes, scale, zero_point = affine_quantize(
+        weights, lo, hi, bits, symmetric
+    )
     return QuantizedWeight(
         codes=codes,
         scale=np.asarray(scale, dtype=np.float64),

@@ -33,9 +33,27 @@ paged design:
   which :meth:`BlockAllocator.refresh_v_arenas` brings up to date
   **once per layer per step**: the batch's stale blocks are stacked
   into one ``(blocks · kv_heads · head_dim, block_size)`` weight for
-  one quantize + plan build. V scales belong to one weight row and
-  every plan array is per output column, so each stacked column is
+  one quantize + column build. V scales belong to one weight row and
+  every lookup column is per output column, so each stacked column is
   bit-identical to the per-block, per-head build.
+- **Direct column build**: K rows and V blocks are weights that arrive
+  *online*, so the fused path writes their arena columns (flat
+  symmetric-table gather indices, per-group scale and zero) straight
+  from the codes — the quantize core
+  :func:`~repro.quant.weight.quantize_weights` ends in, the index and
+  fold cores :class:`~repro.kernels.WeightPlan` is built on
+  (:func:`~repro.kernels.plan.lookup_indices`,
+  :func:`~repro.kernels.plan.flat_lookup`), the Eq. 2 parameters — with
+  no weight or plan object per step. Same operations on the same
+  values as the plan chain, hence the same bits; the unfused
+  :func:`paged_decode_attention` / :meth:`BlockAllocator.k_plans` /
+  :meth:`BlockAllocator.v_quantized` stay on ``quantize_weights`` →
+  ``build_weight_plan`` as the independent oracle.
+- **Row-shared gather**: the fused kernels gather each arena once per
+  KV head; its ``repeat`` query heads (and a verify's ``T`` candidate
+  positions) share that row as the ``M`` axis of
+  :func:`~repro.kernels.rowwise_lut_execute` — grouped-query attention
+  *is* M — instead of each getting a repeated copy.
 
 :func:`paged_decode_attention` stitches the blocks back together
 bit-exactly: every output column of the score mpGEMM depends only on
@@ -79,12 +97,12 @@ replaces the per-sequence ``cache.append`` loop with one pool-level
 write: per-cache boundary allocation / copy-on-write first (at most
 one allocation per sequence, in batch order — the same allocation
 order as the sequential loop), then :meth:`BlockAllocator.append_rows`
-lands every row with **one** stacked quantize + plan build. Per-row
-scales are row-local and every derived plan array is per output
-column, so the resulting pool state is bit-identical to the
-sequential loop. A prompt goes the same way: one
-:meth:`PagedLayerCache.append` quantizes all its K rows in one stacked
-call and hands each block its slice, however many blocks it spans.
+lands every row with **one** stacked quantize + column build. Per-row
+scales are row-local and every lookup column is per output column, so
+the resulting pool state is bit-identical to the sequential loop. A
+prompt goes the same way: one :meth:`PagedLayerCache.append` quantizes
+all its K rows in one stacked call and hands each block its slice,
+however many blocks it spans.
 
 **Float-KV fused decode.** :func:`fused_paged_decode_attention` also
 serves pools built with ``bits=None``: the float K/V slabs are
@@ -98,6 +116,7 @@ loops when the KV cache is unquantized.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from typing import Callable, Hashable, Mapping, Protocol, runtime_checkable
 
@@ -112,11 +131,17 @@ from repro.kernels import (
     rowwise_dequant_execute,
     rowwise_lut_execute,
 )
+from repro.kernels.plan import flat_lookup, lookup_indices
 from repro.lut.attention import MASKED_SCORE
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.lut.table import DEFAULT_K
 from repro.numerics import masked_width_softmax, softmax
-from repro.quant.weight import QuantizedWeight, quantize_weights
+from repro.quant.reinterpret import reinterpret_params
+from repro.quant.weight import (
+    QuantizedWeight,
+    affine_quantize,
+    quantize_weights,
+)
 from repro.runtime.kv import KV_GROUP
 
 #: Default tokens per KV block. A multiple of both the LUT group length
@@ -368,8 +393,15 @@ class BlockAllocator:
     _QUANT_ARRAYS = (
         "_k_codes", "_k_scale", "_k_zp",
         "_ka_flat", "_ka_scale", "_ka_zero",
-        "_va_fill", "_va_flat", "_va_scale", "_va_zero", "_va_deq",
+        "_va_fill", "_va_flat", "_va_scale", "_va_zero",
+        "_va_deq_fill", "_va_deq",
     )
+    #: The V arenas a backend reads, by ``not needs_table``: the lookup
+    #: columns a table backend gathers, or the dequantized block.
+    _V_ARENAS = {
+        False: ("_va_flat", "_va_scale", "_va_zero"),
+        True: ("_va_deq",),
+    }
 
     def _alloc_storage(self, cap: int) -> None:
         hw = (cap, self.kv_heads, self.block_size, self.head_dim)
@@ -408,7 +440,11 @@ class BlockAllocator:
             # :meth:`refresh_v_arenas` — ``_va_fill`` records the fill the
             # arena was built at (-1 = never), so full blocks refresh once
             # and only the trailing block pays per-step requantization.
+            # ``_va_deq`` (the dequantized block, all a table-less backend
+            # reads) carries its own stamp: whichever kind of backend
+            # dispatches maintains its own arenas only.
             self._va_fill = np.full(cap, -1, dtype=np.int64)
+            self._va_deq_fill = np.full(cap, -1, dtype=np.int64)
             self._va_flat = np.zeros(
                 (cap, self.kv_heads, self.bits, gv, self.head_dim),
                 dtype=np.int64,
@@ -554,11 +590,7 @@ class BlockAllocator:
             self._ka_zero[block_id] = 0.0
             # -1 forces a V-arena rebuild for the next occupant even at
             # the same fill — the reuse-without-leakage guarantee.
-            self._va_fill[block_id] = -1
-            self._va_flat[block_id] = 0
-            self._va_scale[block_id] = 1.0
-            self._va_zero[block_id] = 0.0
-            self._va_deq[block_id] = 0.0
+            self._reset_v_arenas(block_id)
         self._fill[block_id] = 0
         self._refcount[block_id] = 0
         self._k_plans.pop(block_id, None)
@@ -568,6 +600,14 @@ class BlockAllocator:
         # policy bookkeeping (e.g. LFU use counts) must not carry over.
         self.eviction.forget(block_id)
         self._free.append(block_id)
+
+    def _reset_v_arenas(self, block_id: int) -> None:
+        """Return a block's V arenas to their never-built state."""
+        self._va_fill[block_id] = self._va_deq_fill[block_id] = -1
+        self._va_flat[block_id] = 0
+        self._va_scale[block_id] = 1.0
+        self._va_zero[block_id] = 0.0
+        self._va_deq[block_id] = 0.0
 
     # -- rollback ------------------------------------------------------
     def _unallocate(self, block_id: int) -> None:
@@ -645,15 +685,13 @@ class BlockAllocator:
             self._ka_scale[block_id][:, :, dead] = 1.0
             self._ka_zero[block_id][:, :, dead] = 0.0
             self.stats["k_plan_cols"] -= (fill - new_fill) * self.kv_heads
-            if int(self._va_fill[block_id]) > new_fill:
-                # The arena saw the dead rows (their trailing V group's
+            if max(
+                self._va_fill[block_id], self._va_deq_fill[block_id]
+            ) > new_fill:
+                # An arena saw the dead rows (their trailing V group's
                 # scale folded them in) — reset to never-built so the
                 # next refresh reproduces the never-appended recipe.
-                self._va_fill[block_id] = -1
-                self._va_flat[block_id] = 0
-                self._va_scale[block_id] = 1.0
-                self._va_zero[block_id] = 0.0
-                self._va_deq[block_id] = 0.0
+                self._reset_v_arenas(block_id)
         self._k_plans.pop(block_id, None)
         self._v_cache.pop(block_id, None)
         self._fill[block_id] = new_fill
@@ -806,43 +844,79 @@ class BlockAllocator:
 
     # ------------------------------------------------------------------
     def _quantize_rows(self, rows: np.ndarray, group: int | None):
-        """Per-row affine quantization of a 2-D weight — one scale per
-        row, or per *group* consecutive columns of a row when set."""
-        if group:
-            return quantize_weights(rows, self.bits, axis=1, group_size=group)
-        return quantize_weights(rows, self.bits, axis=0)
+        """Per-row affine quantization of an ``(n, K)`` weight — one
+        scale per row, or per *group* consecutive columns when set —
+        through :func:`quantize_weights`' core. Returns ``(n, K // g,
+        g)`` codes and ``(n, K // g, 1)`` scale / zero-point."""
+        n, kdim = rows.shape
+        grouped = rows.reshape(n, kdim // (group or kdim), group or kdim)
+        # A short trailing axis reduces one numpy inner loop per group;
+        # group axis leading, g vectorized passes. min/max are exact.
+        lead = np.ascontiguousarray(grouped.transpose(2, 0, 1))
+        return affine_quantize(
+            grouped,
+            lead.min(axis=0)[..., None],
+            lead.max(axis=0)[..., None],
+            self.bits,
+        )
+
+    def _lookup_columns(self, codes, scale, zero_point):
+        """Lookup columns of :meth:`_quantize_rows` output: what
+        ``build_weight_plan`` → ``flat_lookup_indices(…, True)`` /
+        ``scale_gn`` / ``zero_gn`` hold for the same weight, straight
+        from the codes and the Eq. 2 parameters. Returns ``(bits, n,
+        G)`` flat indices and ``(n, G)`` affine, ``G = K // lut_k``."""
+        n, ngroups, gsize = codes.shape
+        k = self.lut_k
+        if gsize % k != 0:
+            raise LutError(
+                f"scale varies within a k={k} group; group_size must be a "
+                "multiple of k for the LUT path"
+            )
+        flat = flat_lookup(
+            lookup_indices(codes.reshape(n, -1), self.bits, k),
+            k, 1 << (k - 1), True,
+        )
+        a_scale, a_zero = reinterpret_params(scale, zero_point, self.bits)
+        return (
+            flat,
+            np.repeat(a_scale[..., 0], gsize // k, axis=1),
+            np.repeat(a_zero[..., 0], gsize // k, axis=1),
+        )
 
     def _k_columns(self, k_rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """Quantize ``(R, kv_heads, head_dim)`` K rows into pool columns.
 
-        **One** stacked quantize + plan over all ``R * kv_heads`` rows,
-        whichever blocks they are bound for: per-row scales are
-        row-local and every derived plan array is per output column, so
-        each row's codes, scales and K-arena columns are bit-identical
-        to quantizing it alone (or per head, as the unfused path's
-        :meth:`k_plans` do). Returns ``(codes, scale, zero_point,
-        arena flat indices, arena scale, arena zero)``, row axis
-        leading — slice to split rows across blocks; :meth:`_land_rows`
-        scatters them. Owns the ``k_plan_s`` timer (plan work only).
+        **One** stacked quantize + column build over all ``R *
+        kv_heads`` rows, whichever blocks they are bound for: per-row
+        scales are row-local and every lookup column is per output
+        column, so each row's codes, scales and K-arena columns are
+        bit-identical to quantizing it alone (or per head, as the
+        unfused path's :meth:`k_plans` do). Returns ``(codes, scale,
+        zero_point, arena flat indices, arena scale, arena zero)``, row
+        axis leading — slice to split rows across blocks;
+        :meth:`_land_rows` scatters them. Owns the ``k_plan_s`` timer
+        (index + affine build only).
         """
-        r = k_rows.shape[0]
-        qw = self._quantize_rows(
-            k_rows.reshape(r * self.kv_heads, self.head_dim), self._k_group
+        r, kv = k_rows.shape[0], self.kv_heads
+        codes, scale, zero_point = self._quantize_rows(
+            k_rows.reshape(r * kv, self.head_dim), self._k_group
         )
         started = time.perf_counter()
-        sub = build_weight_plan(qw, self.lut_k)
-        gk = self.head_dim // self.lut_k
-        flat_idx = sub.flat_lookup_indices(1 << (self.lut_k - 1), True)
-        shape = (r, self.kv_heads, -1)
+        flat_idx, a_scale, a_zero = self._lookup_columns(
+            codes, scale, zero_point
+        )
+        shape = (r, kv, -1)
+        # Stored scales: one per element when grouped, else one per row.
+        per = codes.shape[2] if self._k_group else 1
         cols = (
-            qw.codes.reshape(shape),
-            qw.scale.reshape(shape),
-            qw.zero_point.reshape(shape),
-            # (bits, gk, R * kv_heads) plan columns, row axis first.
-            flat_idx.reshape(sub.bits, gk, r, self.kv_heads)
-            .transpose(2, 3, 0, 1),
-            sub.scale_gn.reshape(gk, r, self.kv_heads).transpose(1, 2, 0),
-            sub.zero_gn.reshape(gk, r, self.kv_heads).transpose(1, 2, 0),
+            codes.reshape(shape),
+            np.repeat(scale[..., 0], per, axis=1).reshape(shape),
+            np.repeat(zero_point[..., 0], per, axis=1).reshape(shape),
+            # (bits, R * kv_heads, gk) lookup columns, row axis first.
+            flat_idx.reshape(self.bits, r, kv, -1).transpose(1, 2, 0, 3),
+            a_scale.reshape(shape),
+            a_zero.reshape(shape),
         )
         self.stats["k_plan_s"] += time.perf_counter() - started
         return cols
@@ -931,7 +1005,7 @@ class BlockAllocator:
         ``v_rows`` are ``(B, kv_heads, head_dim)`` — one new token per
         block. Semantically B single-row :meth:`write_rows` calls,
         executed as one vectorized slab write plus **one** stacked
-        quantize + plan build over all ``B * kv_heads`` rows
+        quantize + column build over all ``B * kv_heads`` rows
         (:meth:`_k_columns`), so the codes, scales and K-arena columns
         land bit-identical to the sequential loop (the batched-append
         parity tests pin this). Staleness accounting is per block
@@ -1035,9 +1109,13 @@ class BlockAllocator:
         if cached is not None and cached[0] == fill:
             return cached[1], cached[2]
         started = time.perf_counter()
+        group = (
+            dict(axis=1, group_size=self._v_group) if self._v_group
+            else dict(axis=0)
+        )
         v_quant = [
             # (head_dim, block_size) weight per head
-            self._quantize_rows(self._v[block_id, h].T, self._v_group)
+            quantize_weights(self._v[block_id, h].T, self.bits, **group)
             for h in range(self.kv_heads)
         ]
         plans = [build_weight_plan(q, self.lut_k) for q in v_quant]
@@ -1047,64 +1125,72 @@ class BlockAllocator:
         return v_quant, plans
 
     def _v_arena_columns(
-        self, v_slabs: np.ndarray, deq: bool = True
+        self, v_slabs: np.ndarray, deq: bool = False
     ) -> tuple[np.ndarray, ...]:
         """V-arena columns of ``(C, kv_heads, block_size, head_dim)`` slabs.
 
         Each slab is consumed as ``kv_heads`` ``(head_dim, block_size)``
         weights; all ``C * kv_heads * head_dim`` weight rows go through
-        **one** stacked quantize + plan. V scales are per weight row
-        (grouped along the block context) and every plan array is per
-        output column, so the stacked columns are bit-identical to the
-        per-block, per-head :meth:`v_quantized` plans. Returns ``(flat
-        indices, scale, zero, dequantized)`` with the slab axis leading,
-        in arena layout (``dequantized`` is ``None`` unless *deq*: only
-        table-less backends read it). Owns the ``v_quant_s`` timer —
-        quantize, plan and index build — and the ``v_quant_cols`` count.
+        **one** stacked quantize + column build. V scales are per weight
+        row (grouped along the block context) and every lookup column is
+        per output column, so the stacked columns are bit-identical to
+        the per-block, per-head :meth:`v_quantized` plans. Returns the
+        :attr:`_V_ARENAS` columns of *deq* — ``(flat indices, scale,
+        zero)``, or ``(dequantized,)``, all a table-less backend reads
+        — slab axis leading, in arena layout.
+        Owns the ``v_quant_s`` timer — quantize and index build — and
+        the ``v_quant_cols`` count.
         """
         started = time.perf_counter()
         c = v_slabs.shape[0]
         kv, hd = self.kv_heads, self.head_dim
         # (C * kv_heads * head_dim, block_size): slab-major, then head.
         v_t = v_slabs.transpose(0, 1, 3, 2).reshape(-1, self.block_size)
-        qw = self._quantize_rows(v_t, self._v_group)
-        plan = build_weight_plan(qw, self.lut_k)
-        gv = self.block_size // self.lut_k
-        flat_idx = plan.flat_lookup_indices(1 << (self.lut_k - 1), True)
-        cols = (
-            flat_idx.reshape(plan.bits, gv, c, kv, hd)
-            .transpose(2, 3, 0, 1, 4),
-            plan.scale_gn.reshape(gv, c, kv, hd).transpose(1, 2, 0, 3),
-            plan.zero_gn.reshape(gv, c, kv, hd).transpose(1, 2, 0, 3),
-            plan.dequantized.reshape(c, kv, hd, self.block_size)
-            if deq else None,
-        )
+        codes, scale, zero_point = self._quantize_rows(v_t, self._v_group)
+        if deq:
+            cols = (
+                (scale * (codes.astype(np.float64) - zero_point))
+                .reshape(c, kv, hd, self.block_size),
+            )
+        else:
+            flat_idx, a_scale, a_zero = self._lookup_columns(
+                codes, scale, zero_point
+            )
+            cols = (
+                flat_idx.reshape(self.bits, c, kv, hd, -1)
+                .transpose(1, 2, 0, 4, 3),
+                a_scale.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
+                a_zero.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
+            )
         self.stats["v_quant_cols"] += c * self.block_size * kv
         self.stats["v_quant_s"] += time.perf_counter() - started
         return cols
 
-    def refresh_v_arenas(self, block_ids) -> None:
+    def refresh_v_arenas(self, block_ids, deq: bool = False) -> None:
         """Bring the V arena slabs of *block_ids* up to their current fill.
 
-        Blocks whose ``_va_fill`` already matches are skipped (full
-        blocks refresh once, ever; duplicate ids count once); the stale
-        ones are rebuilt by **one** stacked :meth:`_v_arena_columns`
-        call and scattered with one write per arena. The fused decode
-        calls this once per layer per step with every gathered block:
-        steady-state V-quant work is still one trailing block per
-        sequence per layer, in one quantize + plan instead of B.
+        *deq* selects which arenas: the lookup columns a table backend
+        gathers (default), or the dequantized block a table-less one
+        multiplies — each kind stamps its own fill, so a pool dispatched
+        to both keeps both honest and one kind of backend never pays for
+        the other's. Blocks whose stamp already matches are skipped
+        (full blocks refresh once, ever; duplicate ids count once); the
+        stale ones are rebuilt by **one** stacked
+        :meth:`_v_arena_columns` call and scattered with one write per
+        arena. The fused decode calls this once per layer per step with
+        every gathered block: steady-state V-quant work is still one
+        trailing block per sequence per layer, in one quantize + column
+        build instead of B.
         """
+        stamp = self._va_deq_fill if deq else self._va_fill
         bids = np.unique(np.asarray(block_ids, dtype=np.int64))
-        stale = bids[self._va_fill[bids] != self._fill[bids]]
+        stale = bids[stamp[bids] != self._fill[bids]]
         if stale.size == 0:
             return
-        (
-            self._va_flat[stale],
-            self._va_scale[stale],
-            self._va_zero[stale],
-            self._va_deq[stale],
-        ) = self._v_arena_columns(self._v[stale])
-        self._va_fill[stale] = self._fill[stale]
+        cols = self._v_arena_columns(self._v[stale], deq)
+        for name, col in zip(self._V_ARENAS[deq], cols):
+            getattr(self, name)[stale] = col
+        stamp[stale] = self._fill[stale]
 
 
 class PagedLayerCache:
@@ -1250,8 +1336,8 @@ class PagedLayerCache:
                 # Earlier rows arrived untracked; prefix keys derived
                 # from a partial history would lie about block content.
                 track = False
-        # One stacked K quantize + plan for the whole append, however
-        # many blocks a prompt spans; each block gets its rows' slice.
+        # One stacked K quantize + column build for the whole append,
+        # however many blocks a prompt spans; each block gets its slice.
         k_cols = (
             self.pool._k_columns(k_rows)
             if self.bits is not None and total else None
@@ -1600,18 +1686,9 @@ def paged_decode_attention(
         raise ServingError("paged LUT attention needs a quantized pool")
     if cache.length == 0:
         raise ServingError("cannot attend over an empty cache")
-    config = LutMpGemmConfig(
-        k=cache.lut_k,
-        act_dtype=act_dtype,
-        table_dtype=table_dtype,
-        backend=backend,
+    config, kernel = _lut_dispatch(
+        cache.lut_k, act_dtype, table_dtype, backend
     )
-    kernel = get_backend(config.backend)
-    if config.table_dtype is not None and not kernel.needs_table:
-        raise LutError(
-            f"backend {kernel.name!r} has no tables and cannot model "
-            f"table_dtype={config.table_dtype.name} quantization"
-        )
     heads = cache.kv_heads * repeat
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (heads, cache.head_dim):
@@ -1664,6 +1741,120 @@ def _grouped_softmax(scores: np.ndarray, widths: np.ndarray) -> np.ndarray:
     implementation, with the per-sequence widths broadcast across heads.
     """
     return masked_width_softmax(scores, np.asarray(widths)[:, None])
+
+
+def _lut_dispatch(lut_k: int, act_dtype, table_dtype, backend):
+    """The paged attention kernels' ``(config, backend)`` resolution."""
+    config = LutMpGemmConfig(
+        k=lut_k,
+        act_dtype=act_dtype,
+        table_dtype=table_dtype,
+        backend=backend,
+    )
+    kernel = get_backend(config.backend)
+    if config.table_dtype is not None and not kernel.needs_table:
+        raise LutError(
+            f"backend {kernel.name!r} has no tables and cannot model "
+            f"table_dtype={config.table_dtype.name} quantization"
+        )
+    return config, kernel
+
+
+def _shared_rows(x: np.ndarray, lead: tuple[int, ...], axes) -> np.ndarray:
+    """Row-shared layout of per-activation-row data: *x* is ``(prod(lead),
+    ...)``, rows ordered by the *lead* axes; those named in *axes* share
+    a weight row (query heads of one KV head, verify positions) and
+    move innermost, merged — ``(R, ..., M)``, what the
+    ``rowwise_*_execute`` kernels take."""
+    tail = x.shape[1:]
+    m = math.prod(lead[a] for a in axes)
+    x = np.moveaxis(x.reshape(lead + tail), axes, range(-len(axes), 0))
+    return x.reshape((-1,) + tail + (m,))
+
+
+def _fused_scores(pool, kernel, config, queries, ids) -> np.ndarray:
+    """Raw (unscaled, unmasked) scores of ``(B, T, heads, head_dim)``
+    queries against the K arenas of the padded block table *ids*: one
+    dispatch, R = ``B · kv_heads`` gathered weight rows, each shared by
+    its M = ``T · repeat`` query rows (T = 1 for decode). Returns
+    ``(B, T, heads, max_blocks · block_size)``."""
+    b, t, heads, hd = queries.shape
+    kv, k = pool.kv_heads, pool.lut_k
+    repeat = heads // kv
+    n = ids.shape[1] * pool.block_size
+    gk = hd // k
+    lead = (b, t, kv, repeat)
+    q2 = queries.reshape(-1, hd)
+    acts = effective_activations(q2, config)
+    if kernel.needs_table:
+        q_half = precompute_tables(q2, config)
+        q_table = np.concatenate([q_half, -q_half], axis=-1)
+        sums_k = acts.reshape(-1, gk, k).sum(axis=-1)
+        fl, sc, zr = (
+            # (B, maxb, kv, ..., gk, S) -> (B * kv, ..., gk, maxb * S)
+            np.moveaxis(arena[ids], 1, -2).reshape(
+                (b * kv,) + arena.shape[2:-1] + (n,)
+            )
+            for arena in (pool._ka_flat, pool._ka_scale, pool._ka_zero)
+        )
+        raw = rowwise_lut_execute(
+            _shared_rows(q_table, lead, (1, 3)), fl, sc, zr,
+            _shared_rows(sums_k, lead, (1, 3)),
+            pool.shifts, bool((zr != 0.0).any()),
+        )
+    else:
+        kd = pool._k_scale[ids] * (
+            pool._k_codes[ids].astype(np.float64) - pool._k_zp[ids]
+        )
+        kd = kd.transpose(0, 2, 1, 3, 4).reshape(b * kv, n, hd)
+        raw = rowwise_dequant_execute(_shared_rows(acts, lead, (1, 3)), kd)
+    # (B * kv, N, T * repeat) -> (B, T, kv * repeat, N)
+    return raw.reshape(b, kv, n, t, repeat).transpose(0, 3, 1, 4, 2).reshape(
+        b, t, heads, n
+    )
+
+
+def _fused_context(pool, kernel, config, probs, slabs, nblocks) -> np.ndarray:
+    """Context vectors ``(rows, heads, head_dim)`` of ``(rows, heads,
+    max_blocks · block_size)`` probabilities against *slabs*, the
+    gathered V arenas the backend reads, each ``(rows, kv_heads,
+    max_blocks, ...)``: one dispatch, R = ``rows · kv_heads ·
+    max_blocks`` weight rows, each shared by its M = ``repeat``
+    probability segments. Per-block partials accumulate in ascending
+    block order, first block unconditional (length >= 1), later blocks
+    gated by each row's *nblocks* — the unfused ``ctx_vec + part``
+    order exactly."""
+    rows, heads, n = probs.shape
+    kv, hd, k = pool.kv_heads, pool.head_dim, pool.lut_k
+    block_size = pool.block_size
+    repeat, maxb, gv = heads // kv, n // block_size, block_size // k
+    lead = (rows, kv, repeat, maxb)
+    p2 = probs.reshape(-1, block_size)
+    slabs = [a.reshape((-1,) + a.shape[3:]) for a in slabs]
+    if kernel.needs_table:
+        p_half = precompute_tables(p2, config)
+        p_table = np.concatenate([p_half, -p_half], axis=-1)
+        pacts = effective_activations(p2, config)
+        sums_v = pacts.reshape(-1, gv, k).sum(axis=-1)
+        flv, scv, zrv = slabs
+        parts = rowwise_lut_execute(
+            _shared_rows(p_table, lead, (2,)), flv, scv, zrv,
+            _shared_rows(sums_v, lead, (2,)),
+            pool.shifts, bool((zrv != 0.0).any()),
+        )
+    else:
+        parts = rowwise_dequant_execute(
+            _shared_rows(p2, lead, (2,)), slabs[0]
+        )
+    # (rows * kv * maxb, hd, repeat) -> (rows, kv * repeat, maxb, hd)
+    parts = parts.reshape(rows, kv, maxb, hd, repeat).transpose(
+        0, 1, 4, 2, 3
+    ).reshape(rows, heads, maxb, hd)
+    out = parts[:, :, 0].copy()
+    for j in range(1, maxb):
+        m = nblocks > j
+        out[m] += parts[m][:, :, j]
+    return out
 
 
 def fused_paged_decode_attention(
@@ -1756,99 +1947,21 @@ def fused_paged_decode_attention(
             "bkrn,bknd->bkrd", probs.reshape(b, kv, repeat, n), vg
         )
         return out.reshape(b, heads, hd)
-    config = LutMpGemmConfig(
-        k=pool.lut_k,
-        act_dtype=act_dtype,
-        table_dtype=table_dtype,
-        backend=backend,
-    )
-    kernel = get_backend(config.backend)
-    if config.table_dtype is not None and not kernel.needs_table:
-        raise LutError(
-            f"backend {kernel.name!r} has no tables and cannot model "
-            f"table_dtype={config.table_dtype.name} quantization"
-        )
+    config, kernel = _lut_dispatch(pool.lut_k, act_dtype, table_dtype, backend)
     # One stacked refresh of the batch's stale V arenas — in steady
     # state each sequence's trailing block; full blocks refresh once.
-    pool.refresh_v_arenas(ids[table_valid])
-
-    gk, gv = hd // pool.lut_k, block_size // pool.lut_k
-    shifts = pool.shifts
-    q2 = queries.reshape(b * heads, hd)
-    if kernel.needs_table:
-        q_half = precompute_tables(q2, config)
-        q_table = np.concatenate([q_half, -q_half], axis=-1)
-        acts = effective_activations(q2, config)
-        sums_k = acts.reshape(b * heads, gk, pool.lut_k).sum(axis=-1)
-        # (B, maxb, kv, bits, gk, S) -> (B, kv, bits, gk, maxb*S),
-        # repeated kv -> heads for grouped-query attention.
-        fl = (
-            pool._ka_flat[ids].transpose(0, 2, 3, 4, 1, 5)
-            .reshape(b, kv, pool.bits, gk, n)
-        )
-        fl = np.repeat(fl, repeat, axis=1).reshape(
-            b * heads, pool.bits, gk, n
-        )
-        sc = (
-            pool._ka_scale[ids].transpose(0, 2, 3, 1, 4)
-            .reshape(b, kv, gk, n)
-        )
-        sc = np.repeat(sc, repeat, axis=1).reshape(b * heads, gk, n)
-        zr = (
-            pool._ka_zero[ids].transpose(0, 2, 3, 1, 4)
-            .reshape(b, kv, gk, n)
-        )
-        zr = np.repeat(zr, repeat, axis=1).reshape(b * heads, gk, n)
-        raw = rowwise_lut_execute(
-            q_table, fl, sc, zr, sums_k, shifts, bool((zr != 0.0).any())
-        )
-    else:
-        acts = effective_activations(q2, config)
-        kd = pool._k_scale[ids] * (
-            pool._k_codes[ids].astype(np.float64) - pool._k_zp[ids]
-        )
-        kd = kd.transpose(0, 2, 1, 3, 4).reshape(b, kv, n, hd)
-        kd = np.repeat(kd, repeat, axis=1).reshape(b * heads, n, hd)
-        raw = rowwise_dequant_execute(acts, kd)
-    scores = raw.reshape(b, heads, n)
+    deq = not kernel.needs_table
+    pool.refresh_v_arenas(ids[table_valid], deq)
+    scores = _fused_scores(pool, kernel, config, queries[:, None], ids)[:, 0]
     scores = np.where(
         key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
     )
     probs = _grouped_softmax(scores, nblocks * block_size)
-
-    probs4 = probs.reshape(b, heads, maxb, block_size)
-    p2 = probs4.reshape(b * heads * maxb, block_size)
-    if kernel.needs_table:
-        p_half = precompute_tables(p2, config)
-        p_table = np.concatenate([p_half, -p_half], axis=-1)
-        pacts = effective_activations(p2, config)
-        sums_v = pacts.reshape(-1, gv, pool.lut_k).sum(axis=-1)
-        # (B, maxb, kv, bits, gv, hd) -> (B, heads, maxb, bits, gv, hd)
-        flv = np.repeat(
-            pool._va_flat[ids].transpose(0, 2, 1, 3, 4, 5), repeat, axis=1
-        ).reshape(b * heads * maxb, pool.bits, gv, hd)
-        scv = np.repeat(
-            pool._va_scale[ids].transpose(0, 2, 1, 3, 4), repeat, axis=1
-        ).reshape(b * heads * maxb, gv, hd)
-        zrv = np.repeat(
-            pool._va_zero[ids].transpose(0, 2, 1, 3, 4), repeat, axis=1
-        ).reshape(b * heads * maxb, gv, hd)
-        parts = rowwise_lut_execute(
-            p_table, flv, scv, zrv, sums_v, shifts, bool((zrv != 0.0).any())
-        ).reshape(b, heads, maxb, hd)
-    else:
-        vd = np.repeat(
-            pool._va_deq[ids].transpose(0, 2, 1, 3, 4), repeat, axis=1
-        ).reshape(b * heads * maxb, hd, block_size)
-        parts = rowwise_dequant_execute(p2, vd).reshape(b, heads, maxb, hd)
-    # Ascending-block accumulation, first block unconditional (length
-    # >= 1), later blocks gated per sequence — the unfused path's
-    # ``ctx_vec + part`` order exactly.
-    out = parts[:, :, 0].copy()
-    for j in range(1, maxb):
-        m = nblocks > j
-        out[m] += parts[m][:, :, j]
-    return out
+    slabs = [
+        getattr(pool, name)[ids].swapaxes(1, 2)
+        for name in pool._V_ARENAS[deq]
+    ]
+    return _fused_context(pool, kernel, config, probs, slabs, nblocks)
 
 
 def fused_paged_verify_attention(
@@ -1881,10 +1994,10 @@ def fused_paged_verify_attention(
     group quantization folds every resident row into its scales — so
     each row whose time-``j`` trailing block was partial gets that
     block requantized from a zero-masked copy at its time-``j`` fill
-    (one *stacked* quantize + plan over all such (row, block) combos:
-    the same per-step count, T trailing quantizations per sequence, as
-    T sequential decode steps). Full blocks serve from the shared V
-    arenas exactly like decode.
+    (one *stacked* quantize + column build over all such (row, block)
+    combos: the same per-step count, T trailing quantizations per
+    sequence, as T sequential decode steps). Full blocks serve from the
+    shared V arenas exactly like decode.
 
     The result is bit-identical to T sequential
     :func:`fused_paged_decode_attention` calls on the LUT backends
@@ -1948,77 +2061,29 @@ def fused_paged_verify_attention(
             "btkrn,bknd->btkrd", probs.reshape(b, t, kv, repeat, n), vg
         )
         return out.reshape(b, t, heads, hd)
-    config = LutMpGemmConfig(
-        k=pool.lut_k,
-        act_dtype=act_dtype,
-        table_dtype=table_dtype,
-        backend=backend,
-    )
-    kernel = get_backend(config.backend)
-    if config.table_dtype is not None and not kernel.needs_table:
-        raise LutError(
-            f"backend {kernel.name!r} has no tables and cannot model "
-            f"table_dtype={config.table_dtype.name} quantization"
-        )
+    config, kernel = _lut_dispatch(pool.lut_k, act_dtype, table_dtype, backend)
     # V arenas serve only blocks that are full *now* (full at every
     # queried time); rows whose time-j trailing block was partial get a
     # fresh zero-masked requantization below, so partial-now blocks are
     # never read from the arena.
+    deq = not kernel.needs_table
     live = ids[table_valid]
-    pool.refresh_v_arenas(live[pool._fill[live] == block_size])
+    pool.refresh_v_arenas(live[pool._fill[live] == block_size], deq)
 
-    gk, gv = hd // pool.lut_k, block_size // pool.lut_k
-    shifts = pool.shifts
-    q2 = queries.reshape(bt * heads, hd)
-    if kernel.needs_table:
-        q_half = precompute_tables(q2, config)
-        q_table = np.concatenate([q_half, -q_half], axis=-1)
-        acts = effective_activations(q2, config)
-        sums_k = acts.reshape(bt * heads, gk, pool.lut_k).sum(axis=-1)
-        fl = (
-            pool._ka_flat[ids_rows].transpose(0, 2, 3, 4, 1, 5)
-            .reshape(bt, kv, pool.bits, gk, n)
-        )
-        fl = np.repeat(fl, repeat, axis=1).reshape(
-            bt * heads, pool.bits, gk, n
-        )
-        sc = (
-            pool._ka_scale[ids_rows].transpose(0, 2, 3, 1, 4)
-            .reshape(bt, kv, gk, n)
-        )
-        sc = np.repeat(sc, repeat, axis=1).reshape(bt * heads, gk, n)
-        zr = (
-            pool._ka_zero[ids_rows].transpose(0, 2, 3, 1, 4)
-            .reshape(bt, kv, gk, n)
-        )
-        zr = np.repeat(zr, repeat, axis=1).reshape(bt * heads, gk, n)
-        raw = rowwise_lut_execute(
-            q_table, fl, sc, zr, sums_k, shifts, bool((zr != 0.0).any())
-        )
-    else:
-        acts = effective_activations(q2, config)
-        kd = pool._k_scale[ids_rows] * (
-            pool._k_codes[ids_rows].astype(np.float64)
-            - pool._k_zp[ids_rows]
-        )
-        kd = kd.transpose(0, 2, 1, 3, 4).reshape(bt, kv, n, hd)
-        kd = np.repeat(kd, repeat, axis=1).reshape(bt * heads, n, hd)
-        raw = rowwise_dequant_execute(acts, kd)
-    scores = raw.reshape(bt, heads, n)
+    scores = _fused_scores(pool, kernel, config, queries, ids).reshape(
+        bt, heads, n
+    )
     scores = np.where(
         key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
     )
     probs = _grouped_softmax(scores, nb_rows * block_size)
 
-    # Gathered per-row V plan slabs (pre-GQA-repeat), then overwrite the
-    # time-j trailing-partial combos with fresh masked requantizations.
-    flv6 = pool._va_flat[ids_rows].transpose(0, 2, 1, 3, 4, 5).copy()
-    scv6 = pool._va_scale[ids_rows].transpose(0, 2, 1, 3, 4).copy()
-    zrv6 = pool._va_zero[ids_rows].transpose(0, 2, 1, 3, 4).copy()
-    deq6 = (
-        pool._va_deq[ids_rows].transpose(0, 2, 1, 3, 4).copy()
-        if not kernel.needs_table else None
-    )
+    # Gathered per-row V arena slabs, then overwrite the time-j
+    # trailing-partial combos with fresh masked requantizations.
+    slabs = [
+        getattr(pool, name)[ids_rows].swapaxes(1, 2)
+        for name in pool._V_ARENAS[deq]
+    ]
     tb_rows = nb_rows - 1                      # time-j trailing block idx
     fill_rows = f_rows - tb_rows * block_size  # its time-j fill
     fresh = np.nonzero(fill_rows < block_size)[0]
@@ -2029,44 +2094,10 @@ def fused_paged_verify_attention(
             np.arange(block_size)[None, None, :, None]
             < fill_rows[fresh][:, None, None, None]
         )
-        cols = pool._v_arena_columns(
-            np.where(keep, v_src, 0.0), deq=deq6 is not None
-        )
-        at = (fresh, slice(None), tb)
-        flv6[at], scv6[at], zrv6[at] = cols[:3]
-        if deq6 is not None:
-            deq6[at] = cols[3]
-
-    probs4 = probs.reshape(bt, heads, maxb, block_size)
-    p2 = probs4.reshape(bt * heads * maxb, block_size)
-    if kernel.needs_table:
-        p_half = precompute_tables(p2, config)
-        p_table = np.concatenate([p_half, -p_half], axis=-1)
-        pacts = effective_activations(p2, config)
-        sums_v = pacts.reshape(-1, gv, pool.lut_k).sum(axis=-1)
-        flv = np.repeat(flv6, repeat, axis=1).reshape(
-            bt * heads * maxb, pool.bits, gv, hd
-        )
-        scv = np.repeat(scv6, repeat, axis=1).reshape(
-            bt * heads * maxb, gv, hd
-        )
-        zrv = np.repeat(zrv6, repeat, axis=1).reshape(
-            bt * heads * maxb, gv, hd
-        )
-        parts = rowwise_lut_execute(
-            p_table, flv, scv, zrv, sums_v, shifts, bool((zrv != 0.0).any())
-        ).reshape(bt, heads, maxb, hd)
-    else:
-        vd = np.repeat(deq6, repeat, axis=1).reshape(
-            bt * heads * maxb, hd, block_size
-        )
-        parts = rowwise_dequant_execute(p2, vd).reshape(
-            bt, heads, maxb, hd
-        )
-    out = parts[:, :, 0].copy()
-    for j in range(1, maxb):
-        m = nb_rows > j
-        out[m] += parts[m][:, :, j]
+        cols = pool._v_arena_columns(np.where(keep, v_src, 0.0), deq)
+        for slab, col in zip(slabs, cols):
+            slab[fresh, :, tb] = col
+    out = _fused_context(pool, kernel, config, probs, slabs, nb_rows)
     return out.reshape(b, t, heads, hd)
 
 

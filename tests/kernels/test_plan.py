@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import LutError
+from repro.errors import LutError, QuantizationError
 from repro.kernels import build_weight_plan
+from repro.kernels.plan import flat_lookup, fold_tables, lookup_indices
 from repro.lut.table import remap_weight_bits_offline
 from repro.quant.reinterpret import reinterpret_symmetric
 from repro.quant.weight import QuantizedWeight, quantize_weights
@@ -111,6 +112,94 @@ class TestBuildWeightPlan:
         qw = sample_weight(kdim=32, seed=8, axis=1, group_size=2)
         with pytest.raises(LutError):
             build_weight_plan(qw, k=4)
+
+
+def _every_code_everywhere(bits, k, rng):
+    """``(rows, 2·k)`` codes: every k-tuple when that is small, else
+    every code at every position of a group beside random neighbours
+    (lanes never interact, so that is exhaustive per lane)."""
+    ncodes = 1 << bits
+    if ncodes ** k <= 4096:
+        groups = np.stack(
+            np.meshgrid(*[np.arange(ncodes)] * k, indexing="ij"), axis=-1
+        ).reshape(-1, k)
+    else:
+        groups = rng.integers(0, ncodes, size=(k * ncodes, k))
+        for j in range(k):
+            groups[j * ncodes:(j + 1) * ncodes, j] = np.arange(ncodes)
+    return np.concatenate([groups, groups[::-1]], axis=1)
+
+
+class TestIndexCore:
+    """``lookup_indices`` / ``fold_tables`` / ``flat_lookup`` against
+    the literal per-plane formulas they replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_spread_indices_equal_literal_bit_sum(self, bits, k):
+        codes = _every_code_everywhere(bits, k, np.random.default_rng(bits))
+        got = lookup_indices(codes, bits, k)
+        assert got.shape == (bits, codes.shape[0], 2)
+        grouped = codes.reshape(-1, 2, k)
+        for i in range(bits):
+            want = sum(((grouped[..., j] >> i) & 1) << j for j in range(k))
+            np.testing.assert_array_equal(got[i], want, err_msg=f"plane {i}")
+
+    def test_wide_codes_span_several_words(self):
+        """bits·k past one int64's lanes: planes are packed in chunks."""
+        rng = np.random.default_rng(16)
+        codes = rng.integers(0, 1 << 16, size=(64, 8))
+        got = lookup_indices(codes, 16, 8)
+        for i in range(16):
+            want = sum(((codes[:, j] >> i) & 1) << j for j in range(8))
+            np.testing.assert_array_equal(got[i, :, 0], want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_fold_tables_equal_msb_rule(self, k):
+        """Eq. 5 spelled out with np.where over every K-bit index."""
+        idx = np.arange(1 << k)
+        half_mask = (1 << (k - 1)) - 1
+        msb = (idx >> (k - 1)) & 1
+        low = idx & half_mask
+        want_low = np.where(msb == 1, (~low) & half_mask, low)
+        want_sign = np.where(msb == 1, -1.0, 1.0)
+        got_low, got_sign = fold_tables(k)
+        np.testing.assert_array_equal(got_low, want_low)
+        np.testing.assert_array_equal(got_sign, want_sign)
+        assert got_sign.dtype == np.float64
+        # Flat symmetric indices: sign folded in as the upper half of
+        # the [T, -T] extension, group g offset by g·2·entries.
+        entries = 1 << (k - 1)
+        plain = np.stack([idx, idx[::-1]], axis=-1)  # (2**k, G=2)
+        np.testing.assert_array_equal(
+            flat_lookup(plain, k, entries, True),
+            want_low[plain] + entries * (want_sign[plain] < 0)
+            + np.array([0, 2 * entries]),
+        )
+        np.testing.assert_array_equal(
+            flat_lookup(plain, k, 1 << k, False),
+            plain + np.array([0, 1 << k]),
+        )
+
+    def test_shared_tables_are_read_only(self):
+        low, sign = fold_tables(4)
+        with pytest.raises(ValueError):
+            low[0] = 1
+        with pytest.raises(ValueError):
+            sign[0] = 1.0
+
+    def test_error_paths_keep_their_types(self):
+        with pytest.raises(LutError):                # K % k
+            lookup_indices(np.zeros((2, 6), dtype=np.int64), 2, 4)
+        for bad in (4, -1):                          # code range
+            with pytest.raises(QuantizationError):
+                lookup_indices(np.full((2, 4), bad), 2, 4)
+        with pytest.raises(QuantizationError):       # empty tensor
+            quantize_weights(np.zeros((0, 4)), 2)
+        plan = build_weight_plan(sample_weight(bits=2), k=4)
+        object.__setattr__(plan.reinterpreted, "codes", np.full((8, 16), 9))
+        with pytest.raises(QuantizationError):       # through the plan
+            plan.indices
 
 
 def _row_weights(bits, rows, kdim, seed, **kwargs):

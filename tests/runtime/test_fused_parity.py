@@ -35,6 +35,7 @@ from repro.runtime.paging import (
     BlockAllocator,
     PagedLayerCache,
     fused_paged_decode_attention,
+    fused_paged_verify_attention,
     paged_decode_attention,
 )
 from repro.runtime.scheduler import worst_case_blocks
@@ -457,6 +458,67 @@ class TestFusedKernelParityMatrix:
             fused_paged_decode_attention(
                 np.zeros((2, 2, 8)), [full, other]
             )
+
+
+class TestSharedGatherRatios:
+    """Each KV head's query heads (and verify positions) ride one
+    gathered arena row as the executor's M axis: parity at every
+    GQA ratio for decode, and at T candidates per sequence for verify."""
+
+    KV, HD, BLOCK = 2, 8, 8
+
+    def _caches(self, rng, lengths):
+        pool = BlockAllocator(self.KV, self.HD, self.BLOCK, bits=4)
+        caches = []
+        for length in lengths:
+            cache = PagedLayerCache(pool)
+            cache.append(
+                rng.normal(size=(length, self.KV, self.HD)),
+                rng.normal(size=(length, self.KV, self.HD)),
+            )
+            caches.append(cache)
+        return caches
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("repeat", [1, 2, 4])
+    def test_decode_matches_per_sequence(self, backend, repeat):
+        rng = np.random.default_rng(repeat)
+        caches = self._caches(rng, (1, 7, 8, 19, 24))
+        queries = rng.normal(size=(5, self.KV * repeat, self.HD))
+        got = fused_paged_decode_attention(
+            queries, caches, repeat=repeat, backend=backend
+        )
+        want = _stacked_unfused(queries, caches, repeat, backend)
+        _assert_parity(got, want, backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("repeat", [1, 2, 4])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_verify_matches_sequential_decode(self, backend, repeat, t):
+        """T candidate rows per sequence in one verify pass equal T
+        append-then-decode steps (whose own parity is pinned above)."""
+        rng = np.random.default_rng(10 * repeat + t)
+        base = (2, 7, 8, 14)  # trailing blocks cross a boundary at T = 3
+        k_new, v_new = rng.normal(size=(2, len(base), t, self.KV, self.HD))
+        queries = rng.normal(
+            size=(len(base), t, self.KV * repeat, self.HD)
+        )
+        state = rng.bit_generator.state
+        caches = self._caches(rng, base)
+        for i, cache in enumerate(caches):
+            cache.append(k_new[i], v_new[i])
+        got = fused_paged_verify_attention(
+            queries, caches, base, repeat=repeat, backend=backend
+        )
+        rng.bit_generator.state = state
+        caches = self._caches(rng, base)
+        for j in range(t):
+            for i, cache in enumerate(caches):
+                cache.append(k_new[i, j], v_new[i, j])
+            want = fused_paged_decode_attention(
+                queries[:, j], caches, repeat=repeat, backend=backend
+            )
+            _assert_parity(got[:, j], want, backend, msg=f"row {j}")
 
 
 class TestFloatKvFused:
