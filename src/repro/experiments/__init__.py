@@ -2,10 +2,10 @@
 
 Each module exposes ``run()`` returning a structured result and
 ``format_result()`` rendering the same rows/series the paper reports.
-``repro.experiments.runner`` executes any subset from one entry point::
+``repro.experiments.harness`` executes any subset from one entry point::
 
-    python -m repro.experiments.runner fig11 table2 ...
-    python -m repro.experiments.runner all
+    python -m repro.experiments.harness run fig11 table2 ...
+    python -m repro.experiments.harness run all --jobs 4
 """
 
 from repro.experiments import (  # noqa: F401

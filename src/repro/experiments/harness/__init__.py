@@ -1,10 +1,9 @@
 """Experiment harness: registry, caching, parallel execution, artifacts.
 
 The one execution path for the paper's tables and figures. The CLI
-(``python -m repro.experiments.harness``), the legacy
-:mod:`repro.experiments.runner` shim, the ``benchmarks/`` suite and the
-``examples/`` scripts all go through this package, so results, caching
-and artifact emission behave identically everywhere.
+(``python -m repro.experiments.harness run ...``), the ``benchmarks/``
+suite and the ``examples/`` scripts all go through this package, so
+results, caching and artifact emission behave identically everywhere.
 
 Public surface::
 

@@ -68,7 +68,12 @@ The full prompt's prefix adoption happens before the first chunk, so
 chunking adopts exactly what a monolithic prefill would — and because
 every prefill row's numerics depend only on its absolute position
 (never the chunk split), token streams with chunking on and off are
-bit-identical on the LUT backends.
+bit-identical on the LUT backends. The same property lets the engine
+ask the model only for the logits rows it reads
+(:meth:`DecoderModel.prefill`'s ``logits_from``): the row it samples
+from on monolithic admission and the final chunk, none on non-final
+chunks, the recompute-resume re-prefill and replay, and the draft's
+catch-up.
 
 Every decode step also appends a :class:`StepTrace` record (occupancy,
 queue depth, context tokens, pool usage) to the run's
@@ -893,13 +898,16 @@ class ServingEngine:
         seq.caches = self.model.new_caches()
         started = time.perf_counter()
         try:
-            self.model.prefill(np.array(seq.request.prompt), seq.caches)
+            prompt = np.array(seq.request.prompt)
+            self.model.prefill(prompt, seq.caches, logits_from=prompt.size)
             # Replay: the first generated token was sampled at prefill,
-            # so every generated token is a decode-step *input*; the
-            # last replay step yields the logits the preemption
-            # interrupted.
+            # so every generated token is a decode-step *input*; only
+            # the last replay step's logits — the ones the preemption
+            # interrupted — are read, so only that step computes them.
             for token in seq.generated[:-1]:
-                self.model.decode_step(token, seq.caches)
+                self.model.decode_batch(
+                    np.array([token]), [seq.caches], logits=False
+                )
             logits = self.model.decode_step(seq.generated[-1], seq.caches)
         except Exception:
             # A failed resume (true pool exhaustion) must not leak the
@@ -989,8 +997,8 @@ class ServingEngine:
             prompt_len = len(seq.request.prompt)
             frontier = len(history) - 1
             if have < prompt_len and have < frontier:
-                take = min(prompt_len, frontier)
-                draft.prefill(np.array(history[have:take]), seq.draft_caches)
+                chunk = np.array(history[have:min(prompt_len, frontier)])
+                draft.prefill(chunk, seq.draft_caches, logits_from=chunk.size)
             histories.append(history)
         while True:
             behind = [
@@ -1004,7 +1012,7 @@ class ServingEngine:
                 hist[seq.draft_caches[0].length] for seq, hist in behind
             ])
             draft.decode_batch(
-                tokens, [seq.draft_caches for seq, _ in behind]
+                tokens, [seq.draft_caches for seq, _ in behind], logits=False
             )
 
     def _spec_step(self, k: int) -> tuple[int, int, list[RequestResult]]:
@@ -1140,7 +1148,7 @@ class ServingEngine:
             started = time.perf_counter()
             try:
                 logits = self.model.prefill(
-                    np.array(request.prompt), seq.caches
+                    np.array(request.prompt), seq.caches, logits_from=-1
                 )
             except Exception:
                 # Return the partially prefilled sequence's blocks so a
@@ -1194,11 +1202,13 @@ class ServingEngine:
         (:meth:`DecoderModel.adopt_prompt_prefix`), so chunking adopts
         exactly what a monolithic prefill would. When the final chunk
         lands, the first token is sampled and the sequence joins the
-        active batch (or retires if one token was all it needed). On
-        pool exhaustion mid-chunk the sequence self-preempts — its
-        blocks are released and it restarts later — unless it is the
-        only sequence holding anything, in which case the exhaustion is
-        genuine and re-raised.
+        active batch (or retires if one token was all it needed) —
+        only that chunk asks the model for a logits row. On pool
+        exhaustion mid-chunk the sequence self-preempts — its blocks
+        are released and it restarts later — unless it is the only
+        sequence holding anything, in which case the exhaustion is
+        genuine and re-raised. Any other failure frees the sequence's
+        blocks, drops it from the queue and re-raises.
         """
         prompt = seq.request.prompt
         model = self.model
@@ -1211,15 +1221,22 @@ class ServingEngine:
                     np.array(prompt), seq.caches
                 )
             take = min(budget, len(prompt) - seq.prefill_pos)
+            end = seq.prefill_pos + take
             logits = model.prefill(
-                np.array(prompt[seq.prefill_pos:seq.prefill_pos + take]),
+                np.array(prompt[seq.prefill_pos:end]),
                 seq.caches,
+                logits_from=-1 if end == len(prompt) else take,
             )
-        except ServingError:
-            # Pool exhaustion mid-chunk. If any other sequence holds
-            # blocks, theirs will drain — self-preempt and retry later;
-            # alone, nothing can ever free the shortfall: re-raise.
-            if self.active or len(self.prefilling) > 1:
+        except Exception as exc:
+            # Pool exhaustion mid-chunk (ServingError): if any other
+            # sequence holds blocks, theirs will drain — self-preempt
+            # and retry later; alone, nothing can ever free the
+            # shortfall. That, and any other fault (a kernel or
+            # quantization error), must not leave the sequence queued
+            # and holding blocks.
+            if isinstance(exc, ServingError) and (
+                self.active or len(self.prefilling) > 1
+            ):
                 self._preempt(seq)
                 return None, 0
             self.model.free_caches(seq.caches)

@@ -521,14 +521,37 @@ class DecoderModel:
             and (not live_only or pool.refcount(bid) >= 1)
         )
 
+    def _run_layers(self, x, caches, append, attend, keep_from: int = 0):
+        """The layer loop behind prefill / decode / verify.
+
+        ``append(cache, k, v)`` lands a layer's K/V rows for all of *x*
+        (the cache must be complete); ``attend(cache, q)`` returns the
+        context of the rows in *q*. In the last layer only rows
+        ``keep_from:`` — those whose logits somebody reads — continue
+        past the append (none kept: stop there). Exact because every
+        stage is row-independent.
+        """
+        for layer, cache in zip(self.layers, caches):
+            h = _layer_norm(x, layer.ln1_g, layer.ln1_b)
+            append(cache, layer.wk(h), layer.wv(h))
+            if keep_from and layer is self.layers[-1]:
+                if keep_from >= len(x):
+                    return np.empty((0, self.config.vocab))
+                x, h = x[keep_from:], h[keep_from:]
+            x = x + layer.wo(attend(cache, layer.wq(h)))
+            h2 = _layer_norm(x, layer.ln2_g, layer.ln2_b)
+            x = x + layer.ffn(h2)
+        return self.head(_layer_norm(x, self.ln_f_g, self.ln_f_b))
+
     def prefill(
         self,
         tokens: np.ndarray,
         caches: list[PagedLayerCache],
         share: bool = True,
+        logits_from: int = 0,
     ) -> np.ndarray:
         """Process a prompt chunk, filling *caches*; returns the logits
-        of every *computed* row.
+        of the *computed* rows the caller consumes.
 
         Attention runs in float over the (past + chunk) context — the
         standard serving split where prefill stays high-precision and KV
@@ -537,13 +560,17 @@ class DecoderModel:
         the pool's prefix index are adopted instead of computed; the
         output then covers only the suffix from the first divergent
         token (bit-identical rows to an unshared prefill — the parity
-        tests pin this). The last row always feeds the first sampled
-        token. Pass ``share=False`` to force full computation (the
-        parity reference path).
+        tests pin this). Pass ``share=False`` to force full computation
+        (the parity reference path). Only the computed rows whose index
+        in *tokens* is >= *logits_from* are returned (``0`` all, ``-1``
+        the row that feeds the first sampled token, ``len(tokens)`` or
+        more none — a ``(0, vocab)`` array), each bit-identical to the
+        all-rows call's; the caches fill completely either way.
         """
         tokens = self._check_tokens(tokens)
         cfg, rt = self.config, self.runtime
         past = caches[0].length
+        first = logits_from + tokens.size if logits_from < 0 else logits_from
         if (
             share
             and rt.prefix_sharing
@@ -555,6 +582,7 @@ class DecoderModel:
             if shared:
                 tokens = tokens[shared:]
                 past = shared
+                first -= shared
         t = tokens.size
         if past + t > rt.max_seq_len:
             raise ServingError(
@@ -570,38 +598,38 @@ class DecoderModel:
         # absolute positions 0..past+i.
         total = past + t
         mask = np.where(
-            np.arange(total)[None, :] > (past + np.arange(t))[:, None],
-            MASKED_SCORE,
-            0.0,
+            np.arange(total)[None, :] > positions[:, None], MASKED_SCORE, 0.0
         )
-        for layer, cache in zip(self.layers, caches):
-            h = _layer_norm(x, layer.ln1_g, layer.ln1_b)
-            q = layer.wq(h).reshape(t, cfg.heads, hd)
-            k = layer.wk(h).reshape(t, cfg.kv_heads, hd)
-            v = layer.wv(h).reshape(t, cfg.kv_heads, hd)
-            cache.append(k, v, token_ids=tokens)
-            k_all = cache.k_view()
-            v_all = cache.v_view()
+
+        def append(cache, k, v):
+            shape = (t, cfg.kv_heads, hd)
+            cache.append(k.reshape(shape), v.reshape(shape), token_ids=tokens)
+
+        def attend(cache, q):
+            # q holds the trailing rows the layer kept: the mask rows
+            # and causal widths start at the first kept row's position.
+            rows = len(q)
             # Grouped-query attention over the raw (kv_heads, total,
             # hd) views: q regrouped per KV head — einsum's
             # per-element reductions match the np.repeat form bit for
             # bit without materializing (heads, total, hd) copies.
-            q4 = q.reshape(t, cfg.kv_heads, rep, hd)
             scores = (
-                np.einsum("tkrd,kTd->krtT", q4, k_all) / np.sqrt(hd)
-            ).reshape(cfg.heads, t, total) + mask[None]
-            probs = _causal_softmax(scores, past)
-            ctx = np.einsum(
+                np.einsum(
+                    "tkrd,kTd->krtT",
+                    q.reshape(rows, cfg.kv_heads, rep, hd),
+                    cache.k_view(),
+                ) / np.sqrt(hd)
+            ).reshape(cfg.heads, rows, total) + mask[None, t - rows:]
+            probs = _causal_softmax(scores, past + t - rows)
+            return np.einsum(
                 "krtT,kTd->tkrd",
-                probs.reshape(cfg.kv_heads, rep, t, total),
-                v_all,
-            ).reshape(t, d)
-            x = x + layer.wo(ctx)
-            h2 = _layer_norm(x, layer.ln2_g, layer.ln2_b)
-            x = x + layer.ffn(h2)
+                probs.reshape(cfg.kv_heads, rep, rows, total),
+                cache.v_view(),
+            ).reshape(rows, d)
+
+        logits = self._run_layers(x, caches, append, attend, max(first, 0))
         self.stats["prefill_tokens"] += t
-        final = _layer_norm(x, self.ln_f_g, self.ln_f_b)
-        return self.head(final)
+        return logits
 
     def forward_full(self, tokens: np.ndarray) -> np.ndarray:
         """Stateless full-sequence forward (the parity reference).
@@ -642,6 +670,7 @@ class DecoderModel:
         self,
         tokens: np.ndarray,
         caches_per_seq: list[list[PagedLayerCache]],
+        logits: bool = True,
     ) -> np.ndarray:
         """One KV-cached decode step for a batch of sequences.
 
@@ -655,6 +684,8 @@ class DecoderModel:
         quantized *and* float KV caches; unfused keeps the sequential
         per-sequence appends and attention as the differential-testing
         oracle. Returns next-token logits of shape ``(B, vocab)``.
+        ``logits=False`` (replaying known tokens) only advances the
+        caches — identically — and returns a ``(0, vocab)`` array.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size != len(caches_per_seq):
@@ -670,46 +701,48 @@ class DecoderModel:
         x = self.tok_emb[tokens] + self.pos_emb[positions]
         fused = rt.fused_decode
         rep = cfg.heads // cfg.kv_heads
-        # Hoisted once per step instead of rebuilt per layer: the
-        # per-layer cache tables, and the post-append context total
-        # (each sequence's pre-append length plus its one new row).
-        layer_caches = [
-            [caches[li] for caches in caches_per_seq]
-            for li in range(len(self.layers))
-        ]
+        # The post-append context total: each sequence's pre-append
+        # length plus its one new row.
         step_context = int(positions.sum()) + b
-        for li, layer in enumerate(self.layers):
-            h = _layer_norm(x, layer.ln1_g, layer.ln1_b)
-            q = layer.wq(h).reshape(b, cfg.heads, hd)
-            k = layer.wk(h).reshape(b, cfg.kv_heads, hd)
-            v = layer.wv(h).reshape(b, cfg.kv_heads, hd)
+
+        def append(caches, k, v):
+            k = k.reshape(b, cfg.kv_heads, hd)
+            v = v.reshape(b, cfg.kv_heads, hd)
             if fused:
-                # Pool-level batched append (one allocation pass, one
-                # stacked quantize/plan build) + one fused attention
-                # dispatch for the whole batch.
-                batched_decode_append(layer_caches[li], k, v, tokens)
+                # Pool-level batched append: one allocation pass, one
+                # stacked quantize/plan build.
+                batched_decode_append(caches, k, v, tokens)
+                return
+            for s, cache in enumerate(caches):
+                cache.append(k[s], v[s], token_ids=tokens[s:s + 1])
+
+        def attend(caches, q):
+            q = q.reshape(b, cfg.heads, hd)
+            if fused:
+                # One fused attention dispatch for the whole batch.
                 self.stats["attn_context_tokens"] += step_context
-                attn = fused_paged_decode_attention(
+                return fused_paged_decode_attention(
                     q,
-                    layer_caches[li],
+                    caches,
                     repeat=rep,
                     table_dtype=rt.table_dtype,
                     backend=rt.backend,
                 ).reshape(b, d)
-            else:
-                # Sequential oracle: per-sequence appends + attention,
-                # kept as the differential-testing reference for both
-                # the batched append and the fused kernels.
-                attn = np.empty((b, d))
-                for s, cache in enumerate(layer_caches[li]):
-                    cache.append(k[s], v[s], token_ids=tokens[s:s + 1])
-                    attn[s] = self._decode_attention(q[s], cache).reshape(d)
-            x = x + layer.wo(attn)
-            h2 = _layer_norm(x, layer.ln2_g, layer.ln2_b)
-            x = x + layer.ffn(h2)
+            # Sequential oracle: per-sequence attention (after the
+            # per-sequence appends above), kept as the differential-
+            # testing reference for the batched append and the fused
+            # kernels.
+            return np.stack([
+                self._decode_attention(q[s], cache).reshape(d)
+                for s, cache in enumerate(caches)
+            ])
+
+        layer_caches = list(zip(*caches_per_seq))
+        out = self._run_layers(
+            x, layer_caches, append, attend, 0 if logits else b
+        )
         self.stats["decode_steps"] += 1
-        final = _layer_norm(x, self.ln_f_g, self.ln_f_b)
-        return self.head(final)
+        return out
 
     def decode_step(
         self, token: int, caches: list[PagedLayerCache]
@@ -762,33 +795,29 @@ class DecoderModel:
             b * t, d
         )
         rep = cfg.heads // cfg.kv_heads
-        layer_caches = [
-            [caches[li] for caches in caches_per_seq]
-            for li in range(len(self.layers))
-        ]
         step_context = int((positions + 1).sum())
-        for li, layer in enumerate(self.layers):
-            h = _layer_norm(x, layer.ln1_g, layer.ln1_b)
-            q = layer.wq(h).reshape(b, t, cfg.heads, hd)
-            k = layer.wk(h).reshape(b, t, cfg.kv_heads, hd)
-            v = layer.wv(h).reshape(b, t, cfg.kv_heads, hd)
-            for s, cache in enumerate(layer_caches[li]):
+
+        def append(caches, k, v):
+            k = k.reshape(b, t, cfg.kv_heads, hd)
+            v = v.reshape(b, t, cfg.kv_heads, hd)
+            for s, cache in enumerate(caches):
                 cache.append(k[s], v[s], token_ids=tokens[s])
+
+        def attend(caches, q):
             self.stats["attn_context_tokens"] += step_context
-            attn = fused_paged_verify_attention(
-                q,
-                layer_caches[li],
+            return fused_paged_verify_attention(
+                q.reshape(b, t, cfg.heads, hd),
+                caches,
                 base,
                 repeat=rep,
                 table_dtype=rt.table_dtype,
                 backend=rt.backend,
             ).reshape(b * t, d)
-            x = x + layer.wo(attn)
-            h2 = _layer_norm(x, layer.ln2_g, layer.ln2_b)
-            x = x + layer.ffn(h2)
+
+        layer_caches = list(zip(*caches_per_seq))
+        logits = self._run_layers(x, layer_caches, append, attend)
         self.stats["verify_steps"] += 1
-        final = _layer_norm(x, self.ln_f_g, self.ln_f_b)
-        return self.head(final).reshape(b, t, cfg.vocab)
+        return logits.reshape(b, t, cfg.vocab)
 
     # ------------------------------------------------------------------
     def kv_memory_bytes(self, caches: list[PagedLayerCache]) -> int:

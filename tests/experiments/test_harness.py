@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.meta import ExperimentMeta
 from repro.experiments.harness import (
     ResultCache,
@@ -27,6 +28,22 @@ CHEAP_TABULAR = "fig12"
 
 
 class TestRegistry:
+    def test_registry_complete(self):
+        """Every evaluation table/figure plus the ablations is wired up."""
+        expected = {
+            "fig4", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+            "fig17", "fig18", "fig19",
+            "table1", "table2", "table3", "table4", "table5",
+            "ablation_sw", "ablation_kv", "sensitivity",
+            "bench_backends", "bench_serving",
+        }
+        assert set(ALL_EXPERIMENTS) == expected
+
+    def test_every_module_has_run_and_format(self):
+        for name, module in ALL_EXPERIMENTS.items():
+            assert callable(module.run), name
+            assert callable(module.format_result), name
+
     def test_every_experiment_declares_meta(self):
         for name, spec in get_registry().items():
             assert isinstance(spec.meta, ExperimentMeta), name

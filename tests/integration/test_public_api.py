@@ -1,46 +1,6 @@
-"""Tests for the experiment runner CLI and the public package surface."""
+"""Tests for the public package surface."""
 
 import pytest
-
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.runner import main, run_experiment
-
-
-class TestRunner:
-    def test_registry_complete(self):
-        """Every evaluation table/figure plus the ablations is wired up."""
-        expected = {
-            "fig4", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-            "fig17", "fig18", "fig19",
-            "table1", "table2", "table3", "table4", "table5",
-            "ablation_sw", "ablation_kv", "sensitivity",
-            "bench_backends", "bench_serving",
-        }
-        assert set(ALL_EXPERIMENTS) == expected
-
-    def test_every_module_has_run_and_format(self):
-        for name, module in ALL_EXPERIMENTS.items():
-            assert callable(module.run), name
-            assert callable(module.format_result), name
-
-    def test_run_experiment_produces_text(self):
-        text = run_experiment("fig12")
-        assert "Figure 12" in text
-        assert "TFLOPs/mm^2" in text
-
-    def test_main_lists_without_args(self, capsys):
-        assert main([]) == 0
-        out = capsys.readouterr().out
-        assert "available experiments" in out
-
-    def test_main_runs_named_experiments(self, capsys):
-        assert main(["fig19", "table3"]) == 0
-        out = capsys.readouterr().out
-        assert "=== fig19" in out
-        assert "=== table3" in out
-
-    def test_main_rejects_unknown(self, capsys):
-        assert main(["fig99"]) == 2
 
 
 class TestPublicApi:

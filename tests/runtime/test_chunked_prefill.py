@@ -173,10 +173,13 @@ def _run_engine(config, runtime_kwargs, engine_kwargs, requests):
 
 class TestEngineChunkParity:
     @pytest.mark.parametrize("backend", LUT_BACKENDS)
-    def test_streams_identical_across_chunk_sizes(self, backend):
+    def test_streams_identical_across_chunk_sizes(
+        self, backend, all_rows_streams
+    ):
         """Random request mixes (shared prefixes, mixed lengths) under
         the memory-aware scheduler: chunked streams == monolithic for
-        every chunk size."""
+        every chunk size, and monolithic == the all-rows solo decode
+        (only the final chunk asks the model for a logits row)."""
         for seed in range(3):
             rng = np.random.default_rng(seed)
             shared = tuple(int(t) for t in rng.integers(0, 64, 12))
@@ -193,13 +196,15 @@ class TestEngineChunkParity:
                     max_new_tokens=int(rng.integers(1, 10)),
                     sampling=SamplingParams(seed=i),
                 ))
-            rt = dict(weight_bits=4, kv_bits=4, backend=backend,
-                      max_seq_len=96, kv_pool_blocks=24)
+            solo = dict(weight_bits=4, kv_bits=4, backend=backend,
+                        max_seq_len=96)
+            rt = dict(solo, kv_pool_blocks=24)
             ek = dict(max_batch_size=4, scheduler="memory-aware",
                       preemption="latest-first")
             base, _ = _run_engine(GQA, dict(rt, prefill_chunk=None),
                                   ek, requests)
-            for chunk in (1, 5, 16, 1000):
+            assert base == all_rows_streams(GQA, solo, requests)
+            for chunk in (1, 3, 16, 1000):
                 got, _ = _run_engine(GQA, dict(rt, prefill_chunk=chunk),
                                      ek, requests)
                 assert got == base, f"seed {seed} chunk {chunk}"

@@ -287,31 +287,41 @@ class TestResumeParity:
 
         np.testing.assert_array_equal(np.stack(got), np.stack(want))
 
-    def test_preemption_is_output_transparent(self):
+    def test_preemption_is_output_transparent(self, all_rows_streams):
         """Resume replays generated tokens through the decode path, so
         a preempted run's token streams are bit-identical to the same
         workload on an unbounded pool that never preempts (LUT
         backend; decode-path replay rebuilds the exact KV state the
-        eviction interrupted)."""
+        eviction interrupted) — and to the all-rows solo decode (the
+        replay computes logits for its last step only)."""
+
+        requests = [
+            Request(rid, prompt=tuple(range(start, start + 8)),
+                    max_new_tokens=20)
+            for rid, start in (("r0", 1), ("r1", 2))
+        ]
 
         def run(kv_pool_blocks):
             model = _model(kv_pool_blocks=kv_pool_blocks,
                            backend="lut-blocked")
             engine = ServingEngine(model, max_batch_size=2,
                                    scheduler="fifo")
-            for rid, start in (("r0", 1), ("r1", 2)):
-                engine.submit(Request(
-                    rid, prompt=tuple(range(start, start + 8)),
-                    max_new_tokens=20,
-                ))
+            for request in requests:
+                engine.submit(request)
             results, stats = engine.run()
-            return {r.request_id: r.tokens for r in results}, stats
+            return {r.request_id: tuple(r.tokens) for r in results}, stats
 
         pressured_tokens, pressured_stats = run(kv_pool_blocks=4)
         free_tokens, free_stats = run(kv_pool_blocks=None)
         assert pressured_stats.preemptions >= 1
         assert free_stats.preemptions == 0
         assert pressured_tokens == free_tokens
+        assert free_tokens == all_rows_streams(
+            TINY,
+            dict(weight_bits=4, kv_bits=4, max_seq_len=64,
+                 kv_block_size=16, backend="lut-blocked"),
+            requests,
+        )
 
     def test_engine_resume_preserves_generated_prefix_and_rng(self):
         """A resumed request keeps every token generated before the

@@ -130,15 +130,24 @@ def _run_engine(schedule, backend, spec, kv_bits=4):
 
 class TestSpecEngineFuzz:
     @pytest.mark.parametrize("backend", LUT_BACKENDS)
-    def test_random_schedules_streams_bit_identical(self, backend):
+    def test_random_schedules_streams_bit_identical(
+        self, backend, all_rows_streams
+    ):
         """>= 20 random schedules across the LUT backends x 3 draft
         variants: spec-on token streams equal spec-off exactly, under
         shared prefixes, CoW, bounded pools, chunked prefill, and
-        preemption."""
+        preemption — and spec-off equals the all-rows solo decode (the
+        draft's catch-up prefill and replay compute no logits)."""
         preempted = shared = cow = drafted = skipped = 0
         for seed in (0, 2, 3, 4, 5, 6, 13, 15, 16, 17):
             schedule = _random_schedule(np.random.default_rng(seed))
             plain_streams, _, _ = _run_engine(schedule, backend, None)
+            assert plain_streams == all_rows_streams(
+                FUZZ,
+                dict(weight_bits=4, kv_bits=4, backend=backend,
+                     max_seq_len=96, kv_block_size=schedule[1]),
+                schedule[0],
+            ), f"seed {seed}: engine streams left the all-rows decode"
             spec = SPEC_VARIANTS[seed % len(SPEC_VARIANTS)]
             spec_streams, stats, engine = _run_engine(
                 schedule, backend, spec
