@@ -29,7 +29,8 @@ def main() -> None:
     # 1. Offline: quantize weights to 2-bit unsigned affine codes.
     qw = quantize_weights(weights, bits=2, axis=0)
     print(f"weights: {weights.shape} -> {qw.bits}-bit codes, "
-          f"{qw.codes.nbytes // 8} packed bytes equivalent")
+          f"{qw.codes.size * qw.bits // 8} bytes packed "
+          f"({qw.codes.nbytes} resident as {qw.codes.dtype})")
 
     # 2. Offline: reinterpret onto the symmetric odd grid (Eq. 2). The
     #    dequantized values are preserved exactly.

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import LutError, QuantizationError
 from repro.quant.reinterpret import ReinterpretedWeight, reinterpret_symmetric
-from repro.quant.weight import QuantizedWeight
+from repro.quant.weight import QuantizedWeight, code_dtype
 
 
 def as_reinterpreted(
@@ -167,8 +167,9 @@ class WeightPlan:
     k:
         Lookup group length (table index width).
     indices:
-        ``(bits, G, N)`` plain K-bit indices per bit-plane — what the
-        full-table (non-symmetric) lookup consumes, and the single
+        ``(bits, G, N)`` plain K-bit indices per bit-plane, stored at
+        ``code_dtype(k)`` (uint8 for k <= 8: one byte per entry) — what
+        the full-table (non-symmetric) lookup consumes, and the single
         persistent index array everything else derives from
         (:meth:`sym_fold` and :meth:`flat_lookup_indices` stay
         transient/cached so a plan's steady-state footprint does not
@@ -179,7 +180,10 @@ class WeightPlan:
         never materializes or retains it.
     scale_gn, zero_gn:
         ``(G, N)`` per-group affine parameters in kernel layout
-        (validated eagerly at build time, materialized lazily).
+        (validated eagerly at build time, derived lazily): views of the
+        reinterpreted weight's own parameters, stride 0 along every axis
+        they do not vary on, so a per-channel or per-tensor weight
+        holds no ``(G, N)`` buffer at all.
     has_zero_point:
         False when every zero-point is exactly zero, letting kernels skip
         the correction term entirely.
@@ -215,7 +219,8 @@ class WeightPlan:
                 self.reinterpreted.unsigned_codes(), self.bits, self.k
             )
             self._indices = np.ascontiguousarray(
-                idx.transpose(0, 2, 1)  # (bits, G, N)
+                idx.transpose(0, 2, 1),  # (bits, G, N)
+                dtype=code_dtype(self.k),
             )
         return self._indices
 
@@ -224,7 +229,7 @@ class WeightPlan:
         if self._scale_gn is None:
             self._scale_gn = group_affine(
                 self.reinterpreted.scale, (self.n, self.kdim), self.k, "scale"
-            ).T.copy()
+            ).T
         return self._scale_gn
 
     @property
@@ -233,7 +238,7 @@ class WeightPlan:
             self._zero_gn = group_affine(
                 self.reinterpreted.zero_point, (self.n, self.kdim), self.k,
                 "zero_point",
-            ).T.copy()
+            ).T
         return self._zero_gn
 
     @property

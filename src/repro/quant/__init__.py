@@ -15,6 +15,7 @@ Implements the weight-side numerics of the paper:
 
 from repro.quant.weight import (
     QuantizedWeight,
+    code_dtype,
     quantize_weights,
     dequantize,
 )
@@ -51,6 +52,7 @@ from repro.quant.packing import (
 
 __all__ = [
     "QuantizedWeight",
+    "code_dtype",
     "quantize_weights",
     "dequantize",
     "ReinterpretedWeight",

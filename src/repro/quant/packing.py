@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import QuantizationError
 from repro.quant.reinterpret import ReinterpretedWeight, reinterpret_symmetric
-from repro.quant.weight import QuantizedWeight
+from repro.quant.weight import QuantizedWeight, code_dtype
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -33,7 +33,9 @@ def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
 
 
 def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`."""
+    """Inverse of :func:`pack_codes`; codes come back at
+    ``code_dtype(bits)``, the dtype every other construction path
+    stores them at."""
     total_bits = count * bits
     bit_stream = np.unpackbits(
         np.asarray(packed, dtype=np.uint8), bitorder="little"
@@ -41,7 +43,7 @@ def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     if bit_stream.size < total_bits:
         raise QuantizationError("packed buffer too short")
     bit_rows = bit_stream[:total_bits].reshape(count, bits).astype(np.int64)
-    return (bit_rows << np.arange(bits)).sum(axis=1)
+    return (bit_rows << np.arange(bits)).sum(axis=1).astype(code_dtype(bits))
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def deployment_indices(
 ) -> np.ndarray:
     """Precompute the per-plane LUT indices shipped to the accelerator.
 
-    Returns an int64 array of shape ``(bits, K/lut_k, N)`` matching what
+    Returns an array of shape ``(bits, K/lut_k, N)`` matching what
     the shared :class:`~repro.kernels.WeightPlan` builds offline for
     every kernel backend — doing it here is exactly the paper's offline
     weight remapping.

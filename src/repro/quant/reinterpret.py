@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QuantizationError
-from repro.quant.weight import QuantizedWeight
+from repro.quant.weight import QuantizedWeight, code_dtype
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ class ReinterpretedWeight:
     ----------
     codes:
         Symmetric odd integer codes ``q' in {-(2**b-1), ..., 2**b-1}``
-        (all odd), stored as int64.
+        (all odd), stored at ``code_dtype(bits + 1, signed=True)`` (int8
+        up to 7 bits, int16 up to 15, else int32) whatever integer dtype
+        was handed in.
     scale, zero_point:
         Adjusted ``s' = s/2`` and ``z' = 2z + 1 - 2**b``. For weights that
         were quantized symmetrically (grid midpoint zero-point), ``z'`` is
@@ -51,6 +53,21 @@ class ReinterpretedWeight:
     zero_point: np.ndarray
     bits: int
 
+    def __post_init__(self) -> None:
+        dtype = code_dtype(self.bits + 1, signed=True)
+        if self.codes.dtype == dtype:
+            return
+        span = np.iinfo(dtype)
+        if (
+            self.codes.min(initial=0) < span.min
+            or self.codes.max(initial=0) > span.max
+        ):
+            raise QuantizationError(
+                f"codes do not fit the {dtype} storage of a "
+                f"{self.bits}-bit symmetric grid"
+            )
+        object.__setattr__(self, "codes", self.codes.astype(dtype, copy=False))
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.codes.shape
@@ -61,7 +78,10 @@ class ReinterpretedWeight:
 
     def unsigned_codes(self) -> np.ndarray:
         """Map back to the original unsigned codes ``q = (q' + 2**b - 1)/2``."""
-        return ((self.codes + (1 << self.bits) - 1) // 2).astype(np.int64)
+        # Widened first: q' + 2**b - 1 reaches 2**(b+1) - 2, past the
+        # signed storage dtype.
+        wide = self.codes.astype(np.int64) + ((1 << self.bits) - 1)
+        return (wide // 2).astype(code_dtype(self.bits))
 
 
 def reinterpret_params(
@@ -80,10 +100,12 @@ def reinterpret_symmetric(qw: QuantizedWeight) -> ReinterpretedWeight:
     bit-for-bit in float64 (the transform multiplies/divides by powers of
     two only).
     """
-    new_codes = 2 * qw.codes - ((1 << qw.bits) - 1)
+    # Widened first: 2q reaches 2**(b+1) - 2, which wraps in q's own
+    # unsigned dtype; the result narrows to the signed storage dtype.
+    new_codes = 2 * qw.codes.astype(np.int64) - ((1 << qw.bits) - 1)
     new_scale, new_zero = reinterpret_params(qw.scale, qw.zero_point, qw.bits)
     return ReinterpretedWeight(
-        codes=new_codes.astype(np.int64),
+        codes=new_codes,
         scale=new_scale,
         zero_point=new_zero,
         bits=qw.bits,

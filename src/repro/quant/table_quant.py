@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.datatypes.formats import DataType, INT8
 from repro.errors import LutError
+from repro.quant.weight import code_dtype
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,8 @@ class QuantizedTable:
     ----------
     codes:
         Integer table entries, shape ``(..., entries)`` where the last axis
-        is the table (one table per activation group).
+        is the table (one table per activation group), stored at the
+        format's own width (int8 for INT8).
     scales:
         Per-table scales, shape ``(..., 1)`` broadcastable against codes.
     dtype:
@@ -68,7 +70,10 @@ def quantize_table(
     amax = np.max(np.abs(table), axis=-1, keepdims=True)
     scales = np.where(amax > 0, amax / qmax, 1.0)
     codes = np.clip(np.round(table / scales), dtype.min_int, qmax)
-    return QuantizedTable(codes=codes.astype(np.int64), scales=scales, dtype=dtype)
+    return QuantizedTable(
+        codes=codes.astype(code_dtype(dtype.bits, dtype.signed)),
+        scales=scales, dtype=dtype,
+    )
 
 
 def dequantize_table(qt: QuantizedTable) -> np.ndarray:

@@ -23,6 +23,19 @@ import numpy as np
 from repro.errors import QuantizationError
 
 
+def code_dtype(bits: int, signed: bool = False) -> np.dtype:
+    """The narrowest numpy integer dtype that holds a *bits*-wide code.
+
+    Unsigned: the affine codes ``[0, 2**bits - 1]``. Signed: *bits*-bit
+    two's complement — the symmetric odd grid ``±(2**b - 1)`` of
+    :mod:`repro.quant.reinterpret` is ``code_dtype(b + 1, signed=True)``.
+    Every stored code array in the repo takes its dtype from here;
+    arithmetic on codes widens explicitly first (a narrow array wraps
+    silently).
+    """
+    return np.min_scalar_type(-(1 << (bits - 1)) if signed else (1 << bits) - 1)
+
+
 @dataclass(frozen=True)
 class QuantizedWeight:
     """A weight tensor in the paper's unsigned affine representation.
@@ -30,8 +43,9 @@ class QuantizedWeight:
     Attributes
     ----------
     codes:
-        int64 array of unsigned codes in ``[0, 2**bits - 1]``, same shape
-        as the original tensor.
+        Unsigned codes in ``[0, 2**bits - 1]``, same shape as the
+        original tensor, stored at ``code_dtype(bits)`` (uint8 up to 8
+        bits, else uint16) whatever integer dtype was handed in.
     scale, zero_point:
         Arrays broadcastable against ``codes``; the dequantized value is
         ``scale * (codes - zero_point)``. ``zero_point`` is real-valued
@@ -52,6 +66,9 @@ class QuantizedWeight:
             raise QuantizationError(
                 f"codes out of range for {self.bits}-bit unsigned storage"
             )
+        object.__setattr__(
+            self, "codes", self.codes.astype(code_dtype(self.bits), copy=False)
+        )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,7 +119,7 @@ def affine_quantize(
         scale = np.where(span > 0, span / qmax, 1.0)
         zero_point = -lo / scale
     codes = np.round(weights / scale + zero_point)
-    return np.clip(codes, 0, qmax).astype(np.int64), scale, zero_point
+    return np.clip(codes, 0, qmax).astype(code_dtype(bits)), scale, zero_point
 
 
 def quantize_weights(

@@ -140,6 +140,7 @@ from repro.quant.reinterpret import reinterpret_params
 from repro.quant.weight import (
     QuantizedWeight,
     affine_quantize,
+    code_dtype,
     quantize_weights,
 )
 from repro.runtime.kv import KV_GROUP
@@ -330,7 +331,12 @@ class BlockAllocator:
         self.shifts = (1 << np.arange(bits or 0)).astype(np.float64)
 
         cap = num_blocks if num_blocks is not None else INITIAL_POOL_BLOCKS
-        self._alloc_storage(cap)
+        self._layout = self._block_layout()
+        self._block_arrays = self._FLOAT_ARRAYS + (
+            self._QUANT_ARRAYS if bits is not None else ()
+        )
+        self._va_deq_fill = self._va_deq = None
+        self._alloc(self._resident, cap)
         self._free: list[int] = list(range(cap - 1, -1, -1))
         self._in_use: set[int] = set()
         self._ever_used: set[int] = set()
@@ -338,10 +344,6 @@ class BlockAllocator:
         #: use — the record :meth:`_unallocate` needs to undo the
         #: ``allocated``/``reused``/``_ever_used`` effects exactly.
         self._alloc_first_use: dict[int, bool] = {}
-        self._fill = np.zeros(cap, dtype=np.int64)
-        #: References per block: block-table entries naming the block.
-        #: ``free`` decrements; storage is scrubbed only at zero.
-        self._refcount = np.zeros(cap, dtype=np.int64)
         #: Prefix index: chained content digest -> block id, plus the
         #: reverse maps needed to keep entries honest (the block's own
         #: token ids for exact verification, one key per block). A
@@ -387,15 +389,21 @@ class BlockAllocator:
         }
 
     # ------------------------------------------------------------------
-    #: Pool storage arrays copied across :meth:`_grow` reallocations
-    #: (block id indexes axis 0 of each).
+    #: A block's content (block id indexes axis 0 of each array): what
+    #: :meth:`cow_clone` and the spill payload carry. Each fact is stored
+    #: once at its own width (:meth:`_block_layout`); int64 only where
+    #: ``np.take`` gathers with it, ``_ka_flat`` / ``_va_flat`` — numpy
+    #: casts a narrower index array to ``intp`` on every call (+8 %).
     _FLOAT_ARRAYS = ("_k", "_v")
     _QUANT_ARRAYS = (
         "_k_codes", "_k_scale", "_k_zp",
         "_ka_flat", "_ka_scale", "_ka_zero",
         "_va_fill", "_va_flat", "_va_scale", "_va_zero",
-        "_va_deq_fill", "_va_deq",
     )
+    #: The dequantized V arena and its stamp: read by table-less backends
+    #: only, so resident from the first such :meth:`refresh_v_arenas`.
+    #: Derived from ``_v`` — never carried; a stamp of -1 rebuilds it.
+    _DEQ_ARRAYS = ("_va_deq_fill", "_va_deq")
     #: The V arenas a backend reads, by ``not needs_table``: the lookup
     #: columns a table backend gathers, or the dequantized block.
     _V_ARENAS = {
@@ -403,19 +411,24 @@ class BlockAllocator:
         True: ("_va_deq",),
     }
 
-    def _alloc_storage(self, cap: int) -> None:
-        hw = (cap, self.kv_heads, self.block_size, self.head_dim)
-        self._k = np.zeros(hw)
-        self._v = np.zeros(hw)
-        if self.bits is not None:
-            scale_w = self.head_dim if self._k_group else 1
-            self._k_codes = np.zeros(hw, dtype=np.int64)
-            self._k_scale = np.ones(
-                (cap, self.kv_heads, self.block_size, scale_w)
-            )
-            self._k_zp = np.zeros(
-                (cap, self.kv_heads, self.block_size, scale_w)
-            )
+    def _block_layout(self) -> dict[str, tuple[tuple[int, ...], np.dtype, float]]:
+        """``name -> (per-block shape, dtype, scrubbed value)``: the one
+        statement of the pool's storage format, read by allocation,
+        scrubbing and :meth:`accepts` (the restore-time payload check)."""
+        kv, bs, hd = self.kv_heads, self.block_size, self.head_dim
+        f8, i8, i4 = map(np.dtype, (np.float64, np.int64, np.int32))
+        layout = {name: ((kv, bs, hd), f8, 0.0) for name in ("_k", "_v")}
+        # Rows written, and references held: block-table entries naming
+        # the block. ``free`` decrements; storage scrubs only at zero.
+        layout.update(_fill=((), i8, 0), _refcount=((), i8, 0))
+        if self.bits is None:
+            return layout
+        groups = hd // (self._k_group or hd)
+        gk, gv = hd // self.lut_k, bs // self.lut_k
+        layout.update(
+            _k_codes=((kv, bs, hd), code_dtype(self.bits), 0),
+            _k_scale=((kv, bs, groups), f8, 1.0),
+            _k_zp=((kv, bs, groups), f8, 0.0),
             # Fused-decode arenas: the per-block WeightPlan state in slab
             # layout so one batched gather per layer can pull every active
             # sequence's blocks at once. K side (score mpGEMM, one output
@@ -423,58 +436,68 @@ class BlockAllocator:
             # indices, per-group affine. Written incrementally by
             # :meth:`write_rows` — column values are per-token, so the
             # slab always equals what a from-scratch plan would hold.
-            gk = self.head_dim // self.lut_k
-            gv = self.block_size // self.lut_k
-            self._ka_flat = np.zeros(
-                (cap, self.kv_heads, self.bits, gk, self.block_size),
-                dtype=np.int64,
-            )
-            self._ka_scale = np.ones(
-                (cap, self.kv_heads, gk, self.block_size)
-            )
-            self._ka_zero = np.zeros(
-                (cap, self.kv_heads, gk, self.block_size)
-            )
+            _ka_flat=((kv, self.bits, gk, bs), i8, 0),
+            _ka_scale=((kv, gk, bs), f8, 1.0),
+            _ka_zero=((kv, gk, bs), f8, 0.0),
             # V side (context mpGEMM, the block consumed as a
             # (head_dim, block_size) weight): refreshed per fill level by
             # :meth:`refresh_v_arenas` — ``_va_fill`` records the fill the
             # arena was built at (-1 = never), so full blocks refresh once
             # and only the trailing block pays per-step requantization.
-            # ``_va_deq`` (the dequantized block, all a table-less backend
-            # reads) carries its own stamp: whichever kind of backend
+            # ``_va_deq`` carries its own stamp: whichever kind of backend
             # dispatches maintains its own arenas only.
-            self._va_fill = np.full(cap, -1, dtype=np.int64)
-            self._va_deq_fill = np.full(cap, -1, dtype=np.int64)
-            self._va_flat = np.zeros(
-                (cap, self.kv_heads, self.bits, gv, self.head_dim),
-                dtype=np.int64,
-            )
-            self._va_scale = np.ones(
-                (cap, self.kv_heads, gv, self.head_dim)
-            )
-            self._va_zero = np.zeros(
-                (cap, self.kv_heads, gv, self.head_dim)
-            )
-            self._va_deq = np.zeros(
-                (cap, self.kv_heads, self.head_dim, self.block_size)
-            )
+            _va_fill=((), i4, -1),
+            _va_flat=((kv, self.bits, gv, hd), i8, 0),
+            _va_scale=((kv, gv, hd), f8, 1.0),
+            _va_zero=((kv, gv, hd), f8, 0.0),
+            _va_deq_fill=((), i4, -1),
+            _va_deq=((kv, hd, bs), f8, 0.0),
+        )
+        return layout
+
+    @property
+    def _resident(self) -> tuple[str, ...]:
+        """The per-block arrays this pool currently holds."""
+        deq = self._DEQ_ARRAYS if self._va_deq is not None else ()
+        return ("_fill", "_refcount") + self._block_arrays + deq
+
+    def _alloc(self, names, cap: int) -> None:
+        for name in names:
+            shape, dtype, scrubbed = self._layout[name]
+            arr = np.zeros((cap,) + shape, dtype)  # calloc: untouched = unbacked
+            if scrubbed:
+                arr[...] = scrubbed
+            setattr(self, name, arr)
+
+    def accepts(self, payload: dict) -> bool:
+        """Whether a :meth:`PagedLayerCache.serialize` payload is in this
+        pool's block format: the block count its length needs, every
+        block at the fill its position implies, holding exactly
+        :attr:`_block_arrays` at the layout's shapes and dtypes."""
+        length, blocks = payload.get("length"), payload.get("blocks", ())
+        if not (
+            isinstance(length, int)
+            and {"layer", "tokens"} <= payload.keys()
+            and len(blocks) == self.blocks_for_tokens(length)
+        ):
+            return False
+        fmt = {name: self._layout[name][:2] for name in self._block_arrays}
+        return all(
+            bp.get("fill") == min(self.block_size, length - i * self.block_size)
+            and fmt == {
+                name: (getattr(a, "shape", None), getattr(a, "dtype", None))
+                for name, a in bp.items() if name != "fill"
+            }
+            for i, bp in enumerate(blocks)
+        )
 
     def _grow(self) -> None:
         old_cap = self.capacity
         new_cap = old_cap * 2
-        arrays = list(self._FLOAT_ARRAYS) + (
-            list(self._QUANT_ARRAYS) if self.bits is not None else []
-        )
-        old = {name: getattr(self, name) for name in arrays}
-        self._alloc_storage(new_cap)
+        old = {name: getattr(self, name) for name in self._resident}
+        self._alloc(old, new_cap)
         for name, arr in old.items():
             getattr(self, name)[:old_cap] = arr
-        fill = np.zeros(new_cap, dtype=np.int64)
-        fill[:old_cap] = self._fill
-        self._fill = fill
-        refcount = np.zeros(new_cap, dtype=np.int64)
-        refcount[:old_cap] = self._refcount
-        self._refcount = refcount
         self._free.extend(range(new_cap - 1, old_cap - 1, -1))
 
     # ------------------------------------------------------------------
@@ -579,20 +602,11 @@ class BlockAllocator:
 
     def _scrub_to_free(self, block_id: int) -> None:
         """Zero a dead block's storage and return it to the free list."""
-        self._k[block_id] = 0.0
-        self._v[block_id] = 0.0
-        if self.bits is not None:
-            self._k_codes[block_id] = 0
-            self._k_scale[block_id] = 1.0
-            self._k_zp[block_id] = 0.0
-            self._ka_flat[block_id] = 0
-            self._ka_scale[block_id] = 1.0
-            self._ka_zero[block_id] = 0.0
-            # -1 forces a V-arena rebuild for the next occupant even at
-            # the same fill — the reuse-without-leakage guarantee.
-            self._reset_v_arenas(block_id)
-        self._fill[block_id] = 0
-        self._refcount[block_id] = 0
+        for name in self._resident:
+            # V stamps scrub to -1, which forces an arena rebuild for the
+            # next occupant even at the same fill — the reuse-without-
+            # leakage guarantee.
+            getattr(self, name)[block_id] = self._layout[name][2]
         self._k_plans.pop(block_id, None)
         self._v_cache.pop(block_id, None)
         self._alloc_first_use.pop(block_id, None)
@@ -600,14 +614,6 @@ class BlockAllocator:
         # policy bookkeeping (e.g. LFU use counts) must not carry over.
         self.eviction.forget(block_id)
         self._free.append(block_id)
-
-    def _reset_v_arenas(self, block_id: int) -> None:
-        """Return a block's V arenas to their never-built state."""
-        self._va_fill[block_id] = self._va_deq_fill[block_id] = -1
-        self._va_flat[block_id] = 0
-        self._va_scale[block_id] = 1.0
-        self._va_zero[block_id] = 0.0
-        self._va_deq[block_id] = 0.0
 
     # -- rollback ------------------------------------------------------
     def _unallocate(self, block_id: int) -> None:
@@ -685,13 +691,16 @@ class BlockAllocator:
             self._ka_scale[block_id][:, :, dead] = 1.0
             self._ka_zero[block_id][:, :, dead] = 0.0
             self.stats["k_plan_cols"] -= (fill - new_fill) * self.kv_heads
-            if max(
-                self._va_fill[block_id], self._va_deq_fill[block_id]
-            ) > new_fill:
+            if self._va_fill[block_id] > new_fill or (
+                self._va_deq is not None
+                and self._va_deq_fill[block_id] > new_fill
+            ):
                 # An arena saw the dead rows (their trailing V group's
                 # scale folded them in) — reset to never-built so the
                 # next refresh reproduces the never-appended recipe.
-                self._reset_v_arenas(block_id)
+                for name in self._resident:
+                    if name.startswith("_va_"):
+                        getattr(self, name)[block_id] = self._layout[name][2]
         self._k_plans.pop(block_id, None)
         self._v_cache.pop(block_id, None)
         self._fill[block_id] = new_fill
@@ -834,9 +843,7 @@ class BlockAllocator:
         if block_id not in self._in_use:
             raise ServingError(f"block {block_id} is not allocated")
         new = self.allocate()
-        for name in self._FLOAT_ARRAYS + (
-            self._QUANT_ARRAYS if self.bits is not None else ()
-        ):
+        for name in self._block_arrays:
             getattr(self, name)[new] = getattr(self, name)[block_id]
         self._fill[new] = self._fill[block_id]
         self.stats["cow"] += 1
@@ -907,7 +914,7 @@ class BlockAllocator:
             codes, scale, zero_point
         )
         shape = (r, kv, -1)
-        # Stored scales: one per element when grouped, else one per row.
+        # Returned scales: one per element when grouped, else one per row.
         per = codes.shape[2] if self._k_group else 1
         cols = (
             codes.reshape(shape),
@@ -933,9 +940,11 @@ class BlockAllocator:
         if k_cols is None:
             k_cols = self._k_columns(k_rows)
         codes, scale, zero_point, ka_flat, ka_scale, ka_zero = k_cols
+        # Stored scales: one per quantization group.
+        per = self.head_dim // self._k_scale.shape[-1]
         self._k_codes[bids, :, offs] = codes
-        self._k_scale[bids, :, offs] = scale
-        self._k_zp[bids, :, offs] = zero_point
+        self._k_scale[bids, :, offs] = scale[..., ::per]
+        self._k_zp[bids, :, offs] = zero_point[..., ::per]
         self._ka_flat[bids, :, :, :, offs] = ka_flat
         self._ka_scale[bids, :, :, offs] = ka_scale
         self._ka_zero[bids, :, :, offs] = ka_zero
@@ -1056,11 +1065,14 @@ class BlockAllocator:
     ) -> QuantizedWeight:
         """The quantized K rows ``[r0, r1)`` of one block/head as an
         ``(r1-r0, head_dim)`` weight — the unit :meth:`WeightPlan.extend`
-        consumes."""
+        consumes. The per-group scales broadcast to one per element
+        here, at the one cold read."""
+        per = self.head_dim // self._k_scale.shape[-1]
+        rows = (block_id, head, slice(r0, r1))
         return QuantizedWeight(
-            codes=self._k_codes[block_id, head, r0:r1],
-            scale=self._k_scale[block_id, head, r0:r1],
-            zero_point=self._k_zp[block_id, head, r0:r1],
+            codes=self._k_codes[rows],
+            scale=np.repeat(self._k_scale[rows], per, axis=-1),
+            zero_point=np.repeat(self._k_zp[rows], per, axis=-1),
             bits=self.bits,
         )
 
@@ -1182,6 +1194,8 @@ class BlockAllocator:
         trailing block per sequence per layer, in one quantize + column
         build instead of B.
         """
+        if deq and self._va_deq is None:
+            self._alloc(self._DEQ_ARRAYS, self.capacity)
         stamp = self._va_deq_fill if deq else self._va_fill
         bids = np.unique(np.asarray(block_ids, dtype=np.int64))
         stale = bids[stamp[bids] != self._fill[bids]]
@@ -1363,21 +1377,23 @@ class PagedLayerCache:
             written += take
             if track:
                 self._tokens.extend(int(t) for t in ids[written - take:written])
-                start = (len(self.block_ids) - 1) * self.block_size
-                segment = self._tokens[start:self.length]
-                # Predecessor digest: index n-2 is right whether the
-                # trailing entry already exists (block grew) or is
-                # about to be appended (first rows of a new block).
-                prev = (
-                    self._chain[len(self.block_ids) - 2]
-                    if len(self.block_ids) > 1 else b""
-                )
-                key = self.pool.prefix_key(self.layer, prev, segment)
-                if len(self._chain) == len(self.block_ids):
-                    self._chain[-1] = key       # trailing block grew
-                else:
-                    self._chain.append(key)     # first rows of a block
-                self.pool.register_prefix(self.block_ids[-1], key, segment)
+                self._index_trailing()
+
+    def _index_trailing(self) -> None:
+        """(Re-)register the trailing block under the chained digest of
+        the token ids its rows hold now, after an append or a rollback."""
+        n = len(self.block_ids)
+        segment = self._tokens[(n - 1) * self.block_size:self.length]
+        # Predecessor digest: index n-2 is right whether the trailing
+        # entry already exists (block grew or shrank) or is about to be
+        # appended (first rows of a new block).
+        prev = self._chain[n - 2] if n > 1 else b""
+        key = self.pool.prefix_key(self.layer, prev, segment)
+        if len(self._chain) == n:
+            self._chain[-1] = key
+        else:
+            self._chain.append(key)
+        self.pool.register_prefix(self.block_ids[-1], key, segment)
 
     def truncate_rows(self, n: int) -> None:
         """Roll back the trailing *n* appended rows exactly.
@@ -1435,16 +1451,7 @@ class PagedLayerCache:
             and len(self._tokens) == new_len
             and len(self._chain) == keep_blocks
         ):
-            # Mirror append's index maintenance for the shrunken
-            # trailing block: recompute its chained digest over the
-            # surviving segment and re-register, so the index again
-            # describes the block's current rows exactly.
-            start = (keep_blocks - 1) * self.block_size
-            segment = self._tokens[start:new_len]
-            prev = self._chain[keep_blocks - 2] if keep_blocks > 1 else b""
-            key = self.pool.prefix_key(self.layer, prev, segment)
-            self._chain[-1] = key
-            self.pool.register_prefix(self.block_ids[-1], key, segment)
+            self._index_trailing()
 
     def release(self) -> None:
         """Release every block reference (idempotent).
@@ -1473,20 +1480,18 @@ class PagedLayerCache:
         tracked token ids. It references no pool storage (every array is
         a copy), so the blocks can be freed immediately after and the
         payload handed to any host-side spill store. Lazy per-block K
-        plans and V caches are *not* captured: :meth:`restore` rebuilds
-        them from the codes on first use, bit-identically, exactly as a
-        CoW clone does.
+        plans, V caches and the dequantized V arena are *not* captured:
+        they rebuild from the restored codes and slabs on first use,
+        bit-identically, exactly as after a CoW clone.
         """
         if self._released:
             raise ServingError("cache was released back to the pool")
         pool = self.pool
-        arrays = pool._FLOAT_ARRAYS + (
-            pool._QUANT_ARRAYS if pool.bits is not None else ()
-        )
         blocks = []
         for bid in self.block_ids:
             payload = {
-                name: np.copy(getattr(pool, name)[bid]) for name in arrays
+                name: np.copy(getattr(pool, name)[bid])
+                for name in pool._block_arrays
             }
             payload["fill"] = int(pool._fill[bid])
             blocks.append(payload)
@@ -1510,19 +1515,23 @@ class PagedLayerCache:
         restored blocks re-enter the prefix index under their recomputed
         chained digests — the same registration the appends that built
         them performed. Raises :class:`ServingError` (with nothing
-        leaked) when the pool cannot hold the footprint; the caller
+        leaked) when the payload is not in this pool's block format
+        (:meth:`BlockAllocator.accepts`, checked before any block is
+        allocated) or the pool cannot hold the footprint; the caller
         falls back to recompute-on-resume, which can adopt shared
         blocks instead of allocating.
         """
+        if not pool.accepts(payload):
+            raise ServingError(
+                "swap payload does not match this pool's block format "
+                "(array names, dtypes, shapes, block count or fills)"
+            )
         cache = cls(pool, layer=payload["layer"])
-        arrays = pool._FLOAT_ARRAYS + (
-            pool._QUANT_ARRAYS if pool.bits is not None else ()
-        )
         try:
             for bp in payload["blocks"]:
                 bid = pool.allocate()
                 cache.block_ids.append(bid)
-                for name in arrays:
+                for name in pool._block_arrays:
                     getattr(pool, name)[bid] = bp[name]
                 pool._fill[bid] = bp["fill"]
         except ServingError:
@@ -1644,18 +1653,7 @@ def batched_decode_append(
         if not track:
             continue
         cache._tokens.append(int(ids[s]))
-        start = (len(cache.block_ids) - 1) * cache.block_size
-        segment = cache._tokens[start:cache.length]
-        prev = (
-            cache._chain[len(cache.block_ids) - 2]
-            if len(cache.block_ids) > 1 else b""
-        )
-        key = pool.prefix_key(cache.layer, prev, segment)
-        if len(cache._chain) == len(cache.block_ids):
-            cache._chain[-1] = key       # trailing block grew
-        else:
-            cache._chain.append(key)     # first row of a new block
-        pool.register_prefix(cache.block_ids[-1], key, segment)
+        cache._index_trailing()
 
 
 def paged_decode_attention(
@@ -1803,10 +1801,12 @@ def _fused_scores(pool, kernel, config, queries, ids) -> np.ndarray:
             pool.shifts, bool((zr != 0.0).any()),
         )
     else:
-        kd = pool._k_scale[ids] * (
-            pool._k_codes[ids].astype(np.float64) - pool._k_zp[ids]
-        )
-        kd = kd.transpose(0, 2, 1, 3, 4).reshape(b * kv, n, hd)
+        # One stored scale per quantization group, broadcast at the read.
+        sc, zp = pool._k_scale[ids][..., None], pool._k_zp[ids][..., None]
+        codes = pool._k_codes[ids].reshape(sc.shape[:-1] + (-1,))
+        kd = (sc * (codes.astype(np.float64) - zp)).transpose(
+            0, 2, 1, 3, 4, 5
+        ).reshape(b * kv, n, hd)
         raw = rowwise_dequant_execute(_shared_rows(acts, lead, (1, 3)), kd)
     # (B * kv, N, T * repeat) -> (B, T, kv * repeat, N)
     return raw.reshape(b, kv, n, t, repeat).transpose(0, 3, 1, 4, 2).reshape(

@@ -178,12 +178,37 @@ class TestCrossBackendEquivalence:
         pairwise = np.array([terms[:, j].copy().sum() for j in range(6)])
         assert np.any(pairwise != ordered)
 
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    @pytest.mark.parametrize("tile", [1, 5, 1024])
+    @pytest.mark.parametrize("g", [1, 2, 32, 256])
+    def test_leading_axis_reduce_is_the_ascending_loop(self, g, tile, r):
+        """What ``lut-blocked`` leans on, pinned without a second numpy:
+        on the ``(G, tile, r)`` blocks it produces — C-contiguous out of
+        ``np.take``, ``tile = BLOCK_ELEMS // (G·r)`` or the ragged last
+        one, ``r <= BLOCK_ROWS`` — ``np.add.reduce(x, axis=0)`` adds the
+        g-slices one after another, i.e. equals the explicit ascending-g
+        loop bit for bit; the one-element slice, where numpy would go
+        pairwise instead, is the case ``sum_groups_leading`` hands to the
+        loop itself."""
+        rng = np.random.default_rng(g * 131 + tile * 7 + r)
+        x = rng.normal(size=(g, tile, r)) * 10.0 ** rng.integers(
+            -6, 7, size=(g, tile, r)
+        )
+        ordered = x[0].copy()
+        for gi in range(1, g):
+            ordered += x[gi]
+        np.testing.assert_array_equal(backends.sum_groups_leading(x), ordered)
+        if tile * r > 1:
+            np.testing.assert_array_equal(np.add.reduce(x, axis=0), ordered)
+
     def test_dispatch_retains_only_the_flat_indices(self):
-        """A blocked dispatch leaves on the plan exactly what the parent
-        kernel left: one ``(bits, G, N)`` int64 flat-index array per
-        (entries, symmetric) key and the two ``(G, N)`` affine arrays —
+        """After a blocked dispatch the only int64 array on the plan or
+        either weight is the ``(bits, G, N)`` flat-index cache ``np.take``
+        reads, one per (entries, symmetric) key: codes and the plain
+        indices sit at one byte per entry, and a per-channel weight's
+        ``(G, N)`` affine arrays are stride-0 views that own no buffer —
         no per-plan table, scale or index array was added for speed."""
-        a, qw = make_case(m=9, n=24, kdim=32, bits=4, seed=3)
+        a, qw = make_case(m=9, n=24, kdim=32, bits=4, seed=3, axis=0)
         engine = LutMpGemmEngine(qw, LutMpGemmConfig(backend="lut-blocked"))
         plan = engine.plan
         assert plan._flat_cache == {} and plan._scale_gn is None
@@ -194,16 +219,24 @@ class TestCrossBackendEquivalence:
         flat = plan._flat_cache[(1 << (plan.k - 1), True)]
         assert flat.dtype == np.int64 and flat.shape == (bits, g, n)
         retained = {
-            name: value.nbytes
+            name: (value.dtype, value.nbytes)
             for name, value in vars(plan).items()
             if isinstance(value, np.ndarray)
         }
         assert retained == {
-            "_indices": bits * g * n * 8,
-            "_scale_gn": g * n * 8,
-            "_zero_gn": g * n * 8,
-            "shifts": bits * 8,
+            "_indices": (np.uint8, bits * g * n),
+            "_scale_gn": (np.float64, g * n * 8),
+            "_zero_gn": (np.float64, g * n * 8),
+            "shifts": (np.float64, bits * 8),
         }
+        for view, own in (
+            (plan._scale_gn, plan.reinterpreted.scale),
+            (plan._zero_gn, plan.reinterpreted.zero_point),
+        ):
+            assert view.strides[0] == 0 and not view.flags.owndata
+            assert np.shares_memory(view, own) and own.nbytes == n * 8
+        assert (qw.codes.dtype, qw.codes.nbytes) == (np.uint8, n * plan.kdim)
+        assert plan.reinterpreted.codes.dtype == np.int8
 
     def test_act_dtype_agrees_across_backends(self):
         a, qw = make_case(bits=2, seed=17)

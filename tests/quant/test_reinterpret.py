@@ -31,7 +31,8 @@ class TestEquation2:
         qw = quantize_weights(random_weights((8, 16)), bits)
         rw = reinterpret_symmetric(qw)
         check_symmetry(rw)  # raises if not odd/in-range
-        expected = 2 * qw.codes - ((1 << bits) - 1)
+        # Widened: 2q wraps in the codes' own unsigned storage dtype.
+        expected = 2 * qw.codes.astype(np.int64) - ((1 << bits) - 1)
         np.testing.assert_array_equal(rw.codes, expected)
 
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])

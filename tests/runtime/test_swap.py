@@ -13,9 +13,12 @@ batch-invariant LUT backends.
 
 Pinned here: a seeded random-schedule differential fuzz with forced
 preemptions (swap vs recompute vs untouched), threshold gating,
-mid-prefill exclusion, the pool-pressure fallback to recompute, spill
-accounting, the block serialize/restore round-trip itself, and the
-swap-aware resume-headroom arithmetic.
+mid-prefill exclusion, the pool-pressure fallback to recompute — and
+the same fallback for a payload ``restore`` refuses before allocating
+(wrong array names / dtypes / shapes, block count or fills) — spill
+accounting (a payload is the pool's per-block bytes), the block
+serialize/restore round-trip itself, and the swap-aware resume-headroom
+arithmetic.
 """
 
 import numpy as np
@@ -229,6 +232,39 @@ class TestSwapFallback:
         assert pool.used_blocks == 0, "fallback leaked pool blocks"
 
 
+    @pytest.mark.parametrize("damage", ["int64-codes", "truncated"])
+    def test_corrupt_payload_falls_back_to_recompute(self, monkeypatch, damage):
+        """A spill record the pool's format check refuses — codes in the
+        pre-narrowing int64 format, a block list cut short — takes the
+        same road: the real ``restore`` raises before allocating, the
+        engine recomputes, streams and pool are as if nothing happened."""
+        requests = _random_requests(np.random.default_rng(6))
+        base, _, _ = _run_engine(requests, "lut-naive")
+
+        original = PagedLayerCache.serialize
+        damaged = {"n": 0}
+
+        def corrupting_serialize(cache):
+            payload = original(cache)
+            if damaged["n"] < 4 and payload["blocks"]:
+                damaged["n"] += 1
+                if damage == "truncated":
+                    payload["blocks"].pop()
+                else:
+                    block = payload["blocks"][0]
+                    block["_k_codes"] = block["_k_codes"].astype(np.int64)
+            return payload
+
+        monkeypatch.setattr(PagedLayerCache, "serialize", corrupting_serialize)
+        swp, stats, engine = _run_engine(
+            requests, "lut-naive", swap_threshold=1, preempt_steps={4, 8}
+        )
+        assert damaged["n"] > 0, "no payload was damaged"
+        assert swp == base
+        assert stats.swaps > stats.swap_resumes
+        assert engine.model.kv_pool.used_blocks == 0, "fallback leaked blocks"
+
+
 class TestBlockSerde:
     def _pool_and_cache(self, kv_bits=8):
         pool = BlockAllocator(
@@ -289,6 +325,66 @@ class TestBlockSerde:
             PagedLayerCache.restore(small, payload)
         assert small.used_blocks == 0
         assert small.free_blocks == 1
+
+    @pytest.mark.parametrize("kv_bits", [None, 4, 8])
+    def test_spill_bytes_are_the_pools_per_block_bytes(self, kv_bits):
+        """A payload holds exactly the pool's per-block arrays, so the
+        spill shrinks with the pool: ``spill_nbytes`` per block is the sum
+        of one block's slice of each content array."""
+        pool, cache = self._pool_and_cache(kv_bits)
+        payload = cache.serialize()
+        per_block = sum(
+            getattr(pool, name)[0].nbytes for name in pool._block_arrays
+        )
+        assert spill_nbytes(payload) == len(cache.block_ids) * per_block
+        for block in payload["blocks"]:
+            assert set(block) == {*pool._block_arrays, "fill"}
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "int64-codes", "per-element-scale", "missing-array",
+            "unknown-array", "not-an-array", "truncated", "extra-block",
+            "wrong-fill", "no-length", "no-tokens",
+        ],
+    )
+    def test_restore_refuses_a_foreign_payload_before_allocating(self, damage):
+        """Array names, dtypes and shapes per block, the block count and
+        every fill must be what this pool would have written; anything
+        else raises ``ServingError`` with no block touched."""
+        pool, cache = self._pool_and_cache(kv_bits=4)
+        payload = cache.serialize()
+        assert pool.accepts(payload)
+        blocks = payload["blocks"]
+        if damage == "int64-codes":  # the format before codes narrowed
+            blocks[1]["_k_codes"] = blocks[1]["_k_codes"].astype(np.int64)
+        elif damage == "per-element-scale":
+            blocks[0]["_k_scale"] = np.repeat(blocks[0]["_k_scale"], 8, axis=-1)
+        elif damage == "missing-array":
+            del blocks[2]["_ka_flat"]
+        elif damage == "unknown-array":
+            blocks[0]["_va_deq"] = np.zeros((2, 8, 4))
+        elif damage == "not-an-array":
+            blocks[0]["_v"] = blocks[0]["_v"].tolist()
+        elif damage == "truncated":
+            blocks.pop()
+        elif damage == "extra-block":
+            blocks.append(dict(blocks[-1]))
+        elif damage == "wrong-fill":
+            blocks[-1]["fill"] = pool.block_size
+        elif damage == "no-length":
+            del payload["length"]
+        elif damage == "no-tokens":
+            del payload["tokens"]
+        assert not pool.accepts(payload)
+        used, free, allocated = (
+            pool.used_blocks, list(pool._free), pool.stats["allocated"]
+        )
+        with pytest.raises(ServingError, match="block format"):
+            PagedLayerCache.restore(pool, payload)
+        assert (pool.used_blocks, pool._free, pool.stats["allocated"]) == (
+            used, free, allocated
+        )
 
     def test_serialize_released_cache_raises(self):
         pool, cache = self._pool_and_cache()
