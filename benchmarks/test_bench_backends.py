@@ -9,10 +9,15 @@ while never materializing the naive path's ``(M, bits, G, N)``
 intermediate, and every LUT backend must agree with the dequantization
 reference to float noise in the lossless config. The fused attention
 executor's row-shared layout is gated the same way: one M = 2 dispatch
-must beat two M = 1 dispatches.
+must beat two M = 1 dispatches. Where the compiled body of
+``lut-blocked`` loaded, it must be no slower than the numpy body at any
+row count — M = 1 and 2, where padding to full lanes could lose, included
+(the experiment itself has already required equal bytes).
 """
 
 from benchmarks.conftest import run_once
+from repro.experiments.bench_backends import BODY_BACKENDS, BODY_MS
+from repro.kernels import native
 from repro.kernels.backends import BLOCK_ELEMS
 
 
@@ -46,6 +51,17 @@ def test_bench_backends(benchmark, show):
         shared = rows[(label, "rowwise-shared")]
         assert shared.time_s < rows[(label, "rowwise-per-head")].time_s, label
         assert shared.max_abs_err == 0.0, label
+
+    # The two bodies of lut-blocked: the numpy row is always there, the
+    # compiled one wherever the routine loaded, and it never loses.
+    for m in BODY_MS:
+        numpy_body = rows[(f"body-m{m}", BODY_BACKENDS[0])]
+        assert numpy_body.max_abs_err == 0.0
+        if native.status()["loaded"]:
+            compiled = rows[(f"body-m{m}", BODY_BACKENDS[1])]
+            assert compiled.time_s <= numpy_body.time_s, m
+        else:
+            assert (f"body-m{m}", BODY_BACKENDS[1]) not in rows
 
     # Lossless configuration: LUT backends match the dequant reference
     # to float accumulation noise, the reference backend exactly.

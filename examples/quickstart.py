@@ -17,6 +17,7 @@ from repro import (
     reinterpret_symmetric,
 )
 from repro.datatypes import FP16, INT8
+from repro.kernels import native
 from repro.lut.mpgemm import LutMpGemmConfig
 
 
@@ -46,6 +47,16 @@ def main() -> None:
     out_ref = dequant_mpgemm_reference(activations, qw, act_dtype=FP16)
     print(f"LUT vs dequant reference max |err|: "
           f"{np.abs(out_lut - out_ref).max():.2e} (exact)")
+    # Which body of the default backend just ran: the compiled fused
+    # pass where a C compiler was found, else numpy — same bytes either
+    # way, and a fallback says why.
+    body = getattr(engine.backend, "last_body", None)
+    if body is not None:  # lut-blocked (another backend may be selected)
+        status = native.status()
+        print(f"{engine.backend.name} ran its {body} body: " + (
+            f"{status['compiler']}, {status['flags']}" if status["loaded"]
+            else f"not compiled, {status['reason']}"
+        ))
 
     # 4. Enable INT8 table quantization (the hardware configuration).
     engine8 = LutMpGemmEngine(

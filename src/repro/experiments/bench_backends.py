@@ -20,6 +20,14 @@ head sharing one gathered weight row and once as the two M = 1
 dispatches a per-head gather would make: same values, half the gather
 indices.
 
+The ``body-m*`` rows time the two bodies of ``lut-blocked`` against each
+other at the decode shape, M = 1 / 2 / 8 / 64: the compiled fused pass
+(``kernels/lut_block.c``; rows present only where it loaded) and the
+numpy body a host without a compiler runs. Their outputs must be equal
+byte for byte — the experiment raises otherwise — and the small-M rows
+are where a compiled path that padded every block in Python lost to
+numpy.
+
 Extends Section 3.2 of the paper (the software kernel pipeline); there
 is no corresponding figure — this is the repo's own regression bench.
 """
@@ -32,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import LutError
 from repro.experiments.meta import ExperimentMeta
-from repro.kernels import rowwise_lut_execute
+from repro.kernels import native, rowwise_lut_execute
 from repro.lut.mpgemm import (
     LutMpGemmConfig,
     LutMpGemmEngine,
@@ -59,6 +68,10 @@ ATTN_SHAPES: tuple[tuple[str, int, int, int], ...] = (
 #: Query heads per KV head (the executor's shared-row axis M).
 ATTN_M = 2
 ATTN_BACKENDS = ("rowwise-per-head", "rowwise-shared")
+#: Row counts of the compiled-vs-numpy body rows (N = K = 128): solo
+#: decode, the trace-burst batch mean, the decode batch, a prefill chunk.
+BODY_MS = (1, 2, 8, 64)
+BODY_BACKENDS = ("lut-blocked (numpy)", "lut-blocked (compiled)")
 WEIGHT_BITS = 4
 LUT_K = 4
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
@@ -85,6 +98,7 @@ META = ExperimentMeta(
         "backends": BACKENDS,
         "attn_shapes": ATTN_SHAPES,
         "attn_m": ATTN_M,
+        "body_ms": BODY_MS,
     },
 )
 
@@ -96,7 +110,9 @@ class BackendBenchRow:
     On the ``attn-*`` rows the "backends" are the two ways to dispatch
     :data:`ATTN_M` activation rows per weight row, ``speedup_vs_naive``
     is over the per-head one and ``max_abs_err`` the difference between
-    the two (they are bit-identical: 0).
+    the two (they are bit-identical: 0). On the ``body-m*`` rows they
+    are the two bodies of ``lut-blocked``, the speedup is over the numpy
+    one and ``max_abs_err`` is 0 because the bytes were checked equal.
     """
 
     shape_label: str
@@ -203,9 +219,42 @@ def _attention_rows(rng, label, r, g, n) -> list[BackendBenchRow]:
     ]
 
 
+def _body_rows(rng, m: int) -> list[BackendBenchRow]:
+    """Time the compiled and numpy bodies of ``lut-blocked`` at M = *m*."""
+    n = kdim = 128
+    engine = LutMpGemmEngine(
+        quantize_weights(rng.normal(size=(n, kdim)), WEIGHT_BITS, axis=0),
+        LutMpGemmConfig(k=LUT_K, backend="lut-blocked"),
+    )
+    acts = rng.normal(size=(m, kdim))
+    with native.unloaded():
+        want = engine.matmul(acts)
+        times = {BODY_BACKENDS[0]: _time_matmul(engine, acts, MAX_REPS)}
+    if native.status()["loaded"]:
+        if engine.matmul(acts).tobytes() != want.tobytes():
+            raise LutError(f"compiled and numpy bodies differ at M={m}")
+        times[BODY_BACKENDS[1]] = _time_matmul(engine, acts, MAX_REPS)
+    return [
+        BackendBenchRow(
+            shape_label=f"body-m{m}",
+            backend=name,
+            m=m,
+            n=n,
+            kdim=kdim,
+            bits=WEIGHT_BITS,
+            time_s=time_s,
+            speedup_vs_naive=times[BODY_BACKENDS[0]] / time_s,
+            max_abs_err=0.0,
+            peak_traced_bytes=None,
+        )
+        for name, time_s in times.items()
+    ]
+
+
 def run(
     shapes: tuple[tuple[str, int, int, int], ...] = SHAPES,
     attn_shapes: tuple[tuple[str, int, int, int], ...] = ATTN_SHAPES,
+    body_ms: tuple[int, ...] = BODY_MS,
 ) -> list[BackendBenchRow]:
     rng = np.random.default_rng(2025)
     rows: list[BackendBenchRow] = []
@@ -249,14 +298,21 @@ def run(
             )
     for label, r, g, n in attn_shapes:
         rows.extend(_attention_rows(rng, label, r, g, n))
+    for m in body_ms:
+        rows.extend(_body_rows(rng, m))
     return rows
 
 
 def format_result(rows: list[BackendBenchRow]) -> str:
+    status = native.status()
     lines = [
         "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive,"
-        " attn-* rows vs rowwise-per-head)",
-        f"{'shape':>12} {'backend':>16} {'M':>4} {'N':>5} {'K':>5} "
+        " attn-* rows vs rowwise-per-head, body-* rows vs the numpy body)",
+        "lut-blocked body: " + (
+            f"compiled ({status['flags']})" if status["loaded"]
+            else f"numpy ({status['reason']})"
+        ),
+        f"{'shape':>12} {'backend':>22} {'M':>4} {'N':>5} {'K':>5} "
         f"{'ms':>9} {'speedup':>8} {'max|err|':>9} {'peak MiB':>9}",
     ]
     for row in rows:
@@ -266,7 +322,7 @@ def format_result(rows: list[BackendBenchRow]) -> str:
             else f"{'-':>9}"
         )
         lines.append(
-            f"{row.shape_label:>12} {row.backend:>16} {row.m:>4} {row.n:>5} "
+            f"{row.shape_label:>12} {row.backend:>22} {row.m:>4} {row.n:>5} "
             f"{row.kdim:>5} {row.time_s * 1e3:>9.2f} "
             f"{row.speedup_vs_naive:>7.2f}x {row.max_abs_err:>9.2e} {peak}"
         )

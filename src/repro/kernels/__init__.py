@@ -11,7 +11,11 @@ implementations, all fed by one shared offline :class:`WeightPlan`:
   ``BLOCK_ROWS`` (8) activation rows keeps one signed, plane-scaled
   table resident with rows innermost, and the weight columns sweep it
   in blocks of at most ``BLOCK_ELEMS`` (2**15) gathered values; peak
-  memory is a few such blocks, whatever M, N and the weight width.
+  memory is a few such blocks, whatever M, N and the weight width. With
+  a C compiler on ``PATH`` the loop runs compiled as one fused pass
+  (``lut_block.c``, built and loaded by :mod:`repro.kernels.native`,
+  whose ``status()`` says whether and why not); without one, the numpy
+  body computes the same bytes.
 
 Select a backend per call via ``LutMpGemmConfig(backend=...)`` (or the
 ``backend=`` argument on `lut_mpgemm`/`lut_gemv`), or globally via the

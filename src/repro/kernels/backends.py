@@ -15,6 +15,9 @@ Three implementations of the same contract (:class:`MpGemmBackend`):
   innermost, while every weight column sweeps it in column blocks. Peak
   intermediate memory is a few :data:`BLOCK_ELEMS` buffers plus one
   ``bits·G·W·BLOCK_ROWS`` table, whatever M, N and the weight width.
+  Where a C compiler was found its loop runs compiled, as one fused pass
+  (:mod:`repro.kernels.native`); the numpy body stays the path of a host
+  without one, and the oracle.
 
 Bit-identity contract: ``lut-naive`` and ``lut-blocked`` perform the
 same scalar operations in the same order for every output element. The
@@ -34,7 +37,8 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from repro.datatypes.float_codec import quantize_to_format
-from repro.kernels.plan import WeightPlan
+from repro.kernels import native
+from repro.kernels.plan import WeightPlan, fold_offsets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.lut.mpgemm import LutMpGemmConfig
@@ -213,12 +217,29 @@ class LutBlockedBackend:
     place, the ``(G, tile, 1)`` affine correction is applied in place,
     and groups reduce in ascending-g order over the leading axis. See
     the module docstring for why this equals ``lut-naive`` bit for bit.
+
+    That is nine numpy passes over every block. When
+    :func:`repro.kernels.native.lut_block` loaded (a C compiler on
+    ``PATH``), ``execute`` hands the operands it can take to that routine
+    instead: the same per-element sequence in one pass, rows as SIMD
+    lanes, reading the plan's one-byte indices directly. Nothing else
+    selects between the two bodies — no config field, flag or variable —
+    and :attr:`last_body` says which one ran.
     """
 
     name = "lut-blocked"
     needs_table = True
 
+    #: Which body the last dispatch ran, ``"compiled"`` or ``"numpy"``
+    #: (None before the first): a silent fallback stays visible.
+    last_body: str | None = None
+
     def execute(self, plan, config, activations, table):
+        fused = native.lut_block()
+        if fused is not None and _fused_handles(plan, config, table):
+            self.last_body = "compiled"
+            return _execute_fused(fused, plan, config, activations, table)
+        self.last_body = "numpy"
         m, _, entries = table.shape
         bits, ngroups, n = plan.bits, plan.ngroups, plan.n
         flat = plan.flat_lookup_indices(entries, config.symmetric_table)
@@ -250,6 +271,58 @@ class LutBlockedBackend:
                 acc *= scale[:, cols]
                 out[m0 : m0 + r, cols] = sum_groups_leading(acc).T
         return out
+
+
+def _fused_handles(plan, config, table) -> bool:
+    """Whether ``lut_block.c`` takes this dispatch: a float64 table of the
+    plan's geometry, one-byte (k <= 8) C-ordered indices, float64 ``(G,
+    N)`` affine parameters. The routine trusts every size it is handed,
+    so nothing else may reach it."""
+    gn = (plan.ngroups, plan.n)
+    entries = (1 << plan.k) >> bool(config.symmetric_table)
+    return (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.float64
+        and table.shape[1:] == (plan.ngroups, entries)  # so 3-D
+        and plan.indices.dtype == np.uint8
+        and plan.indices.flags.c_contiguous
+        and plan.indices.shape == (plan.bits, *gn)
+        and plan.scale_gn.shape == gn == plan.zero_gn.shape
+        and plan.scale_gn.dtype == plan.zero_gn.dtype == np.float64
+    )
+
+
+def _execute_fused(fused, plan, config, activations, table) -> np.ndarray:
+    """One ``lut_block`` call for the whole ``(M, N)`` product: the numpy
+    body's scalar sequence per output element, read from the plan's own
+    uint8 indices (no flat-index cache is built) and from strided views
+    (a non-contiguous table, stride-0 affine parameters) as they are."""
+    m, ngroups, entries = table.shape
+    symmetric = bool(config.symmetric_table)
+    fold = fold_offsets(plan.k, entries, symmetric)
+    scale = plan.scale_gn
+    zero = (None, 0, 0)
+    sums = None
+    if plan.has_zero_point:
+        zero = (plan.zero_gn.ctypes.data, *plan.zero_gn.strides)
+        acts = effective_activations(activations, config)
+        sums = np.ascontiguousarray(group_sums(plan, acts), dtype=np.float64)
+        if sums.shape != (m, ngroups):
+            raise ValueError(
+                f"{len(acts)} activation rows for a table of {m} rows"
+            )
+    out = np.empty((m, plan.n))
+    # (G, width) table block + (G,) sums at 8 lanes, + 64-byte alignment.
+    scratch = np.empty(ngroups * ((entries << symmetric) + 1) * 8 + 8)
+    fused(
+        table.ctypes.data, *table.strides, m, ngroups, entries, symmetric,
+        plan.indices.ctypes.data, fold.ctypes.data, fold.size,
+        plan.bits, plan.n,
+        scale.ctypes.data, *scale.strides, *zero,
+        None if sums is None else sums.ctypes.data,
+        out.ctypes.data, scratch.ctypes.data,
+    )
+    return out
 
 
 def gather_grouped_blocked(

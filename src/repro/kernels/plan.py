@@ -127,24 +127,37 @@ def fold_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return low, sign
 
 
+@lru_cache(maxsize=None)
+def fold_offsets(k: int, entries: int, symmetric: bool) -> np.ndarray:
+    """``2**k`` int64 entries: K-bit index -> its entry in one group's
+    table as the blocked kernels hold it. For the symmetric half table
+    that is the signed extension ``[T, -T]`` (``2·entries`` wide): the MSB
+    sign is folded into the index as ``low + entries·(sign < 0)``, so the
+    runtime kernel needs neither bit manipulation nor a sign multiply.
+    The full table takes the plain index."""
+    if symmetric:
+        low, sign = fold_tables(k)
+        fold = low + entries * (sign < 0)
+    else:
+        fold = np.arange(1 << k, dtype=np.int64)
+    fold.flags.writeable = False
+    return fold
+
+
 def flat_lookup(
     indices: np.ndarray, k: int, entries: int, symmetric: bool,
     group_axis: int = -1,
 ) -> np.ndarray:
     """Flat gather indices into a row-flattened ``(G·width,)`` table.
 
-    *indices* are plain K-bit indices with the group along *group_axis*.
-    For the symmetric half table the caller gathers from the signed
-    extension ``[T, -T]`` (width ``2·entries`` per group): the MSB sign
-    is folded into the index as ``low + entries·(sign < 0)``, so the
-    runtime kernel needs neither bit manipulation nor a sign multiply.
-    The full table takes the plain indices. Group *g*'s offset
-    ``g·width`` is folded in too.
+    *indices* are plain K-bit indices with the group along *group_axis*,
+    each sent through :func:`fold_offsets` (``width`` is ``2·entries``
+    for the symmetric half table, ``entries`` for the full one). Group
+    *g*'s offset ``g·width`` is folded in too.
     """
     width = entries
     if symmetric:
-        low, sign = fold_tables(k)
-        indices = (low + entries * (sign < 0))[indices]
+        indices = fold_offsets(k, entries, True)[indices]
         width = 2 * entries
     shape = [1] * indices.ndim
     shape[group_axis] = -1

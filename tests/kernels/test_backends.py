@@ -201,23 +201,30 @@ class TestCrossBackendEquivalence:
         if tile * r > 1:
             np.testing.assert_array_equal(np.add.reduce(x, axis=0), ordered)
 
-    def test_dispatch_retains_only_the_flat_indices(self):
+    def test_dispatch_retains_only_the_flat_indices(self, lut_body):
         """After a blocked dispatch the only int64 array on the plan or
         either weight is the ``(bits, G, N)`` flat-index cache ``np.take``
-        reads, one per (entries, symmetric) key: codes and the plain
-        indices sit at one byte per entry, and a per-channel weight's
-        ``(G, N)`` affine arrays are stride-0 views that own no buffer —
-        no per-plan table, scale or index array was added for speed."""
+        reads, one per (entries, symmetric) key — and the compiled body,
+        which reads the one-byte plain indices itself, never builds even
+        that. Codes and the plain indices sit at one byte per entry, and a
+        per-channel weight's ``(G, N)`` affine arrays are stride-0 views
+        that own no buffer — no per-plan table, scale or index array was
+        added for speed."""
         a, qw = make_case(m=9, n=24, kdim=32, bits=4, seed=3, axis=0)
+        backend = get_backend("lut-blocked")
         engine = LutMpGemmEngine(qw, LutMpGemmConfig(backend="lut-blocked"))
         plan = engine.plan
         assert plan._flat_cache == {} and plan._scale_gn is None
         engine.matmul(a)
+        assert backend.last_body == lut_body
         engine.matmul(a[:1])
         bits, g, n = plan.bits, plan.ngroups, plan.n
-        assert list(plan._flat_cache) == [(1 << (plan.k - 1), True)]
-        flat = plan._flat_cache[(1 << (plan.k - 1), True)]
-        assert flat.dtype == np.int64 and flat.shape == (bits, g, n)
+        if lut_body == "compiled":
+            assert plan._flat_cache == {}
+        else:
+            assert list(plan._flat_cache) == [(1 << (plan.k - 1), True)]
+            flat = plan._flat_cache[(1 << (plan.k - 1), True)]
+            assert flat.dtype == np.int64 and flat.shape == (bits, g, n)
         retained = {
             name: (value.dtype, value.nbytes)
             for name, value in vars(plan).items()
@@ -227,7 +234,8 @@ class TestCrossBackendEquivalence:
             "_indices": (np.uint8, bits * g * n),
             "_scale_gn": (np.float64, g * n * 8),
             "_zero_gn": (np.float64, g * n * 8),
-            "shifts": (np.float64, bits * 8),
+            **({} if lut_body == "compiled"
+               else {"shifts": (np.float64, bits * 8)}),
         }
         for view, own in (
             (plan._scale_gn, plan.reinterpreted.scale),

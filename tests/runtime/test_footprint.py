@@ -2,8 +2,8 @@
 
 Every integer code is stored once per representation at the narrowest
 dtype that holds it; int64 survives only where ``np.take`` gathers with
-it — a plan's flat-index cache, the pool's ``_ka_flat`` / ``_va_flat``
-arenas. These are byte counts over live arrays (not RSS), so they hold
+it — a plan's flat-index cache (built by the numpy body of
+``lut-blocked`` only), the pool's ``_ka_flat`` / ``_va_flat`` arenas. These are byte counts over live arrays (not RSS), so they hold
 on any host; ``bench/``'s ``peak_rss_mb`` is their end-to-end reading.
 """
 
@@ -49,10 +49,13 @@ def _buffers(root):
     return list(owners.values())
 
 
-def test_bench_model_weights_hold_under_eight_mib():
+@pytest.mark.parametrize("lut_body", ["compiled", "numpy"], indirect=True)
+def test_bench_model_weights_hold_under_eight_mib(lut_body):
     """22.5 MiB before codes narrowed (36 B a weight: four int64 copies
-    of the codes and two ``(G, N)`` affine arrays); now 11 B a weight,
-    8 of them the int64 flat indices the kernel gathers with."""
+    of the codes and two ``(G, N)`` affine arrays); 11 B a weight on the
+    numpy body, 8 of them the int64 flat indices ``np.take`` gathers
+    with; 3 B a weight and no int64 array at all on the compiled body,
+    which reads the one-byte indices itself."""
     model = DecoderModel(BENCH_128, RuntimeConfig(
         weight_bits=4, lut_k=4, backend="lut-blocked",
     ))
@@ -70,10 +73,14 @@ def test_bench_model_weights_hold_under_eight_mib():
         for linear in linears for cached in linear.plan._flat_cache.values()
     }
     buffers = _buffers([(linear.quantized, linear.plan) for linear in linears])
-    assert sum(buf.nbytes for buf in buffers) <= 7.5 * MIB
     int64 = [buf for buf in buffers if buf.dtype == np.int64]
     assert {id(buf) for buf in int64} == flat
-    assert sum(buf.nbytes for buf in int64) == 8 * weights  # bits == lut_k
+    if lut_body == "compiled":
+        assert sum(buf.nbytes for buf in buffers) <= 2.5 * MIB
+        assert not int64
+    else:
+        assert sum(buf.nbytes for buf in buffers) <= 7.5 * MIB
+        assert sum(buf.nbytes for buf in int64) == 8 * weights  # bits == lut_k
     for linear in linears:
         plan = linear.plan
         assert linear.quantized.codes.dtype == np.uint8
