@@ -12,11 +12,18 @@ executor's row-shared layout is gated the same way: one M = 2 dispatch
 must beat two M = 1 dispatches. Where the compiled body of
 ``lut-blocked`` loaded, it must be no slower than the numpy body at any
 row count — M = 1 and 2, where padding to full lanes could lose, included
-(the experiment itself has already required equal bytes).
+(the experiment itself has already required equal bytes). The same gate
+holds the paged attention executor's compiled body (``rows-*``: decode
+scores, decode context, a verify's M = 10 scores) to its numpy body.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.bench_backends import BODY_BACKENDS, BODY_MS
+from repro.experiments.bench_backends import (
+    BODY_BACKENDS,
+    BODY_MS,
+    ROWS_BACKENDS,
+    ROWS_SHAPES,
+)
 from repro.kernels import native
 from repro.kernels.backends import BLOCK_ELEMS
 
@@ -62,6 +69,15 @@ def test_bench_backends(benchmark, show):
             assert compiled.time_s <= numpy_body.time_s, m
         else:
             assert (f"body-m{m}", BODY_BACKENDS[1]) not in rows
+
+    # The two bodies of the paged attention executor, gated the same way.
+    for label, _, _ in ROWS_SHAPES:
+        numpy_body = rows[(label, ROWS_BACKENDS[0])]
+        assert numpy_body.max_abs_err == 0.0
+        if native.status()["loaded"]:
+            assert rows[(label, ROWS_BACKENDS[1])].time_s <= numpy_body.time_s
+        else:
+            assert (label, ROWS_BACKENDS[1]) not in rows
 
     # Lossless configuration: LUT backends match the dequant reference
     # to float accumulation noise, the reference backend exactly.

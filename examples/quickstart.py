@@ -19,6 +19,11 @@ from repro import (
 from repro.datatypes import FP16, INT8
 from repro.kernels import native
 from repro.lut.mpgemm import LutMpGemmConfig
+from repro.runtime.paging import (
+    BlockAllocator,
+    PagedLayerCache,
+    fused_paged_decode_attention,
+)
 
 
 def main() -> None:
@@ -54,7 +59,8 @@ def main() -> None:
     if body is not None:  # lut-blocked (another backend may be selected)
         status = native.status()
         print(f"{engine.backend.name} ran its {body} body: " + (
-            f"{status['compiler']}, {status['flags']}" if status["loaded"]
+            f"{status['compiler']}, {status['flags']}, exporting "
+            f"{' + '.join(status['entry_points'])}" if status["loaded"]
             else f"not compiled, {status['reason']}"
         ))
 
@@ -70,6 +76,21 @@ def main() -> None:
     # 5. The table the hardware sees: 8 entries per 4 activations.
     table = engine8.precompute(activations[:1])
     print(f"precomputed table shape (M, groups, entries): {table.shape}")
+
+    # 6. The other LUT mpGEMM of a serving step: attention over an int4
+    #    KV cache, the cached context as N and GQA's query heads as M,
+    #    read in place from the block pool by the same object's second
+    #    routine (or gathered by numpy — same bytes, and it says which).
+    pool = BlockAllocator(kv_heads=2, head_dim=16, bits=4)
+    cache = PagedLayerCache(pool)
+    cache.append(rng.normal(size=(40, 2, 16)), rng.normal(size=(40, 2, 16)))
+    context = fused_paged_decode_attention(
+        rng.normal(size=(1, 4, 16)), [cache], repeat=2
+    )
+    paged = getattr(engine.backend, "last_paged_body", None)
+    print(f"int4-KV attention over {cache.length} cached tokens -> "
+          f"{context.shape}" + (f", paged executor ran its {paged} body"
+                                if paged is not None else ""))
 
 
 if __name__ == "__main__":

@@ -28,6 +28,15 @@ byte for byte — the experiment raises otherwise — and the small-M rows
 are where a compiled path that padded every block in Python lost to
 numpy.
 
+The ``rows-*`` rows do the same for the paged attention executor
+(:func:`~repro.kernels.paged_lut_execute`) at the ``decode-int4kv``
+step's shapes — B = 8 sequences of 5 blocks, 4 KV heads of 2 query heads:
+scores (R = 32 weight rows, N = 80), context (R = 160, N = 16) and a
+verify's scores (T = 5, so M = 10). The numpy body gathers the column
+arrays through the block table and runs ``rowwise_lut_execute``; the
+compiled one (``lut_rows_paged``) reads them in place. Equal bytes after
+``+ 0.0`` (the executor's zero-point rule) or the experiment raises.
+
 Extends Section 3.2 of the paper (the software kernel pipeline); there
 is no corresponding figure — this is the repo's own regression bench.
 """
@@ -42,7 +51,12 @@ import numpy as np
 
 from repro.errors import LutError
 from repro.experiments.meta import ExperimentMeta
-from repro.kernels import native, rowwise_lut_execute
+from repro.kernels import (
+    get_backend,
+    native,
+    paged_lut_execute,
+    rowwise_lut_execute,
+)
 from repro.lut.mpgemm import (
     LutMpGemmConfig,
     LutMpGemmEngine,
@@ -72,6 +86,15 @@ ATTN_BACKENDS = ("rowwise-per-head", "rowwise-shared")
 #: decode, the trace-burst batch mean, the decode batch, a prefill chunk.
 BODY_MS = (1, 2, 8, 64)
 BODY_BACKENDS = ("lut-blocked (numpy)", "lut-blocked (compiled)")
+#: (label, verify positions T, context side) of the paged executor rows.
+ROWS_SHAPES: tuple[tuple[str, int, bool], ...] = (
+    ("rows-scores", 1, False),
+    ("rows-context", 1, True),
+    ("rows-verify", 5, False),
+)
+#: Sequences, blocks each, KV heads, head_dim = block_size, pool blocks.
+ROWS_B, ROWS_BLOCKS, ROWS_KV, ROWS_DIM, ROWS_POOL = 8, 5, 4, 16, 64
+ROWS_BACKENDS = ("paged (numpy)", "paged (compiled)")
 WEIGHT_BITS = 4
 LUT_K = 4
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
@@ -99,6 +122,7 @@ META = ExperimentMeta(
         "attn_shapes": ATTN_SHAPES,
         "attn_m": ATTN_M,
         "body_ms": BODY_MS,
+        "rows_shapes": ROWS_SHAPES,
     },
 )
 
@@ -112,7 +136,9 @@ class BackendBenchRow:
     is over the per-head one and ``max_abs_err`` the difference between
     the two (they are bit-identical: 0). On the ``body-m*`` rows they
     are the two bodies of ``lut-blocked``, the speedup is over the numpy
-    one and ``max_abs_err`` is 0 because the bytes were checked equal.
+    one and ``max_abs_err`` is 0 because the bytes were checked equal;
+    the ``rows-*`` rows are the same for the paged attention executor
+    (``m`` shared activation rows, ``n`` columns per weight row).
     """
 
     shape_label: str
@@ -251,10 +277,65 @@ def _body_rows(rng, m: int) -> list[BackendBenchRow]:
     ]
 
 
+def _paged_rows(rng, label: str, t: int, context: bool) -> list[BackendBenchRow]:
+    """Time the two bodies of ``paged_lut_execute`` at one decode-step
+    shape: K arenas under T-position queries, or V arenas under per-block
+    probability segments."""
+    g, width = ROWS_DIM // LUT_K, 1 << LUT_K  # groups, signed table [T, -T]
+    columns = (
+        rng.integers(0, width, (ROWS_POOL, ROWS_KV, WEIGHT_BITS, g, ROWS_DIM))
+        + (np.arange(g) * width)[:, None],
+        rng.normal(size=(ROWS_POOL, ROWS_KV, g, ROWS_DIM)),
+        rng.normal(size=(ROWS_POOL, ROWS_KV, g, ROWS_DIM)),
+    )
+    ids = rng.permutation(ROWS_POOL)[: ROWS_B * ROWS_BLOCKS].reshape(
+        ROWS_B, ROWS_BLOCKS
+    )
+    counts = np.full(ROWS_B, ROWS_BLOCKS) if context else None
+    rows = ROWS_B * ROWS_KV * ATTN_M * (ROWS_BLOCKS if context else t)
+    args = (
+        get_backend("lut-blocked"),
+        rng.normal(size=(rows, g, width // 2)), rng.normal(size=(rows, g)),
+        ids, columns, ATTN_M, counts,
+    )
+
+    def best() -> float:
+        out = np.inf
+        for _ in range(MAX_REPS):
+            started = time.perf_counter()
+            paged_lut_execute(*args)
+            out = min(out, time.perf_counter() - started)
+        return out
+
+    with native.unloaded():
+        want = paged_lut_execute(*args)
+        times = {ROWS_BACKENDS[0]: best()}
+    if native.status()["loaded"]:
+        if (paged_lut_execute(*args) + 0.0).tobytes() != (want + 0.0).tobytes():
+            raise LutError(f"compiled and numpy paged bodies differ: {label}")
+        times[ROWS_BACKENDS[1]] = best()
+    return [
+        BackendBenchRow(
+            shape_label=label,
+            backend=name,
+            m=ATTN_M * t,
+            n=ROWS_DIM * (1 if context else ROWS_BLOCKS),
+            kdim=ROWS_DIM,
+            bits=WEIGHT_BITS,
+            time_s=time_s,
+            speedup_vs_naive=times[ROWS_BACKENDS[0]] / time_s,
+            max_abs_err=0.0,
+            peak_traced_bytes=None,
+        )
+        for name, time_s in times.items()
+    ]
+
+
 def run(
     shapes: tuple[tuple[str, int, int, int], ...] = SHAPES,
     attn_shapes: tuple[tuple[str, int, int, int], ...] = ATTN_SHAPES,
     body_ms: tuple[int, ...] = BODY_MS,
+    rows_shapes: tuple[tuple[str, int, bool], ...] = ROWS_SHAPES,
 ) -> list[BackendBenchRow]:
     rng = np.random.default_rng(2025)
     rows: list[BackendBenchRow] = []
@@ -300,6 +381,8 @@ def run(
         rows.extend(_attention_rows(rng, label, r, g, n))
     for m in body_ms:
         rows.extend(_body_rows(rng, m))
+    for label, t, context in rows_shapes:
+        rows.extend(_paged_rows(rng, label, t, context))
     return rows
 
 
@@ -307,10 +390,11 @@ def format_result(rows: list[BackendBenchRow]) -> str:
     status = native.status()
     lines = [
         "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive,"
-        " attn-* rows vs rowwise-per-head, body-* rows vs the numpy body)",
-        "lut-blocked body: " + (
-            f"compiled ({status['flags']})" if status["loaded"]
-            else f"numpy ({status['reason']})"
+        " attn-* rows vs rowwise-per-head, body-* and rows-* rows vs the"
+        " numpy body)",
+        "lut-blocked bodies: " + (
+            f"compiled {', '.join(status['entry_points'])} ({status['flags']})"
+            if status["loaded"] else f"numpy ({status['reason']})"
         ),
         f"{'shape':>12} {'backend':>22} {'M':>4} {'N':>5} {'K':>5} "
         f"{'ms':>9} {'speedup':>8} {'max|err|':>9} {'peak MiB':>9}",

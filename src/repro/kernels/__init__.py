@@ -15,7 +15,9 @@ implementations, all fed by one shared offline :class:`WeightPlan`:
   a C compiler on ``PATH`` the loop runs compiled as one fused pass
   (``lut_block.c``, built and loaded by :mod:`repro.kernels.native`,
   whose ``status()`` says whether and why not); without one, the numpy
-  body computes the same bytes.
+  body computes the same bytes. The same object carries the compiled
+  body of :func:`paged_lut_execute`, the int4-KV attention's row-wise
+  executor over block-paged weight columns (:mod:`repro.kernels.fused`).
 
 Select a backend per call via ``LutMpGemmConfig(backend=...)`` (or the
 ``backend=`` argument on `lut_mpgemm`/`lut_gemv`), or globally via the
@@ -32,7 +34,13 @@ from repro.kernels.backends import (
     gather_grouped_blocked,
     sum_groups,
 )
-from repro.kernels.fused import rowwise_dequant_execute, rowwise_lut_execute
+from repro.kernels.fused import (
+    paged_lut_execute,
+    reduce_blocks,
+    rowwise_dequant_execute,
+    rowwise_lut_execute,
+    shared_rows,
+)
 from repro.kernels.plan import WeightPlan, build_weight_plan
 from repro.kernels.registry import (
     DEFAULT_BACKEND,
@@ -55,8 +63,11 @@ __all__ = [
     "build_weight_plan",
     "effective_activations",
     "gather_grouped_blocked",
+    "paged_lut_execute",
+    "reduce_blocks",
     "rowwise_dequant_execute",
     "rowwise_lut_execute",
+    "shared_rows",
     "sum_groups",
     "DEFAULT_BACKEND",
     "ENV_VAR",

@@ -233,6 +233,9 @@ class LutBlockedBackend:
     #: Which body the last dispatch ran, ``"compiled"`` or ``"numpy"``
     #: (None before the first): a silent fallback stays visible.
     last_body: str | None = None
+    #: The same for the last :func:`~repro.kernels.fused.paged_lut_execute`
+    #: dispatched through this backend.
+    last_paged_body: str | None = None
 
     def execute(self, plan, config, activations, table):
         fused = native.lut_block()

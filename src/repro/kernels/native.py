@@ -1,5 +1,7 @@
-"""Build, cache and load ``lut_block.c``, the compiled ``lut-blocked`` loop.
+"""Build, cache and load ``lut_block.c``, the compiled ``lut-blocked`` loops.
 
+One object, two entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
+weight mpGEMM pass, and ``lut_rows_paged``, the paged attention executor.
 The first :func:`lut_block` / :func:`status` call of a process finds ``cc``
 on ``PATH``, builds the source next to this file into a private per-user
 cache directory and loads it with :mod:`ctypes`. An object's name carries a
@@ -8,9 +10,9 @@ feature flags: never loaded on another kind of CPU) and a hash of the
 bytes, checked before every load because ``dlopen`` of a truncated object
 kills the process. Builds are renamed into place, so concurrent processes
 each end with a whole file. Any failure leaves the routine unloaded, the
-reason in :func:`status` and one warning; ``LutBlockedBackend`` then runs
-its numpy body, which computes the same bytes. Nothing selects between
-the two but whether this load worked.
+reason in :func:`status` and one warning; both callers then run their
+numpy bodies, which compute the same bytes. Nothing selects between the
+two but whether this load worked.
 """
 
 from __future__ import annotations
@@ -31,6 +33,21 @@ SOURCE = Path(__file__).with_name("lut_block.c")
 #: round before the add that follows them (ARCHITECTURE section 6).
 FLAGS = ("-std=c11", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
+_PTR, _STEP, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int64
+#: ``name -> (restype, argtypes)``, lut_block.c's parameter lists line by
+#: line.
+ENTRY_POINTS = {
+    "lut_block": (None, (
+        [_PTR, _STEP, _STEP, _STEP] + [_SIZE, _SIZE, _SIZE, ctypes.c_int]
+        + [_PTR, _PTR, _SIZE] + [_SIZE, _SIZE]
+        + [_PTR, _STEP, _STEP] * 2 + [_PTR, _PTR, _PTR]
+    )),
+    "lut_rows_paged": (ctypes.c_int, (
+        [_PTR, _PTR] + [_SIZE, _SIZE, _SIZE, _SIZE] + [_PTR, _PTR]
+        + [_SIZE, _SIZE, _SIZE, _SIZE] + [_PTR, _PTR, _PTR]
+        + [_SIZE, _SIZE, _PTR] + [_PTR, _PTR]
+    )),
+}
 _STATUS_KEYS = ("loaded", "reason", "object_path", "flags", "compiler")
 _lock = threading.Lock()
 _state: dict | None = None  # this process's one load attempt
@@ -83,8 +100,8 @@ def _build(cc: str, flags: tuple[str, ...], cache: Path, stem: str) -> Path:
 
 
 def _load() -> dict:
-    state = dict.fromkeys(_STATUS_KEYS + ("fn",))
-    state["loaded"] = False
+    state = dict.fromkeys(_STATUS_KEYS)
+    state.update(loaded=False, fns={})
     try:
         cc = shutil.which("cc")
         if cc is None:
@@ -106,19 +123,15 @@ def _load() -> dict:
             if path.name == f"{stem}.{_digest(path)}.so"
         ]
         path = whole[0] if whole else _build(cc, flags, cache, stem)
-        fn = ctypes.CDLL(str(path)).lut_block
-        ptr, step, size = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int64
-        fn.restype = None
-        fn.argtypes = (  # lut_block.c's parameter list, line by line
-            [ptr, step, step, step] + [size, size, size, ctypes.c_int]
-            + [ptr, ptr, size] + [size, size]
-            + [ptr, step, step] * 2 + [ptr, ptr, ptr]
-        )
-        state.update(loaded=True, object_path=str(path), fn=fn)
+        lib, fns = ctypes.CDLL(str(path)), {}
+        for name, signature in ENTRY_POINTS.items():
+            fns[name] = getattr(lib, name)  # AttributeError: not exported
+            fns[name].restype, fns[name].argtypes = signature
+        state.update(loaded=True, object_path=str(path), fns=fns)
     except Exception as exc:  # whatever it was, the numpy body still runs
         state["reason"] = f"{type(exc).__name__}: {exc}"
         warnings.warn(
-            "compiled lut-blocked loop unavailable, using the numpy body "
+            "compiled lut-blocked loops unavailable, using the numpy bodies "
             f"({state['reason']})", RuntimeWarning, stacklevel=4,
         )
     return state
@@ -134,15 +147,23 @@ def _ensure() -> dict:
 
 
 def status() -> dict:
-    """``{loaded, reason, object_path, flags, compiler}`` of this process's
-    load attempt (made now if nothing has dispatched yet)."""
+    """``{loaded, reason, object_path, flags, compiler, entry_points}`` of
+    this process's load attempt (made now if nothing has dispatched yet);
+    ``entry_points`` names the routines the loaded object exports."""
     state = _ensure()
-    return {key: state[key] for key in _STATUS_KEYS}
+    return {key: state[key] for key in _STATUS_KEYS} | {
+        "entry_points": tuple(state["fns"])
+    }
 
 
 def lut_block():
     """The loaded routine, or None when this process runs the numpy body."""
-    return _ensure()["fn"]
+    return _ensure()["fns"].get("lut_block")
+
+
+def lut_rows_paged():
+    """The loaded paged attention executor, or None likewise."""
+    return _ensure()["fns"].get("lut_rows_paged")
 
 
 @contextmanager
@@ -152,7 +173,7 @@ def unloaded():
     that has one. Process-wide, so not for code that serves requests."""
     global _state
     saved = _ensure()
-    _state = dict(saved, loaded=False, fn=None, reason="unloaded by the caller")
+    _state = dict(saved, loaded=False, fns={}, reason="unloaded by the caller")
     try:
         yield
     finally:

@@ -49,11 +49,12 @@ paged design:
   :func:`paged_decode_attention` / :meth:`BlockAllocator.k_plans` /
   :meth:`BlockAllocator.v_quantized` stay on ``quantize_weights`` →
   ``build_weight_plan`` as the independent oracle.
-- **Row-shared gather**: the fused kernels gather each arena once per
-  KV head; its ``repeat`` query heads (and a verify's ``T`` candidate
-  positions) share that row as the ``M`` axis of
-  :func:`~repro.kernels.rowwise_lut_execute` — grouped-query attention
-  *is* M — instead of each getting a repeated copy.
+- **Row-shared, read in place**: the fused kernels hand the arenas and
+  the block table to :func:`~repro.kernels.paged_lut_execute`, which
+  reads each KV head's columns where they live (its numpy body gathers
+  them once per KV head); the ``repeat`` query heads (and a verify's
+  ``T`` candidate positions) share that row as the ``M`` axis —
+  grouped-query attention *is* M — instead of each getting a copy.
 
 :func:`paged_decode_attention` stitches the blocks back together
 bit-exactly: every output column of the score mpGEMM depends only on
@@ -116,7 +117,6 @@ loops when the KV cache is unquantized.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from typing import Callable, Hashable, Mapping, Protocol, runtime_checkable
 
@@ -128,8 +128,10 @@ from repro.kernels import (
     build_weight_plan,
     effective_activations,
     get_backend,
+    paged_lut_execute,
+    reduce_blocks,
     rowwise_dequant_execute,
-    rowwise_lut_execute,
+    shared_rows,
 )
 from repro.kernels.plan import flat_lookup, lookup_indices
 from repro.lut.attention import MASKED_SCORE
@@ -327,8 +329,6 @@ class BlockAllocator:
         # QuantizedKvCache.quantize would pick at context == block_size.
         self._k_group = KV_GROUP if head_dim % KV_GROUP == 0 else None
         self._v_group = KV_GROUP if block_size % KV_GROUP == 0 else None
-        #: Bit-plane weights ``2**i`` (LSB first) for the fused kernels.
-        self.shifts = (1 << np.arange(bits or 0)).astype(np.float64)
 
         cap = num_blocks if num_blocks is not None else INITIAL_POOL_BLOCKS
         self._layout = self._block_layout()
@@ -1758,103 +1758,66 @@ def _lut_dispatch(lut_k: int, act_dtype, table_dtype, backend):
     return config, kernel
 
 
-def _shared_rows(x: np.ndarray, lead: tuple[int, ...], axes) -> np.ndarray:
-    """Row-shared layout of per-activation-row data: *x* is ``(prod(lead),
-    ...)``, rows ordered by the *lead* axes; those named in *axes* share
-    a weight row (query heads of one KV head, verify positions) and
-    move innermost, merged — ``(R, ..., M)``, what the
-    ``rowwise_*_execute`` kernels take."""
-    tail = x.shape[1:]
-    m = math.prod(lead[a] for a in axes)
-    x = np.moveaxis(x.reshape(lead + tail), axes, range(-len(axes), 0))
-    return x.reshape((-1,) + tail + (m,))
-
-
 def _fused_scores(pool, kernel, config, queries, ids) -> np.ndarray:
     """Raw (unscaled, unmasked) scores of ``(B, T, heads, head_dim)``
     queries against the K arenas of the padded block table *ids*: one
-    dispatch, R = ``B · kv_heads`` gathered weight rows, each shared by
-    its M = ``T · repeat`` query rows (T = 1 for decode). Returns
+    dispatch, R = ``B · kv_heads`` weight rows read in place, each shared
+    by its M = ``T · repeat`` query rows (T = 1 for decode). Returns
     ``(B, T, heads, max_blocks · block_size)``."""
     b, t, heads, hd = queries.shape
     kv, k = pool.kv_heads, pool.lut_k
     repeat = heads // kv
     n = ids.shape[1] * pool.block_size
-    gk = hd // k
-    lead = (b, t, kv, repeat)
     q2 = queries.reshape(-1, hd)
     acts = effective_activations(q2, config)
     if kernel.needs_table:
-        q_half = precompute_tables(q2, config)
-        q_table = np.concatenate([q_half, -q_half], axis=-1)
-        sums_k = acts.reshape(-1, gk, k).sum(axis=-1)
-        fl, sc, zr = (
-            # (B, maxb, kv, ..., gk, S) -> (B * kv, ..., gk, maxb * S)
-            np.moveaxis(arena[ids], 1, -2).reshape(
-                (b * kv,) + arena.shape[2:-1] + (n,)
-            )
-            for arena in (pool._ka_flat, pool._ka_scale, pool._ka_zero)
+        return paged_lut_execute(
+            kernel, precompute_tables(q2, config),
+            acts.reshape(-1, hd // k, k).sum(axis=-1), ids,
+            (pool._ka_flat, pool._ka_scale, pool._ka_zero), repeat,
         )
-        raw = rowwise_lut_execute(
-            _shared_rows(q_table, lead, (1, 3)), fl, sc, zr,
-            _shared_rows(sums_k, lead, (1, 3)),
-            pool.shifts, bool((zr != 0.0).any()),
-        )
-    else:
-        # One stored scale per quantization group, broadcast at the read.
-        sc, zp = pool._k_scale[ids][..., None], pool._k_zp[ids][..., None]
-        codes = pool._k_codes[ids].reshape(sc.shape[:-1] + (-1,))
-        kd = (sc * (codes.astype(np.float64) - zp)).transpose(
-            0, 2, 1, 3, 4, 5
-        ).reshape(b * kv, n, hd)
-        raw = rowwise_dequant_execute(_shared_rows(acts, lead, (1, 3)), kd)
+    # One stored scale per quantization group, broadcast at the read.
+    sc, zp = pool._k_scale[ids][..., None], pool._k_zp[ids][..., None]
+    codes = pool._k_codes[ids].reshape(sc.shape[:-1] + (-1,))
+    kd = (sc * (codes.astype(np.float64) - zp)).transpose(
+        0, 2, 1, 3, 4, 5
+    ).reshape(b * kv, n, hd)
+    raw = rowwise_dequant_execute(
+        shared_rows(acts, (b, t, kv, repeat), (1, 3)), kd
+    )
     # (B * kv, N, T * repeat) -> (B, T, kv * repeat, N)
     return raw.reshape(b, kv, n, t, repeat).transpose(0, 3, 1, 4, 2).reshape(
         b, t, heads, n
     )
 
 
-def _fused_context(pool, kernel, config, probs, slabs, nblocks) -> np.ndarray:
+def _fused_context(pool, kernel, config, probs, ids, columns, nblocks):
     """Context vectors ``(rows, heads, head_dim)`` of ``(rows, heads,
-    max_blocks · block_size)`` probabilities against *slabs*, the
-    gathered V arenas the backend reads, each ``(rows, kv_heads,
-    max_blocks, ...)``: one dispatch, R = ``rows · kv_heads ·
-    max_blocks`` weight rows, each shared by its M = ``repeat``
-    probability segments. Per-block partials accumulate in ascending
-    block order, first block unconditional (length >= 1), later blocks
-    gated by each row's *nblocks* — the unfused ``ctx_vec + part``
-    order exactly."""
+    max_blocks · block_size)`` probabilities against the V *columns* the
+    backend reads (:attr:`BlockAllocator._V_ARENAS`, or slabs laid out
+    like them) through the ``(rows, max_blocks)`` index table *ids*: one
+    dispatch, R = ``rows · kv_heads · max_blocks`` weight rows, each
+    shared by its M = ``repeat`` probability segments. Per-block
+    partials accumulate in ascending block order, first block
+    unconditional (length >= 1), later blocks gated by each row's
+    *nblocks* — the unfused ``ctx_vec + part`` order exactly."""
     rows, heads, n = probs.shape
     kv, hd, k = pool.kv_heads, pool.head_dim, pool.lut_k
     block_size = pool.block_size
-    repeat, maxb, gv = heads // kv, n // block_size, block_size // k
-    lead = (rows, kv, repeat, maxb)
+    repeat, maxb = heads // kv, n // block_size
     p2 = probs.reshape(-1, block_size)
-    slabs = [a.reshape((-1,) + a.shape[3:]) for a in slabs]
     if kernel.needs_table:
-        p_half = precompute_tables(p2, config)
-        p_table = np.concatenate([p_half, -p_half], axis=-1)
         pacts = effective_activations(p2, config)
-        sums_v = pacts.reshape(-1, gv, k).sum(axis=-1)
-        flv, scv, zrv = slabs
-        parts = rowwise_lut_execute(
-            _shared_rows(p_table, lead, (2,)), flv, scv, zrv,
-            _shared_rows(sums_v, lead, (2,)),
-            pool.shifts, bool((zrv != 0.0).any()),
+        return paged_lut_execute(
+            kernel, precompute_tables(p2, config),
+            pacts.reshape(-1, block_size // k, k).sum(axis=-1), ids,
+            columns, repeat, nblocks,
         )
-    else:
-        parts = rowwise_dequant_execute(
-            _shared_rows(p2, lead, (2,)), slabs[0]
-        )
-    # (rows * kv * maxb, hd, repeat) -> (rows, kv * repeat, maxb, hd)
-    parts = parts.reshape(rows, kv, maxb, hd, repeat).transpose(
-        0, 1, 4, 2, 3
-    ).reshape(rows, heads, maxb, hd)
-    out = parts[:, :, 0].copy()
-    for j in range(1, maxb):
-        m = nblocks > j
-        out[m] += parts[m][:, :, j]
-    return out
+    parts = rowwise_dequant_execute(
+        shared_rows(p2, (rows, kv, repeat, maxb), (2,)),
+        columns[0][ids].swapaxes(1, 2).reshape(-1, hd, block_size),
+    )
+    return reduce_blocks(parts, kv, nblocks)
 
 
 def fused_paged_decode_attention(
@@ -1957,11 +1920,8 @@ def fused_paged_decode_attention(
         key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
     )
     probs = _grouped_softmax(scores, nblocks * block_size)
-    slabs = [
-        getattr(pool, name)[ids].swapaxes(1, 2)
-        for name in pool._V_ARENAS[deq]
-    ]
-    return _fused_context(pool, kernel, config, probs, slabs, nblocks)
+    columns = [getattr(pool, name) for name in pool._V_ARENAS[deq]]
+    return _fused_context(pool, kernel, config, probs, ids, columns, nblocks)
 
 
 def fused_paged_verify_attention(
@@ -2080,10 +2040,7 @@ def fused_paged_verify_attention(
 
     # Gathered per-row V arena slabs, then overwrite the time-j
     # trailing-partial combos with fresh masked requantizations.
-    slabs = [
-        getattr(pool, name)[ids_rows].swapaxes(1, 2)
-        for name in pool._V_ARENAS[deq]
-    ]
+    slabs = [getattr(pool, name)[ids_rows] for name in pool._V_ARENAS[deq]]
     tb_rows = nb_rows - 1                      # time-j trailing block idx
     fill_rows = f_rows - tb_rows * block_size  # its time-j fill
     fresh = np.nonzero(fill_rows < block_size)[0]
@@ -2096,8 +2053,13 @@ def fused_paged_verify_attention(
         )
         cols = pool._v_arena_columns(np.where(keep, v_src, 0.0), deq)
         for slab, col in zip(slabs, cols):
-            slab[fresh, :, tb] = col
-    out = _fused_context(pool, kernel, config, probs, slabs, nb_rows)
+            slab[fresh, tb] = col
+    # The slabs are their own arena: (row, block j) lives at row·maxb + j.
+    out = _fused_context(
+        pool, kernel, config, probs,
+        np.arange(bt * maxb, dtype=np.int64).reshape(bt, maxb),
+        [slab.reshape((-1,) + slab.shape[2:]) for slab in slabs], nb_rows,
+    )
     return out.reshape(b, t, heads, hd)
 
 

@@ -329,16 +329,19 @@ def quantize_calls(monkeypatch):
 @pytest.fixture
 def gather_calls(monkeypatch):
     """``(weight rows R, shared activation rows M)`` of every fused LUT
-    dispatch."""
+    dispatch (either body: the paged executor is the seam both share)."""
     calls = []
-    real = paging.rowwise_lut_execute
+    real = paging.paged_lut_execute
 
-    def counting(table, flat_idx, *args, **kwargs):
-        assert table.shape[0] == flat_idx.shape[0]
-        calls.append((flat_idx.shape[0], table.shape[-1]))
-        return real(table, flat_idx, *args, **kwargs)
+    def counting(kernel, table, sums, ids, columns, repeat, counts=None):
+        rows = ids.shape[0] * columns[0].shape[1] * (
+            1 if counts is None else ids.shape[1]
+        )
+        assert len(table) % rows == 0
+        calls.append((rows, len(table) // rows))
+        return real(kernel, table, sums, ids, columns, repeat, counts)
 
-    monkeypatch.setattr(paging, "rowwise_lut_execute", counting)
+    monkeypatch.setattr(paging, "paged_lut_execute", counting)
     return calls
 
 
