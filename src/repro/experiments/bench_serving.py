@@ -24,7 +24,7 @@ scheduler (``fifo`` / ``sjf`` / ``memory-aware``) and workload:
   distribution: the chunked run must cut the worst decode-step stall
   (the monolithic long-prompt prefill) below
   ``STALL_RATIO_CEILING`` x the monolithic maximum — the
-  serving-perf-guard criterion tracked in ``BENCH_serving.json``.
+  serving-perf-guard criterion, enforced here with a verdict.
 
 Reported per row: generated-token throughput, decode-batch occupancy
 (mean and p50/p95 over the per-step trace), time-to-first-token /
@@ -108,18 +108,6 @@ SHARED_REQUESTS = 8
 #: co-admitted worst cases so the decode loop must preempt.
 PRESSURE_POOL_BLOCKS = 6
 PRESSURE_REQUESTS = 4
-#: Fused-decode guard: LUT variants, request count, and batch bound of
-#: the fused-vs-unfused throughput measurement tracked in
-#: ``BENCH_serving.json`` (the serving-perf-guard CI lane).
-FUSED_GUARD_VARIANTS: tuple[tuple[str, int | None], ...] = (
-    ("lut-blocked", 4),
-    ("lut-naive", 4),
-    # kv_bits=None: the float-KV fused branch (gathered slabs + grouped
-    # einsums) vs the per-sequence per-head gemv loop.
-    ("lut-blocked", None),
-)
-FUSED_REQUESTS = 16
-FUSED_MAX_BATCH = 8
 #: Prefill-heavy workload / guard: a decoding cohort of short prompts
 #: with long generations, joined mid-run by long prompts; the chunked
 #: run spends at most PREFILL_CHUNK prompt tokens per engine step.
@@ -409,7 +397,6 @@ def _serve(
     max_batch: int = MAX_BATCH,
     prefix_sharing: bool = True,
     kv_pool_blocks: int | None = None,
-    fused: bool = True,
     prefill_chunk: int | None = None,
     max_seq_len: int = MAX_SEQ_LEN,
 ):
@@ -422,7 +409,6 @@ def _serve(
             max_seq_len=max_seq_len,
             kv_pool_blocks=kv_pool_blocks,
             prefix_sharing=prefix_sharing,
-            fused_decode=fused,
             prefill_chunk=prefill_chunk,
             seed=SEED,
         ),
@@ -508,8 +494,7 @@ def measure_prefill_interleaving() -> dict:
     streams are bit-identical and the chunked run's worst engine-step
     wall time lands below ``STALL_RATIO_CEILING`` of the monolithic
     worst step. Reports TTFT p50/p95 and the step-time distribution of
-    both runs plus the tracked ratios (``BENCH_serving.json``'s
-    ``prefill`` section).
+    both runs plus the stall and TTFT ratios.
     """
     runs = {}
     for label, chunk in (("mono", None), ("chunked", PREFILL_CHUNK)):
@@ -576,102 +561,6 @@ def format_prefill_result(report: dict) -> str:
         f" monolithic (ceiling {STALL_RATIO_CEILING:.2f}), ttft p95 "
         f"ratio {report['ttft_p95_ratio']:.2f}."
     )
-    return "\n".join(lines)
-
-
-def measure_fused_speedup(
-    variants: tuple[tuple[str, int | None], ...] = FUSED_GUARD_VARIANTS,
-) -> dict:
-    """Fused vs per-sequence decode throughput on a mixed workload.
-
-    Runs the same ``FUSED_REQUESTS``-request mixed stream twice per
-    variant at ``max_batch = FUSED_MAX_BATCH`` — once through the
-    batch-fused decode attention, once through the per-sequence
-    oracle — and reports the tracked perf trajectory the
-    serving-perf-guard CI lane diffs (``BENCH_serving.json``).
-
-    On quantized-KV variants the fused path claims *bit-identical*
-    token streams, and this measurement **fails** (RuntimeError) if any
-    request's tokens differ between the two runs, so the speedup number
-    can never be bought with a numerics change. The float-KV variant
-    (``kv_bits=None``) is 1e-9-close rather than bitwise (batched
-    einsums regroup the reductions), so its streams are not compared —
-    its numerics are pinned by the float fused parity tests instead.
-    """
-    variants_out = {}
-    for backend, kv_bits in variants:
-        runs = {}
-        for fused in (True, False):
-            # Identical request stream both ways (fresh RNG each run).
-            requests = _mixed_requests(
-                np.random.default_rng(SEED), count=FUSED_REQUESTS
-            )
-            _, results, stats = _serve(
-                requests, backend=backend, kv_bits=kv_bits,
-                scheduler="fifo", max_batch=FUSED_MAX_BATCH, fused=fused,
-            )
-            # Decode throughput: the fused dispatch only changes the
-            # decode loop, so prefill and resume wall time (identical
-            # on both paths) is excluded from the tracked number.
-            decode_s = max(
-                1e-9,
-                stats.wall_s
-                - sum(r.prefill_ms for r in results) / 1e3
-                - stats.resume_ms_total / 1e3,
-            )
-            runs[fused] = (
-                {r.request_id: tuple(r.tokens) for r in results},
-                stats,
-                stats.generated_tokens / decode_s,
-            )
-        fused_tokens, fused_stats, fused_tok_s = runs[True]
-        oracle_tokens, _, oracle_tok_s = runs[False]
-        if kv_bits is not None and fused_tokens != oracle_tokens:
-            raise RuntimeError(
-                "fused guard: token streams diverged from the "
-                f"per-sequence oracle (backend={backend}, "
-                f"kv_bits={kv_bits})"
-            )
-        key = (
-            f"{backend}-fp" if kv_bits is None
-            else f"{backend}-int{kv_bits}"
-        )
-        variants_out[key] = {
-            "backend": backend,
-            "kv_bits": kv_bits,
-            "max_batch": FUSED_MAX_BATCH,
-            "requests": FUSED_REQUESTS,
-            "generated_tokens": fused_stats.generated_tokens,
-            "mean_batch": round(fused_stats.mean_batch, 2),
-            "fused_tok_s": round(fused_tok_s, 1),
-            "unfused_tok_s": round(oracle_tok_s, 1),
-            "speedup": round(fused_tok_s / oracle_tok_s, 2),
-        }
-    return {
-        "bench": "serving-fused-decode",
-        "model": BENCH_MODEL.name,
-        "weight_bits": WEIGHT_BITS,
-        "seed": SEED,
-        "variants": variants_out,
-    }
-
-
-def format_fused_result(report: dict) -> str:
-    lines = [
-        f"Fused decode speedup: {FUSED_REQUESTS} mixed requests, "
-        f"max_batch={FUSED_MAX_BATCH}, W{WEIGHT_BITS} weights "
-        f"({BENCH_MODEL.name}), token streams bit-identical "
-        "fused vs per-sequence; tok/s is decode-only (prefill/resume "
-        "wall excluded)",
-        f"{'variant':>20} {'gen tok':>8} {'batch':>6} "
-        f"{'fused tok/s':>12} {'unfused':>8} {'speedup':>8}",
-    ]
-    for key, row in report["variants"].items():
-        lines.append(
-            f"{key:>20} {row['generated_tokens']:>8} "
-            f"{row['mean_batch']:>6.1f} {row['fused_tok_s']:>12.1f} "
-            f"{row['unfused_tok_s']:>8.1f} {row['speedup']:>7.2f}x"
-        )
     return "\n".join(lines)
 
 
@@ -1569,15 +1458,10 @@ def build_parser():
         help="single quantized variant only (fast CI smoke)",
     )
     parser.add_argument(
-        "--fused-guard", action="store_true",
-        help="measure fused vs per-sequence decode throughput (with "
-        "bit-identity check) instead of the workload bench",
-    )
-    parser.add_argument(
         "--spec-guard", action="store_true",
         help="measure speculative vs plain decode throughput (with "
-        "bit-identity check); combined with --fused-guard the JSON "
-        "report carries both sections",
+        "bit-identity check); the JSON report carries the result as "
+        "its 'speculative' section",
     )
     parser.add_argument(
         "--swap-guard", action="store_true",
@@ -1615,28 +1499,15 @@ def build_parser():
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     vdir = args.verdict_dir
-    run_guard = (
-        args.fused_guard or args.spec_guard or args.swap_guard
-        or args.slo_guard
-    )
+    run_guard = args.spec_guard or args.swap_guard or args.slo_guard
     if run_guard:
         import json
         import pathlib
 
-        # One tracked file for the whole serving-perf trajectory: the
-        # fused ratios plus the chunked-prefill, speculative,
-        # swap-resume, and trace/SLO sections, stamped with the machine
-        # they were measured on.
+        # One tracked file for the serving-perf trajectory: the
+        # speculative, swap-resume and trace/SLO sections, stamped with
+        # the machine they were measured on.
         report: dict = {"env": env_provenance()}
-        if args.fused_guard:
-            report.update(
-                _guarded(vdir, "fused-guard", measure_fused_speedup)
-            )
-            report["prefill"] = _guarded(
-                vdir, "prefill-heavy", measure_prefill_interleaving
-            )
-            print(format_fused_result(report))
-            print(format_prefill_result(report["prefill"]))
         if args.spec_guard:
             report["speculative"] = _guarded(
                 vdir, "spec-guard", measure_spec_speedup

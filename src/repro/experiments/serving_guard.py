@@ -1,30 +1,18 @@
-"""Serving-perf-guard comparison: fused decode speedup vs the tracked
+"""Serving-perf-guard comparison: tracked serving ratios vs the committed
 baseline.
 
-The serving-perf-guard CI lane runs
-``python -m repro.experiments.bench_serving --fused-guard --json ...``
-to produce a fresh fused-vs-per-sequence decode throughput report, then
-calls this module to diff it against the committed ``BENCH_serving.json``
-at the repo root — the tracked perf trajectory. The guard fails when:
+The serving-perf-guard CI lane runs ``python -m
+repro.experiments.bench_serving --spec-guard --swap-guard --json ...``
+to produce a fresh report, then calls this module to diff it against
+the committed ``BENCH_serving.json`` at the repo root — the tracked perf
+trajectory. The guard fails when:
 
-- a baseline variant is missing from the current report;
-- a quantized variant's fused-over-unfused speedup fell more than
-  ``MAX_REGRESSION`` (20%) below its committed baseline speedup;
-- a variant's speedup fell below its absolute floor — ``SPEEDUP_FLOOR``
-  (2x) for quantized-KV variants, ``FLOAT_SPEEDUP_FLOOR`` for float-KV
-  (``*-fp``) variants, whose fused/unfused ratio sits near 1 and is
-  noise-dominated: for them only the floor applies (fusing the float
-  path must never make decode slower), not the relative trajectory; or
-- the baseline has a ``prefill`` section (the chunked-prefill
-  interleaving guard) and the current report's chunked-over-monolithic
-  worst-step stall ratio exceeds ``STALL_RATIO_CEILING`` — chunked
-  prefill must keep cutting the long-prompt decode stall; or
 - the baseline has a ``speculative`` section and the current report's
   high-acceptance speculative speedup (self-speculation draft,
   single-stream decode — see ``bench_serving.measure_spec_speedup``)
   fell below ``SPEC_SPEEDUP_FLOOR``. The low-acceptance row is
   reported but carries no floor: it documents the rollback-dominated
-  worst case, whose ratio is legitimately below 1; or
+  worst case, whose ratio is legitimately below 1;
 - the baseline has a ``swap`` section (``bench_serving --swap-guard``)
   and the current report's swap-over-recompute resume speedup fell
   below ``SWAP_SPEEDUP_FLOOR`` — restoring spilled KV blocks
@@ -36,7 +24,7 @@ at the repo root — the tracked perf trajectory. The guard fails when:
   deadline-aware scheduling must keep earning its keep.
 
 ``--sections`` restricts the diff to a comma-separated subset
-(``variants,prefill,speculative,swap,slo``), so a single-guard report
+(``speculative,swap,slo``), so a single-guard report
 (e.g. the CI slo-guard step's ``BENCH_slo.json``, which carries only
 the ``slo`` section) can be compared against the full committed
 baseline without tripping the missing-section checks.
@@ -59,17 +47,6 @@ from __future__ import annotations
 import json
 import pathlib
 
-#: Largest tolerated relative drop of a variant's speedup vs baseline.
-MAX_REGRESSION = 0.20
-#: Absolute minimum fused-over-unfused decode speedup per quantized
-#: variant.
-SPEEDUP_FLOOR = 2.0
-#: Absolute minimum for float-KV (``*-fp``) variants: near-1 ratios are
-#: noise-dominated, so the only bar is "fusion never slows decode".
-FLOAT_SPEEDUP_FLOOR = 0.8
-#: Chunked worst engine step must stay below this fraction of the
-#: monolithic worst step (mirrors bench_serving.STALL_RATIO_CEILING).
-STALL_RATIO_CEILING = 0.8
 #: Minimum speculative-over-plain decode speedup on the
 #: high-acceptance (self-speculation) variant.
 SPEC_SPEEDUP_FLOOR = 1.5
@@ -80,26 +57,12 @@ SWAP_SPEEDUP_FLOOR = 3.0
 #: seeded burst trace (bench_serving --slo-guard).
 SLO_GOODPUT_FLOOR = 1.1
 #: Report sections the guard knows how to diff (--sections subsets).
-SECTIONS = ("variants", "prefill", "speculative", "swap", "slo")
-
-
-def variant_floor(
-    key: str,
-    floor: float = SPEEDUP_FLOOR,
-    float_floor: float = FLOAT_SPEEDUP_FLOOR,
-) -> float:
-    """The absolute speedup floor for one variant key: float-KV
-    variants (``*-fp``) carry the lower "never slower" bar."""
-    return float_floor if key.endswith("-fp") else floor
+SECTIONS = ("speculative", "swap", "slo")
 
 
 def compare_reports(
     current: dict,
     baseline: dict,
-    max_regression: float = MAX_REGRESSION,
-    floor: float = SPEEDUP_FLOOR,
-    float_floor: float = FLOAT_SPEEDUP_FLOOR,
-    stall_ceiling: float = STALL_RATIO_CEILING,
     spec_floor: float = SPEC_SPEEDUP_FLOOR,
     swap_floor: float = SWAP_SPEEDUP_FLOOR,
     slo_floor: float = SLO_GOODPUT_FLOOR,
@@ -123,49 +86,6 @@ def compare_reports(
         return sections is None or name in sections
 
     failures: list[str] = []
-    if active("variants"):
-        current_variants = current.get("variants", {})
-        baseline_variants = baseline.get("variants", {})
-        if not baseline_variants:
-            failures.append("baseline report has no variants")
-        for key, base_row in baseline_variants.items():
-            row = current_variants.get(key)
-            if row is None:
-                failures.append(
-                    f"{key}: present in baseline but missing from the "
-                    "current report"
-                )
-                continue
-            speedup = float(row["speedup"])
-            base_speedup = float(base_row["speedup"])
-            allowed = base_speedup * (1.0 - max_regression)
-            if not key.endswith("-fp") and speedup < allowed:
-                failures.append(
-                    f"{key}: fused speedup {speedup:.2f}x regressed more "
-                    f"than {max_regression:.0%} below the baseline "
-                    f"{base_speedup:.2f}x (allowed >= {allowed:.2f}x)"
-                )
-            bar = variant_floor(key, floor=floor, float_floor=float_floor)
-            if speedup < bar:
-                failures.append(
-                    f"{key}: fused speedup {speedup:.2f}x is below the "
-                    f"absolute {bar:.1f}x floor"
-                )
-    if active("prefill") and "prefill" in baseline:
-        prefill = current.get("prefill")
-        if prefill is None:
-            failures.append(
-                "prefill: section present in baseline but missing from "
-                "the current report"
-            )
-        else:
-            ratio = float(prefill["stall_ratio"])
-            if ratio > stall_ceiling:
-                failures.append(
-                    f"prefill: chunked worst step is {ratio:.2f}x the "
-                    f"monolithic worst (ceiling {stall_ceiling:.2f}) — "
-                    "chunked prefill stopped cutting the decode stall"
-                )
     if active("speculative") and "speculative" in baseline:
         spec = current.get("speculative")
         if spec is None:
@@ -269,37 +189,17 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Fail when the fused decode speedup regressed vs "
-        "the committed BENCH_serving.json baseline"
+        description="Fail when a tracked serving ratio fell below its "
+        "floor vs the committed BENCH_serving.json baseline"
     )
     parser.add_argument(
         "current", nargs="?", help="freshly measured report "
-        "(bench_serving --fused-guard --json); not needed with "
+        "(bench_serving --spec-guard --swap-guard --json); not needed with "
         "--check-verdicts",
     )
     parser.add_argument(
         "baseline", nargs="?",
         help="committed baseline report (BENCH_serving.json)",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=MAX_REGRESSION,
-        help="tolerated relative speedup drop vs baseline "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--floor", type=float, default=SPEEDUP_FLOOR,
-        help="absolute minimum speedup per quantized variant "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--float-floor", type=float, default=FLOAT_SPEEDUP_FLOOR,
-        help="absolute minimum speedup per float-KV (*-fp) variant "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--stall-ceiling", type=float, default=STALL_RATIO_CEILING,
-        help="maximum chunked/monolithic worst-step stall ratio "
-        "(default %(default)s)",
     )
     parser.add_argument(
         "--spec-floor", type=float, default=SPEC_SPEEDUP_FLOOR,
@@ -362,29 +262,12 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(pathlib.Path(args.baseline).read_text())
     try:
         failures = compare_reports(
-            current, baseline,
-            max_regression=args.max_regression, floor=args.floor,
-            float_floor=args.float_floor, stall_ceiling=args.stall_ceiling,
-            spec_floor=args.spec_floor, swap_floor=args.swap_floor,
-            slo_floor=args.slo_floor, sections=sections,
+            current, baseline, spec_floor=args.spec_floor,
+            swap_floor=args.swap_floor, slo_floor=args.slo_floor,
+            sections=sections,
         )
     except ValueError as exc:
         parser.error(str(exc))
-    for key, row in sorted(current.get("variants", {}).items()):
-        base = baseline.get("variants", {}).get(key, {})
-        print(
-            f"{key}: speedup {row['speedup']:.2f}x "
-            f"(baseline {base.get('speedup', '?')}x, "
-            f"fused {row['fused_tok_s']} tok/s, "
-            f"unfused {row['unfused_tok_s']} tok/s)"
-        )
-    prefill = current.get("prefill")
-    if prefill is not None:
-        print(
-            f"prefill: chunked worst step {prefill['stall_ratio']}x "
-            f"monolithic (ceiling {args.stall_ceiling}), ttft p95 "
-            f"ratio {prefill.get('ttft_p95_ratio', '?')}"
-        )
     for key, row in sorted(
         current.get("speculative", {}).get("variants", {}).items()
     ):
@@ -427,10 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     checked = ",".join(sorted(sections)) if sections else "all"
     print(
-        f"serving-perf-guard OK ({checked} sections): every variant "
-        f"within {args.max_regression:.0%} of baseline and above its "
-        f"floor (int {args.floor:.1f}x / fp {args.float_floor:.1f}x), "
-        "prefill stall ratio within ceiling, speculative high-"
+        f"serving-perf-guard OK ({checked} sections): speculative high-"
         f"acceptance speedup >= {args.spec_floor:.1f}x, swap resume "
         f">= {args.swap_floor:.1f}x recompute, slo-aware goodput >= "
         f"{args.slo_floor:.1f}x fifo"

@@ -175,7 +175,7 @@ def reduce_blocks(parts: np.ndarray, kv: int, counts) -> np.ndarray:
     """Sum ``(rows · kv · max_blocks, N, repeat)`` per-block partials of a
     row-wise executor over each row's first ``counts[row]`` blocks, in
     ascending block order, first block unconditional (a count is >= 1)
-    — the unfused ``ctx_vec + part`` order. Returns ``(rows, kv ·
+    — a per-sequence running sum's order. Returns ``(rows, kv ·
     repeat, N)``."""
     rows = len(counts)
     (_, n, repeat), maxb = parts.shape, len(parts) // (rows * kv)
@@ -222,7 +222,7 @@ def paged_lut_execute(
       activation rows ordered ``(rows, kv, repeat, max_blocks)``, one
       table per block; the per-block partials reduce in ascending block
       order, first block unconditional, later ones gated by the row's
-      count — the unfused ``ctx_vec + part`` order. Returns ``(rows, kv ·
+      count — a per-sequence running sum's order. Returns ``(rows, kv ·
       repeat, N)``.
 
     **Two bodies, one result.** The numpy body gathers ``column[ids]``

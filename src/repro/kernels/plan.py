@@ -308,9 +308,9 @@ class WeightPlan:
         stacked weight (a property the kernel tests pin).
 
         Cost is ``O(n_new · K)`` — existing columns are never
-        recomputed — which is what lets the serving runtime's paged KV
-        cache keep one growing K-plan per block and pay O(1) amortized
-        plan work per decoded token instead of O(context).
+        recomputed, the same per-column property that lets the serving
+        runtime's paged KV pool write one K-arena column per decoded
+        token instead of rebuilding O(context) plan state.
 
         Laziness is preserved: arrays the plan has not materialized yet
         stay unmaterialized (they will be computed from the concatenated

@@ -101,9 +101,9 @@ def precompute_tables(
     """Per-group activation tables exactly as the engine builds them.
 
     Shared by :meth:`LutMpGemmEngine.precompute` and the paged decode
-    attention (:mod:`repro.runtime.paging`), which dispatches cached
-    per-block weight plans directly to a backend and therefore needs the
-    activation-side precompute as a standalone step. Returns the table
+    attention (:mod:`repro.runtime.paging`), which dispatches the pool's
+    per-block plan arenas directly to an executor and therefore needs
+    the activation-side precompute as a standalone step. Returns the table
     with shape ``(M, G, entries)`` where ``entries`` is ``2**(k-1)`` if
     symmetrized else ``2**k``; ``table_dtype`` quantization (the
     pipeline's only lossy step) is applied here.

@@ -8,16 +8,14 @@ configs (:mod:`repro.models.configs`) into a real inference engine:
   matmul through the registered mpGEMM backend;
 - :class:`BlockAllocator` / :class:`PagedLayerCache` — paged KV
   allocation: fixed-size refcounted token blocks from a shared pool,
-  freed and reused across requests, with per-block incrementally
-  extended K plans (O(1) amortized plan work per decoded token),
-  per-block frozen V quantization, and a prefix index that lets new
-  prompts adopt matching blocks read-only (copy-on-write on
-  divergence);
-- :class:`LayerKvCache` — the contiguous per-sequence reference cache
-  with incremental K *and* V quantization;
+  freed and reused across requests, with per-block plan arenas written
+  as rows arrive (O(1) plan work per decoded token), per-block frozen V
+  quantization, and a prefix index that lets new prompts adopt
+  matching blocks read-only (copy-on-write on divergence);
 - :class:`DecoderModel` — a numeric decoder built from the same
   :class:`~repro.models.configs.ModelConfig` the cost model prices,
-  with prefill + incremental batched decode over block tables;
+  with prefill + incremental batched decode over block tables (one
+  :func:`fused_paged_decode_attention` dispatch per layer per step);
 - :class:`ServingEngine` — continuous batching over a request queue
   with pluggable admission scheduling (``fifo`` / ``sjf`` /
   ``memory-aware``), pluggable preemption (``priority-remaining`` /
@@ -60,7 +58,6 @@ from repro.runtime.engine import (
     ServingEngine,
     StepTrace,
 )
-from repro.runtime.kv import LayerKvCache
 from repro.runtime.linear import QuantizedLinear
 from repro.runtime.model import DecoderModel, RuntimeConfig, SpeculativeConfig
 from repro.runtime.paging import (
@@ -72,7 +69,6 @@ from repro.runtime.paging import (
     fused_paged_decode_attention,
     fused_paged_verify_attention,
     get_prefix_eviction_policy,
-    paged_decode_attention,
 )
 from repro.runtime.routing import (
     ROUTING_POLICIES,
@@ -116,7 +112,6 @@ __all__ = [
     "DecoderModel",
     "EngineStats",
     "InlineWorkerHandle",
-    "LayerKvCache",
     "PREEMPTION_POLICIES",
     "PREFIX_EVICTION_POLICIES",
     "PagedLayerCache",
@@ -158,7 +153,6 @@ __all__ = [
     "get_prefix_eviction_policy",
     "get_routing_policy",
     "get_scheduler",
-    "paged_decode_attention",
     "percentiles",
     "replay_trace",
     "replay_trace_router",

@@ -8,13 +8,14 @@ dispatching through the registered mpGEMM kernel backend, and decoding
 is **incremental and paged** — per-layer, per-sequence
 :class:`~repro.runtime.paging.PagedLayerCache` block tables over the
 model's shared :class:`~repro.runtime.paging.BlockAllocator` are
-extended token by token and attention runs over the cached context only
-(:func:`~repro.runtime.paging.paged_decode_attention` with per-block
-cached K plans when the KV cache is quantized, the float reference over
-block-gathered views otherwise). A full-sequence forward per generated
-token never happens, and per-step weight-plan work is O(1) amortized in
-the context; the parity tests assert the incremental path reproduces
-the full forward's logits on every registered backend.
+extended token by token and attention runs over the cached context only:
+one :func:`~repro.runtime.paging.fused_paged_decode_attention` dispatch
+per layer for the whole batch, reading the pool's per-block plan arenas
+when the KV cache is quantized and its float slabs otherwise. A
+full-sequence forward per generated token never happens, and per-step
+weight-plan work is O(1) amortized in the context; the parity tests
+assert the incremental path reproduces the full forward's logits on
+every registered backend.
 
 Weights are random (seeded) — this is a *numeric serving substrate*, not
 a pretrained checkpoint loader — which is exactly what the throughput
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.datatypes.formats import DataType
 from repro.errors import ServingError
-from repro.lut.attention import MASKED_SCORE, float_decode_attention
+from repro.lut.attention import MASKED_SCORE
 from repro.lut.table import DEFAULT_K
 from repro.models.configs import ModelConfig
 from repro.numerics import masked_width_softmax
@@ -42,7 +43,6 @@ from repro.runtime.paging import (
     batched_decode_append,
     fused_paged_decode_attention,
     fused_paged_verify_attention,
-    paged_decode_attention,
 )
 
 
@@ -121,9 +121,10 @@ class RuntimeConfig:
         projection (``None`` keeps FP weights — the baseline row).
     kv_bits:
         KV-cache quantization width for decode attention. ``None`` keeps
-        the cache in float and decodes through the float reference path;
-        2/4/8 quantize per the KIVI-style recipe and decode through
-        :func:`~repro.lut.attention.lut_decode_attention`.
+        the cache in float (batched einsums over the gathered float
+        slabs); 2/4/8 quantize per the KIVI-style recipe and decode
+        through the LUT kernels over the pool's plan arenas. Both run
+        through :func:`~repro.runtime.paging.fused_paged_decode_attention`.
     lut_k:
         LUT activation group length (paper: 4).
     backend:
@@ -167,21 +168,6 @@ class RuntimeConfig:
         prefix indexes accept the same names.
     seed:
         Weight-initialization seed.
-    fused_decode:
-        Run batched decode attention through
-        :func:`~repro.runtime.paging.fused_paged_decode_attention` —
-        one gathered dispatch per layer across the whole batch instead
-        of per-(sequence, head, block) kernel calls, with the K/V
-        appends batched pool-level too
-        (:func:`~repro.runtime.paging.batched_decode_append`).
-        Bit-identical to the per-sequence path on the LUT backends
-        (1e-9 on ``reference``, whose batched BLAS reductions differ in
-        the last ulp). With ``kv_bits=None`` the float-KV fused branch
-        runs batched einsum attention over gathered float slabs — 1e-9
-        against the per-sequence float path, bitwise invariant to
-        batch composition. ``False`` keeps the unfused per-sequence
-        path (with sequential appends) as the differential-testing
-        oracle.
     prefill_chunk:
         Per-engine-step prompt-token budget for **chunked prefill**.
         ``None`` (default) prefills each admitted prompt monolithically
@@ -223,7 +209,6 @@ class RuntimeConfig:
     prefix_cache_blocks: int | None = DEFAULT_PREFIX_CACHE_BLOCKS
     prefix_eviction: str = "lru"
     seed: int = 0
-    fused_decode: bool = True
     prefill_chunk: int | None = None
     speculative: SpeculativeConfig | None = None
     swap_threshold_tokens: int | None = None
@@ -644,28 +629,6 @@ class DecoderModel:
             self.free_caches(caches)
 
     # ------------------------------------------------------------------
-    def _decode_attention(
-        self, query: np.ndarray, cache: PagedLayerCache
-    ) -> np.ndarray:
-        """Attention of one new token over one sequence's cached context."""
-        cfg, rt = self.config, self.runtime
-        rep = cfg.heads // cfg.kv_heads
-        self.stats["attn_context_tokens"] += cache.length
-        if rt.kv_bits is None:
-            # repeat= shares each KV head's gathered view across its
-            # query-head group by index — no (heads, T, hd) np.repeat
-            # copies, bitwise-identical gemvs over the same rows.
-            return float_decode_attention(
-                query, cache.k_view(), cache.v_view(), repeat=rep
-            )
-        return paged_decode_attention(
-            query,
-            cache,
-            repeat=rep,
-            table_dtype=rt.table_dtype,
-            backend=rt.backend,
-        )
-
     def decode_batch(
         self,
         tokens: np.ndarray,
@@ -677,13 +640,10 @@ class DecoderModel:
         ``tokens[b]`` is sequence *b*'s most recent token; its position
         is that sequence's current cache length. The linear projections
         run **batched** across sequences (one ``(B, hidden)`` mpGEMM per
-        projection — this is what continuous batching buys). With
-        ``fused_decode`` (default) the K/V appends land through one
-        pool-level batched write per layer and attention runs as one
-        fused dispatch over every sequence's block table — for
-        quantized *and* float KV caches; unfused keeps the sequential
-        per-sequence appends and attention as the differential-testing
-        oracle. Returns next-token logits of shape ``(B, vocab)``.
+        projection — this is what continuous batching buys); the K/V
+        appends land through one pool-level batched write per layer and
+        attention runs as one fused dispatch over every sequence's block
+        table. Returns next-token logits of shape ``(B, vocab)``.
         ``logits=False`` (replaying known tokens) only advances the
         caches — identically — and returns a ``(0, vocab)`` array.
         """
@@ -699,43 +659,31 @@ class DecoderModel:
                 f"a sequence reached max_seq_len {rt.max_seq_len}"
             )
         x = self.tok_emb[tokens] + self.pos_emb[positions]
-        fused = rt.fused_decode
         rep = cfg.heads // cfg.kv_heads
         # The post-append context total: each sequence's pre-append
         # length plus its one new row.
         step_context = int(positions.sum()) + b
 
         def append(caches, k, v):
-            k = k.reshape(b, cfg.kv_heads, hd)
-            v = v.reshape(b, cfg.kv_heads, hd)
-            if fused:
-                # Pool-level batched append: one allocation pass, one
-                # stacked quantize/plan build.
-                batched_decode_append(caches, k, v, tokens)
-                return
-            for s, cache in enumerate(caches):
-                cache.append(k[s], v[s], token_ids=tokens[s:s + 1])
+            # Pool-level batched append: one allocation pass, one
+            # stacked quantize/plan build.
+            batched_decode_append(
+                caches,
+                k.reshape(b, cfg.kv_heads, hd),
+                v.reshape(b, cfg.kv_heads, hd),
+                tokens,
+            )
 
         def attend(caches, q):
-            q = q.reshape(b, cfg.heads, hd)
-            if fused:
-                # One fused attention dispatch for the whole batch.
-                self.stats["attn_context_tokens"] += step_context
-                return fused_paged_decode_attention(
-                    q,
-                    caches,
-                    repeat=rep,
-                    table_dtype=rt.table_dtype,
-                    backend=rt.backend,
-                ).reshape(b, d)
-            # Sequential oracle: per-sequence attention (after the
-            # per-sequence appends above), kept as the differential-
-            # testing reference for the batched append and the fused
-            # kernels.
-            return np.stack([
-                self._decode_attention(q[s], cache).reshape(d)
-                for s, cache in enumerate(caches)
-            ])
+            # One fused attention dispatch for the whole batch.
+            self.stats["attn_context_tokens"] += step_context
+            return fused_paged_decode_attention(
+                q.reshape(b, cfg.heads, hd),
+                caches,
+                repeat=rep,
+                table_dtype=rt.table_dtype,
+                backend=rt.backend,
+            ).reshape(b, d)
 
         layer_caches = list(zip(*caches_per_seq))
         out = self._run_layers(

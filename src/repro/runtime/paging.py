@@ -1,54 +1,48 @@
 """Paged KV allocation: a shared block pool with O(1) per-step plan work.
 
-The contiguous :class:`~repro.runtime.kv.LayerKvCache` keeps one growing
-buffer per (sequence, layer) and rebuilds the K-side
-:class:`~repro.kernels.WeightPlan` from scratch at every decode step —
-O(context) plan work per token, O(context²) per request, which
-contradicts the paper's premise that all weight-side table preparation
-is offline and amortized. This module replaces it with a vLLM-style
-paged design:
+The paper prepares all weight-side table state once, offline. Decode
+attention has two "weights" that arrive online — the K rows of the
+score mpGEMM and the V blocks of the context mpGEMM — and this module
+keeps their prepared state per block, so no step rebuilds it for the
+whole context (vLLM-style paging):
 
 - :class:`BlockAllocator` owns a **shared pool** of fixed-size token
   blocks (float K/V storage plus, in quantized mode, incrementally
-  written K codes). Blocks are allocated as sequences grow, freed when
-  requests complete, and reused by later requests.
+  written K codes and the plan arenas below). Blocks are allocated as
+  sequences grow, freed when requests complete, and reused by later
+  requests.
 - :class:`PagedLayerCache` is the per-(sequence, layer) view: a block
   table (list of block ids) plus a token count. ``append`` writes rows
   into the trailing block and quantizes K rows the moment they arrive
   (the per-row scales are independent, so the codes equal a
-  from-scratch quantize — the same property the contiguous cache pins).
-- **Per-block K plans**: the score mpGEMM treats the K rows of one
-  block as a weight matrix ``(fill, head_dim)``. Each block keeps one
-  :class:`~repro.kernels.WeightPlan` per KV head, built on first use
-  and *extended* via :meth:`WeightPlan.extend` as rows arrive. Full
-  blocks freeze their plans forever; only the trailing block pays
-  O(head_dim) extension work per token — O(1) amortized in context.
+  from-scratch quantize).
+- **K arenas**: the score mpGEMM treats the K rows of one block as a
+  weight matrix ``(fill, head_dim)``. A row's lookup columns are
+  written into the pool's K arenas when the row lands; full blocks
+  never change again and a decode step adds one column per KV head —
+  O(1) in the context.
 - **Per-block V quantization**: V is group-quantized along the context
   *within each block* (groups of 16 when the block size allows, the
   same KIVI-style recipe :class:`~repro.lut.attention.QuantizedKvCache`
   applies at ``context == block_size``). Because groups never span
-  blocks, full blocks quantize once and are cached; only the trailing
-  block — the only place scales can still change — is requantized
-  when its fill changed. The fused kernels read the pool's V arenas,
-  which :meth:`BlockAllocator.refresh_v_arenas` brings up to date
-  **once per layer per step**: the batch's stale blocks are stacked
-  into one ``(blocks · kv_heads · head_dim, block_size)`` weight for
-  one quantize + column build. V scales belong to one weight row and
-  every lookup column is per output column, so each stacked column is
-  bit-identical to the per-block, per-head build.
-- **Direct column build**: K rows and V blocks are weights that arrive
-  *online*, so the fused path writes their arena columns (flat
-  symmetric-table gather indices, per-group scale and zero) straight
-  from the codes — the quantize core
+  blocks, full blocks quantize once; only the trailing block — the only
+  place scales can still change — is requantized when its fill
+  changed. :meth:`BlockAllocator.refresh_v_arenas` brings the V arenas
+  up to date **once per layer per step**: the batch's stale blocks are
+  stacked into one ``(blocks · kv_heads · head_dim, block_size)``
+  weight for one quantize + column build. V scales belong to one weight
+  row and every lookup column is per output column, so each stacked
+  column is bit-identical to a per-block, per-head build.
+- **Direct column build**: the arena columns (flat symmetric-table
+  gather indices, per-group scale and zero) are written straight from
+  the codes — the quantize core
   :func:`~repro.quant.weight.quantize_weights` ends in, the index and
   fold cores :class:`~repro.kernels.WeightPlan` is built on
   (:func:`~repro.kernels.plan.lookup_indices`,
   :func:`~repro.kernels.plan.flat_lookup`), the Eq. 2 parameters — with
   no weight or plan object per step. Same operations on the same
-  values as the plan chain, hence the same bits; the unfused
-  :func:`paged_decode_attention` / :meth:`BlockAllocator.k_plans` /
-  :meth:`BlockAllocator.v_quantized` stay on ``quantize_weights`` →
-  ``build_weight_plan`` as the independent oracle.
+  values as the ``quantize_weights`` → ``build_weight_plan`` chain,
+  hence the same bits.
 - **Row-shared, read in place**: the fused kernels hand the arenas and
   the block table to :func:`~repro.kernels.paged_lut_execute`, which
   reads each KV head's columns where they live (its numpy body gathers
@@ -56,10 +50,10 @@ paged design:
   ``T`` candidate positions) share that row as the ``M`` axis —
   grouped-query attention *is* M — instead of each getting a copy.
 
-:func:`paged_decode_attention` stitches the blocks back together
+:func:`fused_paged_decode_attention` stitches the blocks back together
 bit-exactly: every output column of the score mpGEMM depends only on
 its own K row (no cross-column reductions anywhere in the kernel
-stack), so per-block score segments concatenated in block order equal a
+stack), so per-block score segments laid out in block order equal a
 single full-context matmul bit for bit; positions past the valid
 context are masked to :data:`~repro.lut.attention.MASKED_SCORE` exactly
 as the dense path masks its padding. The context mpGEMM accumulates
@@ -74,23 +68,23 @@ registered under a content hash of ``(layer, token ids from position 0
 through the block's last row)``. A new sequence whose prompt starts
 with an indexed prefix *adopts* the matching blocks read-only — the
 block ids are mapped straight into its block table, refcounts bumped,
-and the per-block frozen K plans and V quantization come along for
-free because they are keyed by block id. Only the tokens past the
-shared prefix are computed and allocated. Sharing granularity is the
-whole block at its current fill (a chain of full blocks, optionally
-ended by one partial block matched at its exact content), which is
-what keeps the recipe bit-exact: a shared block's fill always equals
-the shared token count, so no stale rows ever enter a score segment or
-a V quantization group. Writing into a shared block is forbidden at
-the pool layer; :meth:`PagedLayerCache.append` instead performs
-**copy-on-write** — clone the block, swap the clone into the table,
-release the reference on the original — so diverging sequences split
-without disturbing each other. Blocks are refcounted: ``free`` only
-decrements, and storage is scrubbed exactly when the last reference
-drops. Fully-filled indexed blocks whose refcount reaches zero are
-*parked* instead of scrubbed (recently-freed sharing: a completed
-request's prompt blocks keep serving later identical prompts) and are
-reclaimed LRU-first when a bounded pool runs out of virgin blocks.
+and the block's arena columns come along for free because they live at
+its block id. Only the tokens past the shared prefix are computed and
+allocated. Sharing granularity is the whole block at its current fill
+(a chain of full blocks, optionally ended by one partial block matched
+at its exact content), which is what keeps the recipe bit-exact: a
+shared block's fill always equals the shared token count, so no stale
+rows ever enter a score segment or a V quantization group. Writing into
+a shared block is forbidden at the pool layer;
+:meth:`PagedLayerCache.append` instead performs **copy-on-write** —
+clone the block, swap the clone into the table, release the reference
+on the original — so diverging sequences split without disturbing each
+other. Blocks are refcounted: ``free`` only decrements, and storage is
+scrubbed exactly when the last reference drops. Fully-filled indexed
+blocks whose refcount reaches zero are *parked* instead of scrubbed
+(recently-freed sharing: a completed request's prompt blocks keep
+serving later identical prompts) and are reclaimed LRU-first when a
+bounded pool runs out of virgin blocks.
 
 **Batched decode append.** The decode hot loop extends every active
 sequence by exactly one row per layer. :func:`batched_decode_append`
@@ -109,9 +103,7 @@ however many blocks it spans.
 serves pools built with ``bits=None``: the float K/V slabs are
 gathered per batch and attention runs as one batched einsum per side
 with the same per-row exact-width softmax denominators
-(:func:`_grouped_softmax`) the per-sequence float path uses — so
-``fused_decode`` no longer silently falls back to per-sequence Python
-loops when the KV cache is unquantized.
+(:func:`_grouped_softmax`) a per-sequence float softmax uses.
 """
 
 from __future__ import annotations
@@ -124,8 +116,6 @@ import numpy as np
 
 from repro.errors import LutError, ServingError
 from repro.kernels import (
-    WeightPlan,
-    build_weight_plan,
     effective_activations,
     get_backend,
     paged_lut_execute,
@@ -137,15 +127,13 @@ from repro.kernels.plan import flat_lookup, lookup_indices
 from repro.lut.attention import MASKED_SCORE
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.lut.table import DEFAULT_K
-from repro.numerics import masked_width_softmax, softmax
+from repro.numerics import masked_width_softmax
 from repro.quant.reinterpret import reinterpret_params
-from repro.quant.weight import (
-    QuantizedWeight,
-    affine_quantize,
-    code_dtype,
-    quantize_weights,
-)
-from repro.runtime.kv import KV_GROUP
+from repro.quant.weight import affine_quantize, code_dtype
+
+#: KIVI-style context group length for V quantization (and for K rows
+#: when the head dimension allows).
+KV_GROUP = 16
 
 #: Default tokens per KV block. A multiple of both the LUT group length
 #: (so per-block contexts stay mpGEMM-alignable) and :data:`KV_GROUP`
@@ -159,7 +147,7 @@ INITIAL_POOL_BLOCKS = 8
 #: Default bound on parked (cached-free) prefix blocks. Bounded pools
 #: reclaim parked blocks on demand anyway; without this cap an
 #: *unbounded* pool would retain every distinct prompt's blocks (slabs,
-#: codes, frozen plans) forever.
+#: codes, arena columns) forever.
 DEFAULT_PREFIX_CACHE_BLOCKS = 64
 
 
@@ -325,8 +313,8 @@ class BlockAllocator:
         self.num_blocks = num_blocks
         self.bits = bits
         self.lut_k = lut_k
-        # Same per-row K recipe as the contiguous cache / the V recipe
-        # QuantizedKvCache.quantize would pick at context == block_size.
+        # The K / V recipes QuantizedKvCache.quantize would pick at
+        # context == block_size.
         self._k_group = KV_GROUP if head_dim % KV_GROUP == 0 else None
         self._v_group = KV_GROUP if block_size % KV_GROUP == 0 else None
 
@@ -356,18 +344,12 @@ class BlockAllocator:
         self._block_key: dict[int, bytes] = {}
         self._block_tokens: dict[int, tuple[int, ...]] = {}
         #: Recently-freed full indexed blocks, refcount 0 but contents
-        #: (and frozen plans) intact, in park order — resurrected by
+        #: (and arena columns) intact, in park order — resurrected by
         #: prefix matches, reclaimed LRU-first under pool pressure.
         self._cached_free: dict[int, None] = {}
-        #: Per-block, per-KV-head K score plans (built lazily, extended
-        #: incrementally) and V quantization caches, keyed by block id.
-        self._k_plans: dict[int, list[WeightPlan]] = {}
-        self._v_cache: dict[
-            int, tuple[int, list[QuantizedWeight], list[WeightPlan]]
-        ] = {}
         #: Allocation and incremental-plan-work counters. ``k_plan_cols``
-        #: counts K-plan columns built or extended — per decode step it
-        #: stays constant (one column per KV head per layer) no matter
+        #: counts K-arena columns written — per decode step it stays
+        #: constant (one column per KV head per layer) no matter
         #: how long the context is; the serving bench reads the
         #: ``*_s`` timers to prove per-step plan time is flat.
         #: ``shared`` counts prefix-index adoptions (each one is a block
@@ -429,10 +411,10 @@ class BlockAllocator:
             _k_codes=((kv, bs, hd), code_dtype(self.bits), 0),
             _k_scale=((kv, bs, groups), f8, 1.0),
             _k_zp=((kv, bs, groups), f8, 0.0),
-            # Fused-decode arenas: the per-block WeightPlan state in slab
-            # layout so one batched gather per layer can pull every active
-            # sequence's blocks at once. K side (score mpGEMM, one output
-            # column per cached token): flat symmetric-table gather
+            # Plan arenas: the per-block WeightPlan state in slab layout,
+            # read in place by one dispatch per layer across every active
+            # sequence's blocks. K side (score mpGEMM, one output column
+            # per cached token): flat symmetric-table gather
             # indices, per-group affine. Written incrementally by
             # :meth:`write_rows` — column values are per-token, so the
             # slab always equals what a from-scratch plan would hold.
@@ -565,10 +547,10 @@ class BlockAllocator:
         Refcounted: a shared block merely loses one holder and its
         contents are untouched. When the *last* reference drops, a
         fully-filled prefix-indexed block is parked in the cached-free
-        set (recently-freed sharing — its rows, frozen K plans and V
-        quantization keep serving later identical prompts until the
-        pool reclaims it); anything else is scrubbed and returned to
-        the free list immediately.
+        set (recently-freed sharing — its rows and arena columns keep
+        serving later identical prompts until the pool reclaims it);
+        anything else is scrubbed and returned to the free list
+        immediately.
         """
         if block_id not in self._in_use:
             raise ServingError(f"block {block_id} is not allocated")
@@ -607,8 +589,6 @@ class BlockAllocator:
             # next occupant even at the same fill — the reuse-without-
             # leakage guarantee.
             getattr(self, name)[block_id] = self._layout[name][2]
-        self._k_plans.pop(block_id, None)
-        self._v_cache.pop(block_id, None)
         self._alloc_first_use.pop(block_id, None)
         # The id will name new content from here on — any eviction-
         # policy bookkeeping (e.g. LFU use counts) must not carry over.
@@ -656,12 +636,10 @@ class BlockAllocator:
         entries never fed into the surviving rows, so zeroing them is a
         perfect undo), ``k_plan_cols`` gives back the removed columns,
         a V arena built past *new_fill* is reset to never-built (its
-        trailing group's scales saw the dead rows), lazy per-block K
-        plans and V caches drop (they rebuild from the surviving codes
-        bit-identically), and a stale prefix-index entry is dropped —
-        leaving the block bit-equal to one that never appended the
-        rows. Shared blocks are refused: rollback of a row another
-        table can see is never meaningful.
+        trailing group's scales saw the dead rows), and a stale
+        prefix-index entry is dropped — leaving the block bit-equal to
+        one that never appended the rows. Shared blocks are refused:
+        rollback of a row another table can see is never meaningful.
         """
         if block_id not in self._in_use:
             raise ServingError(f"block {block_id} is not allocated")
@@ -701,8 +679,6 @@ class BlockAllocator:
                 for name in self._resident:
                     if name.startswith("_va_"):
                         getattr(self, name)[block_id] = self._layout[name][2]
-        self._k_plans.pop(block_id, None)
-        self._v_cache.pop(block_id, None)
         self._fill[block_id] = new_fill
 
     # -- prefix sharing ------------------------------------------------
@@ -815,7 +791,7 @@ class BlockAllocator:
         """Map an indexed block into one more table (read-only share).
 
         Live blocks gain a reference; parked cached-free blocks are
-        resurrected with their contents and frozen plans intact.
+        resurrected with their contents and arena columns intact.
         """
         if block_id in self._cached_free:
             del self._cached_free[block_id]
@@ -834,11 +810,12 @@ class BlockAllocator:
     def cow_clone(self, block_id: int) -> int:
         """Copy-on-write: clone a shared block into a fresh private one.
 
-        Copies the float slabs, quantized K state and fill; the clone's
-        K plans and V quantization rebuild lazily from the (identical)
-        codes, so the first post-divergence decode step reproduces the
-        from-scratch recipe bit for bit. The caller swaps the clone
-        into its table and releases its reference on the original.
+        Copies every :attr:`_block_arrays` slab — float K/V, quantized K
+        state, the arenas with their fill stamps — and the fill, so the
+        first post-divergence decode step reproduces the from-scratch
+        recipe bit for bit (a dequantized V arena rebuilds from its -1
+        stamp). The caller swaps the clone into its table and releases
+        its reference on the original.
         """
         if block_id not in self._in_use:
             raise ServingError(f"block {block_id} is not allocated")
@@ -898,8 +875,7 @@ class BlockAllocator:
         kv_heads`` rows, whichever blocks they are bound for: per-row
         scales are row-local and every lookup column is per output
         column, so each row's codes, scales and K-arena columns are
-        bit-identical to quantizing it alone (or per head, as the
-        unfused path's :meth:`k_plans` do). Returns ``(codes, scale,
+        bit-identical to quantizing it alone. Returns ``(codes, scale,
         zero_point, arena flat indices, arena scale, arena zero)``, row
         axis leading — slice to split rows across blocks;
         :meth:`_land_rows` scatters them. Owns the ``k_plan_s`` timer
@@ -950,19 +926,6 @@ class BlockAllocator:
         self._ka_zero[bids, :, :, offs] = ka_zero
         self.stats["k_plan_cols"] += len(offs) * self.kv_heads
 
-    def _sync_legacy_plans(self, block_id: int, r0: int, r1: int) -> None:
-        """Rows ``[r0, r1)`` just landed in a block: extend its per-head
-        K plans if the unfused path materialized them (same columns as
-        the arena's, so only their time is added) and drop its V cache
-        (the trailing group's scales may have changed)."""
-        plans = self._k_plans.get(block_id)
-        if plans is not None:
-            started = time.perf_counter()
-            for h, plan in enumerate(plans):
-                plan.extend(self.k_row_weight(block_id, h, r0, r1))
-            self.stats["k_plan_s"] += time.perf_counter() - started
-        self._v_cache.pop(block_id, None)
-
     def write_rows(
         self,
         block_id: int,
@@ -974,9 +937,9 @@ class BlockAllocator:
 
         Writes the float slabs, quantizes the K rows in place (per-row
         scales — independent of every other row, hence equal to a
-        from-scratch quantize), extends the block's K plans if they are
-        already materialized, and invalidates the block's V cache (its
-        trailing group's scales may have changed). *k_cols* hands in
+        from-scratch quantize) and writes their K-arena columns; the
+        block's V arenas go stale by their fill stamp (the trailing
+        group's scales may have changed). *k_cols* hands in
         the rows' slice of an already-built :meth:`_k_columns` — how
         :meth:`PagedLayerCache.append` quantizes a multi-block prompt
         once. Shared blocks are read-only at this layer: writing one is
@@ -1001,8 +964,6 @@ class BlockAllocator:
         self._land_rows(
             block_id, np.arange(off, off + t_new), k_rows, v_rows, k_cols
         )
-        if self.bits is not None:
-            self._sync_legacy_plans(block_id, off, off + t_new)
         self._fill[block_id] = off + t_new
 
     def append_rows(
@@ -1019,9 +980,8 @@ class BlockAllocator:
         land bit-identical to the sequential loop (the batched-append
         parity tests pin this). Staleness accounting is per block
         exactly as in :meth:`write_rows`: stale prefix-index entries
-        drop before the rows land, materialized legacy plans extend,
-        V caches invalidate, and ``k_plan_cols`` grows by one column
-        per KV head per block.
+        drop before the rows land, and ``k_plan_cols`` grows by one
+        column per KV head per block.
         """
         bids = np.asarray(block_ids, dtype=np.int64)
         nb = int(bids.size)
@@ -1055,87 +1015,9 @@ class BlockAllocator:
                 f"fill {self.block_size}"
             )
         self._land_rows(bids, offs, k_rows, v_rows)
-        if self.bits is not None:
-            for bid, off in zip(bids.tolist(), offs.tolist()):
-                self._sync_legacy_plans(bid, off, off + 1)
         self._fill[bids] = offs + 1
 
-    def k_row_weight(
-        self, block_id: int, head: int, r0: int, r1: int
-    ) -> QuantizedWeight:
-        """The quantized K rows ``[r0, r1)`` of one block/head as an
-        ``(r1-r0, head_dim)`` weight — the unit :meth:`WeightPlan.extend`
-        consumes. The per-group scales broadcast to one per element
-        here, at the one cold read."""
-        per = self.head_dim // self._k_scale.shape[-1]
-        rows = (block_id, head, slice(r0, r1))
-        return QuantizedWeight(
-            codes=self._k_codes[rows],
-            scale=np.repeat(self._k_scale[rows], per, axis=-1),
-            zero_point=np.repeat(self._k_zp[rows], per, axis=-1),
-            bits=self.bits,
-        )
-
     # ------------------------------------------------------------------
-    def k_plans(self, block_id: int) -> list[WeightPlan]:
-        """Per-KV-head score plans over the block's current rows.
-
-        Built from scratch on first use (e.g. right after prefill —
-        the one-time cost the paper's offline table quantization
-        amortizes), then *extended* as rows arrive; a full block's plans
-        are frozen and free on every later step.
-        """
-        if self.bits is None:
-            raise ServingError("pool was built with bits=None (float mode)")
-        plans = self._k_plans.get(block_id)
-        if plans is None:
-            fill = int(self._fill[block_id])
-            started = time.perf_counter()
-            plans = [
-                build_weight_plan(
-                    self.k_row_weight(block_id, h, 0, fill), self.lut_k
-                )
-                for h in range(self.kv_heads)
-            ]
-            self.stats["k_plan_cols"] += fill * self.kv_heads
-            self.stats["k_plan_s"] += time.perf_counter() - started
-            self._k_plans[block_id] = plans
-        return plans
-
-    def v_quantized(
-        self, block_id: int
-    ) -> tuple[list[QuantizedWeight], list[WeightPlan]]:
-        """Per-KV-head quantized V (transposed, block-padded) + plans.
-
-        The block's V slab is consumed as a ``(head_dim, block_size)``
-        weight — zero columns past the fill, exactly the zero-padding
-        the dense cache applies — and group-quantized along the block
-        context. Cached per fill level: full blocks quantize once and
-        never again; the trailing block requantizes only when its fill
-        (and therefore its trailing group's scale) changed.
-        """
-        if self.bits is None:
-            raise ServingError("pool was built with bits=None (float mode)")
-        fill = int(self._fill[block_id])
-        cached = self._v_cache.get(block_id)
-        if cached is not None and cached[0] == fill:
-            return cached[1], cached[2]
-        started = time.perf_counter()
-        group = (
-            dict(axis=1, group_size=self._v_group) if self._v_group
-            else dict(axis=0)
-        )
-        v_quant = [
-            # (head_dim, block_size) weight per head
-            quantize_weights(self._v[block_id, h].T, self.bits, **group)
-            for h in range(self.kv_heads)
-        ]
-        plans = [build_weight_plan(q, self.lut_k) for q in v_quant]
-        self.stats["v_quant_cols"] += self.block_size * self.kv_heads
-        self.stats["v_quant_s"] += time.perf_counter() - started
-        self._v_cache[block_id] = (fill, v_quant, plans)
-        return v_quant, plans
-
     def _v_arena_columns(
         self, v_slabs: np.ndarray, deq: bool = False
     ) -> tuple[np.ndarray, ...]:
@@ -1146,7 +1028,8 @@ class BlockAllocator:
         **one** stacked quantize + column build. V scales are per weight
         row (grouped along the block context) and every lookup column is
         per output column, so the stacked columns are bit-identical to
-        the per-block, per-head :meth:`v_quantized` plans. Returns the
+        the per-block, per-head ``quantize_weights`` →
+        ``build_weight_plan`` chain. Returns the
         :attr:`_V_ARENAS` columns of *deq* — ``(flat indices, scale,
         zero)``, or ``(dequantized,)``, all a table-less backend reads
         — slab axis leading, in arena layout.
@@ -1210,11 +1093,10 @@ class BlockAllocator:
 class PagedLayerCache:
     """Block-table view of one attention layer of one sequence.
 
-    The drop-in successor of :class:`~repro.runtime.kv.LayerKvCache`
-    for the serving model: same ``append``/``k_view``/``v_view``
-    surface, but all storage lives in a shared :class:`BlockAllocator`
-    and the quantized decode path runs over per-block cached plans
-    instead of rebuilding full-context state each step. Call
+    ``append`` extends the sequence, ``k_view`` / ``v_view`` gather its
+    float history; all storage lives in a shared
+    :class:`BlockAllocator`, whose per-block arenas the quantized decode
+    path reads instead of rebuilding full-context state each step. Call
     :meth:`release` when the sequence completes so the blocks return to
     the pool.
 
@@ -1278,9 +1160,9 @@ class PagedLayerCache:
         *chain* is a :meth:`BlockAllocator.match_prefix` result and
         *tokens* the token ids it covers. Every block is adopted
         (refcount bumped / resurrected) and appended to this cache's
-        block table; nothing is computed or copied — the shared rows,
-        frozen K plans and V quantization are reused as-is. Must be
-        called on an empty cache. Returns the shared token count.
+        block table; nothing is computed or copied — the shared rows
+        and arena columns are reused as-is. Must be called on an empty
+        cache. Returns the shared token count.
         """
         if self._released:
             raise ServingError("cache was released back to the pool")
@@ -1313,8 +1195,9 @@ class PagedLayerCache:
         v_rows: np.ndarray,
         token_ids=None,
     ) -> None:
-        """Extend the sequence by one or more tokens (same contract as
-        :meth:`LayerKvCache.append`), allocating blocks on demand.
+        """Extend the sequence by one or more tokens, allocating blocks
+        on demand. ``k_rows`` / ``v_rows`` are ``(kv_heads, head_dim)``
+        for one token or ``(tokens, kv_heads, head_dim)`` for a chunk.
 
         With ``layer`` set and *token_ids* provided (one id per row),
         the trailing block is (re-)registered in the pool's prefix
@@ -1479,10 +1362,9 @@ class PagedLayerCache:
         decode arena slabs, and the fill — plus the table geometry and
         tracked token ids. It references no pool storage (every array is
         a copy), so the blocks can be freed immediately after and the
-        payload handed to any host-side spill store. Lazy per-block K
-        plans, V caches and the dequantized V arena are *not* captured:
-        they rebuild from the restored codes and slabs on first use,
-        bit-identically, exactly as after a CoW clone.
+        payload handed to any host-side spill store. The dequantized V
+        arena is *not* captured: it rebuilds from the restored slabs on
+        first use, bit-identically, exactly as after a CoW clone.
         """
         if self._released:
             raise ServingError("cache was released back to the pool")
@@ -1509,9 +1391,8 @@ class PagedLayerCache:
 
         Every block is allocated fresh and its slabs written back
         verbatim, so decode over the restored table is bit-identical to
-        decode over the original (the arena slabs come back as-is;
-        frozen K plans and V caches rebuild lazily from the identical
-        codes, the CoW guarantee). When the payload tracked tokens, the
+        decode over the original (the arena slabs come back as-is, the
+        CoW guarantee). When the payload tracked tokens, the
         restored blocks re-enter the prefix index under their recomputed
         chained digests — the same registration the appends that built
         them performed. Raises :class:`ServingError` (with nothing
@@ -1602,8 +1483,7 @@ def batched_decode_append(
     sequence's row, and prefix-index maintenance follows per cache.
     The resulting pool and cache state is bit-identical to the
     sequential loop (pinned by the batched-append parity tests and the
-    fused-vs-unfused engine fuzz, whose unfused oracle keeps the
-    sequential appends).
+    engine fuzz, whose from-scratch oracle appends sequentially).
 
     All caches must share one pool. After the CoW pass every cache owns
     its trailing block privately, so the destination blocks are
@@ -1654,73 +1534,6 @@ def batched_decode_append(
             continue
         cache._tokens.append(int(ids[s]))
         cache._index_trailing()
-
-
-def paged_decode_attention(
-    query: np.ndarray,
-    cache: PagedLayerCache,
-    repeat: int = 1,
-    act_dtype=None,
-    table_dtype=None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Single-token LUT decode attention over a block table.
-
-    *query* has shape ``(kv_heads * repeat, head_dim)`` (grouped-query
-    attention shares each KV head's cached plans across ``repeat``
-    query heads — by reference, no extra plan work). Returns the
-    per-head context vectors, ``(heads, head_dim)``.
-
-    Scores are computed block by block against the cached (extended)
-    per-block K plans and stitched into one padded score vector —
-    bit-identical to a single full-context mpGEMM because no kernel
-    reduction crosses output columns. Unfilled trailing positions are
-    masked to :data:`MASKED_SCORE`, so their probabilities underflow to
-    exactly 0.0 and the zero-padded V columns contribute nothing. The
-    context product then accumulates per-block partials in ascending
-    block order over the per-block cached V plans.
-    """
-    if cache.bits is None:
-        raise ServingError("paged LUT attention needs a quantized pool")
-    if cache.length == 0:
-        raise ServingError("cannot attend over an empty cache")
-    config, kernel = _lut_dispatch(
-        cache.lut_k, act_dtype, table_dtype, backend
-    )
-    heads = cache.kv_heads * repeat
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (heads, cache.head_dim):
-        raise LutError(
-            f"query must be ({heads}, {cache.head_dim}), got {query.shape}"
-        )
-    pool = cache.pool
-    block_size = cache.block_size
-    ctx_pad = cache.padded_context()
-    inv_sqrt_d = 1.0 / np.sqrt(cache.head_dim)
-    out = np.zeros_like(query)
-    for qh in range(heads):
-        kv_h = qh // repeat
-        q_row = query[qh][None]
-        q_table = precompute_tables(q_row, config) if kernel.needs_table else None
-        scores = np.full(ctx_pad, MASKED_SCORE)
-        for i, bid in enumerate(cache.block_ids):
-            fill = cache.block_fill(i)
-            plan = pool.k_plans(bid)[kv_h]
-            seg = kernel.execute(plan, config, q_row, q_table)[0]
-            start = i * block_size
-            scores[start:start + fill] = seg * inv_sqrt_d
-        probs = softmax(scores)
-        ctx_vec: np.ndarray | None = None
-        for i, bid in enumerate(cache.block_ids):
-            _, v_plans = pool.v_quantized(bid)
-            p_seg = probs[i * block_size:(i + 1) * block_size][None]
-            p_table = (
-                precompute_tables(p_seg, config) if kernel.needs_table else None
-            )
-            part = kernel.execute(v_plans[kv_h], config, p_seg, p_table)[0]
-            ctx_vec = part if ctx_vec is None else ctx_vec + part
-        out[qh] = ctx_vec
-    return out
 
 
 def _grouped_softmax(scores: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -1800,7 +1613,7 @@ def _fused_context(pool, kernel, config, probs, ids, columns, nblocks):
     shared by its M = ``repeat`` probability segments. Per-block
     partials accumulate in ascending block order, first block
     unconditional (length >= 1), later blocks gated by each row's
-    *nblocks* — the unfused ``ctx_vec + part`` order exactly."""
+    *nblocks* — the order of a per-sequence running sum over its blocks."""
     rows, heads, n = probs.shape
     kv, hd, k = pool.kv_heads, pool.head_dim, pool.lut_k
     block_size = pool.block_size
@@ -1830,8 +1643,7 @@ def fused_paged_decode_attention(
 ) -> np.ndarray:
     """One batched LUT decode attention over every sequence's block table.
 
-    The fused successor of :func:`paged_decode_attention`: *queries* has
-    shape ``(B, kv_heads * repeat, head_dim)`` — one new token per
+    *queries* has shape ``(B, kv_heads * repeat, head_dim)`` — one new token per
     sequence — and *caches* are the B sequences' layer caches over one
     shared pool. Instead of per-(sequence, head, block) kernel calls,
     the block tables are gathered into contiguous index arrays and the
@@ -1843,12 +1655,14 @@ def fused_paged_decode_attention(
     per-block :class:`~repro.kernels.WeightPlan` column, the batched
     row-wise executor replays the backends' scalar order per row, pad
     positions are masked to :data:`MASKED_SCORE` exactly like the
-    per-sequence path masks its own padding, and the softmax
+    dense path masks its own padding, and the softmax
     denominators respect each row's true padded width
-    (:func:`_grouped_softmax`). The result is bit-identical to B calls
-    of :func:`paged_decode_attention` on the LUT backends, regardless
-    of batch composition; the ``reference`` backend's batched BLAS/
-    einsum reductions differ in the last ulp, so its parity is 1e-9.
+    (:func:`_grouped_softmax`). On the LUT backends the result is
+    bit-identical to a from-scratch per-sequence recomputation (quantize
+    the float history, one plan per block and KV head, block-ordered
+    context partials), regardless of batch composition; the
+    ``reference`` backend's batched BLAS/einsum reductions differ in the
+    last ulp, so its parity is 1e-9.
     Returns ``(B, heads, head_dim)``.
 
     A pool built with ``bits=None`` takes the **float-KV branch**
@@ -2088,6 +1902,5 @@ __all__ = [
     "fused_paged_decode_attention",
     "fused_paged_verify_attention",
     "get_prefix_eviction_policy",
-    "paged_decode_attention",
     "spill_nbytes",
 ]

@@ -44,16 +44,15 @@ class TestParser:
 
     def test_guard_flags_default_off_and_compose(self):
         args = build_parser().parse_args([])
-        assert not (args.fused_guard or args.spec_guard
-                    or args.swap_guard or args.slo_guard
-                    or args.router_smoke)
+        assert not (args.spec_guard or args.swap_guard
+                    or args.slo_guard or args.router_smoke)
         assert args.json is None and args.verdict_dir is None
         args = build_parser().parse_args([
-            "--fused-guard", "--spec-guard", "--swap-guard",
+            "--spec-guard", "--swap-guard",
             "--slo-guard", "--json", "out.json",
             "--verdict-dir", "verdicts",
         ])
-        assert args.fused_guard and args.spec_guard
+        assert args.spec_guard
         assert args.swap_guard and args.slo_guard
         assert args.json == "out.json"
         assert args.verdict_dir == "verdicts"
@@ -90,8 +89,7 @@ class TestCommittedBaseline:
         return json.loads((ROOT / "BENCH_serving.json").read_text())
 
     def test_top_level_sections(self, baseline):
-        assert {"env", "variants", "prefill", "speculative",
-                "swap", "slo"} <= set(baseline)
+        assert set(baseline) == {"env", "speculative", "swap", "slo"}
 
     def test_slo_section_schema(self, baseline):
         slo = baseline["slo"]

@@ -5,141 +5,14 @@ import json
 import pytest
 
 from repro.experiments.serving_guard import (
-    FLOAT_SPEEDUP_FLOOR,
-    MAX_REGRESSION,
     SECTIONS,
     SLO_GOODPUT_FLOOR,
     SPEC_SPEEDUP_FLOOR,
-    SPEEDUP_FLOOR,
-    STALL_RATIO_CEILING,
     SWAP_SPEEDUP_FLOOR,
     check_verdicts,
     compare_reports,
     main,
-    variant_floor,
 )
-
-
-def _report(**speedups):
-    return {
-        "bench": "serving-fused-decode",
-        "variants": {
-            key: {
-                "speedup": value,
-                "fused_tok_s": 100.0 * value,
-                "unfused_tok_s": 100.0,
-            }
-            for key, value in speedups.items()
-        },
-    }
-
-
-class TestCompareReports:
-    def test_identical_reports_pass(self):
-        report = _report(a=2.6, b=2.4)
-        assert compare_reports(report, report) == []
-
-    def test_improvement_passes(self):
-        assert compare_reports(_report(a=3.5), _report(a=2.5)) == []
-
-    def test_regression_within_tolerance_passes(self):
-        # 2.5 * (1 - 0.20) = 2.00, still at the floor: allowed.
-        assert compare_reports(_report(a=2.0), _report(a=2.5)) == []
-
-    def test_regression_beyond_tolerance_fails(self):
-        failures = compare_reports(_report(a=2.3), _report(a=3.0))
-        assert len(failures) == 1
-        assert "regressed" in failures[0]
-
-    def test_floor_binds_even_against_a_slow_baseline(self):
-        # Within 20% of the (bad) baseline but under the absolute 2x
-        # floor: the guard must still fail.
-        failures = compare_reports(_report(a=1.9), _report(a=2.0))
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-
-    def test_missing_variant_fails(self):
-        failures = compare_reports(_report(a=2.6), _report(a=2.6, b=2.4))
-        assert len(failures) == 1
-        assert "missing" in failures[0]
-
-    def test_extra_current_variant_is_ignored(self):
-        # New variants may land before the baseline is regenerated.
-        assert compare_reports(_report(a=2.6, b=9.9), _report(a=2.6)) == []
-
-    def test_empty_baseline_fails(self):
-        failures = compare_reports(_report(a=2.6), {"variants": {}})
-        assert failures == ["baseline report has no variants"]
-
-    def test_custom_thresholds(self):
-        assert compare_reports(
-            _report(a=1.5), _report(a=1.5), floor=1.0
-        ) == []
-        failures = compare_reports(
-            _report(a=2.9), _report(a=3.0), max_regression=0.0
-        )
-        assert len(failures) == 1
-
-    def test_both_failures_reported_together(self):
-        failures = compare_reports(_report(a=1.5), _report(a=3.0))
-        assert len(failures) == 2
-
-
-class TestFloatVariants:
-    def test_float_floor_is_lower(self):
-        assert variant_floor("lut-blocked-fp") == FLOAT_SPEEDUP_FLOOR
-        assert variant_floor("lut-blocked-int4") == SPEEDUP_FLOOR
-        assert FLOAT_SPEEDUP_FLOOR < SPEEDUP_FLOOR
-
-    def test_float_variant_skips_relative_regression(self):
-        """Near-1 float ratios are noise-dominated: a relative drop
-        alone must not fail the guard as long as the floor holds."""
-        kwargs = {"lut-blocked-fp": 0.95}
-        base = {"lut-blocked-fp": 1.3}
-        assert compare_reports(_report(**kwargs), _report(**base)) == []
-
-    def test_float_variant_floor_still_binds(self):
-        failures = compare_reports(
-            _report(**{"lut-blocked-fp": 0.7}),
-            _report(**{"lut-blocked-fp": 1.2}),
-        )
-        assert len(failures) == 1
-        assert "floor" in failures[0]
-
-
-def _with_prefill(report, stall_ratio):
-    report = dict(report)
-    report["prefill"] = {
-        "stall_ratio": stall_ratio,
-        "ttft_p95_ratio": 1.1,
-        "mono": {"stall_max_ms": 100.0},
-        "chunked": {"stall_max_ms": stall_ratio * 100.0},
-    }
-    return report
-
-
-class TestPrefillSection:
-    def test_stall_within_ceiling_passes(self):
-        current = _with_prefill(_report(a=2.6), 0.4)
-        baseline = _with_prefill(_report(a=2.6), 0.5)
-        assert compare_reports(current, baseline) == []
-
-    def test_stall_above_ceiling_fails(self):
-        current = _with_prefill(_report(a=2.6), STALL_RATIO_CEILING + 0.1)
-        baseline = _with_prefill(_report(a=2.6), 0.4)
-        failures = compare_reports(current, baseline)
-        assert len(failures) == 1
-        assert "stall" in failures[0]
-
-    def test_missing_prefill_section_fails(self):
-        baseline = _with_prefill(_report(a=2.6), 0.4)
-        failures = compare_reports(_report(a=2.6), baseline)
-        assert len(failures) == 1
-        assert "prefill" in failures[0]
-
-    def test_baseline_without_prefill_is_backwards_compatible(self):
-        current = _with_prefill(_report(a=2.6), 0.9)
-        assert compare_reports(current, _report(a=2.6)) == []
 
 
 def _with_speculative(report, high_speedup, low_speedup=0.3):
@@ -168,15 +41,15 @@ def _with_speculative(report, high_speedup, low_speedup=0.3):
 
 class TestSpeculativeSection:
     def test_above_floor_passes(self):
-        current = _with_speculative(_report(a=2.6), 1.9)
-        baseline = _with_speculative(_report(a=2.6), 1.8)
+        current = _with_speculative({}, 1.9)
+        baseline = _with_speculative({}, 1.8)
         assert compare_reports(current, baseline) == []
 
     def test_below_floor_fails(self):
         current = _with_speculative(
-            _report(a=2.6), SPEC_SPEEDUP_FLOOR - 0.1
+            {}, SPEC_SPEEDUP_FLOOR - 0.1
         )
-        baseline = _with_speculative(_report(a=2.6), 1.8)
+        baseline = _with_speculative({}, 1.8)
         failures = compare_reports(current, baseline)
         assert len(failures) == 1
         assert "speculative" in failures[0] and "floor" in failures[0]
@@ -184,25 +57,32 @@ class TestSpeculativeSection:
     def test_low_acceptance_carries_no_floor(self):
         # A 0.2x low-acceptance ratio is the documented worst case,
         # not a regression.
-        current = _with_speculative(_report(a=2.6), 1.9, low_speedup=0.2)
-        baseline = _with_speculative(_report(a=2.6), 1.9, low_speedup=0.5)
+        current = _with_speculative({}, 1.9, low_speedup=0.2)
+        baseline = _with_speculative({}, 1.9, low_speedup=0.5)
         assert compare_reports(current, baseline) == []
 
     def test_missing_section_fails(self):
-        baseline = _with_speculative(_report(a=2.6), 1.8)
-        failures = compare_reports(_report(a=2.6), baseline)
+        baseline = _with_speculative({}, 1.8)
+        failures = compare_reports({}, baseline)
         assert len(failures) == 1
         assert "speculative" in failures[0]
 
     def test_baseline_without_speculative_is_backwards_compatible(self):
         # Old baselines predating the speculative bench must keep
         # passing untouched.
-        current = _with_speculative(_report(a=2.6), 0.9)
-        assert compare_reports(current, _report(a=2.6)) == []
+        current = _with_speculative({}, 0.9)
+        assert compare_reports(current, {}) == []
+
+    def test_missing_high_acceptance_variant_fails(self):
+        current = _with_speculative({}, 1.9)
+        del current["speculative"]["variants"]["high-acceptance"]
+        failures = compare_reports(current, _with_speculative({}, 1.8))
+        assert len(failures) == 1
+        assert "high-acceptance" in failures[0]
 
     def test_custom_spec_floor(self):
-        current = _with_speculative(_report(a=2.6), 1.2)
-        baseline = _with_speculative(_report(a=2.6), 1.2)
+        current = _with_speculative({}, 1.2)
+        baseline = _with_speculative({}, 1.2)
         assert compare_reports(current, baseline, spec_floor=1.1) == []
         assert len(compare_reports(current, baseline)) == 1
 
@@ -223,30 +103,30 @@ def _with_swap(report, speedup):
 
 class TestSwapSection:
     def test_above_floor_passes(self):
-        current = _with_swap(_report(a=2.6), 8.0)
-        baseline = _with_swap(_report(a=2.6), 6.0)
+        current = _with_swap({}, 8.0)
+        baseline = _with_swap({}, 6.0)
         assert compare_reports(current, baseline) == []
 
     def test_below_floor_fails(self):
-        current = _with_swap(_report(a=2.6), SWAP_SPEEDUP_FLOOR - 0.5)
-        baseline = _with_swap(_report(a=2.6), 6.0)
+        current = _with_swap({}, SWAP_SPEEDUP_FLOOR - 0.5)
+        baseline = _with_swap({}, 6.0)
         failures = compare_reports(current, baseline)
         assert len(failures) == 1
         assert "swap" in failures[0] and "floor" in failures[0]
 
     def test_missing_section_fails(self):
-        baseline = _with_swap(_report(a=2.6), 6.0)
-        failures = compare_reports(_report(a=2.6), baseline)
+        baseline = _with_swap({}, 6.0)
+        failures = compare_reports({}, baseline)
         assert len(failures) == 1
         assert "swap" in failures[0]
 
     def test_baseline_without_swap_is_backwards_compatible(self):
-        current = _with_swap(_report(a=2.6), 1.0)
-        assert compare_reports(current, _report(a=2.6)) == []
+        current = _with_swap({}, 1.0)
+        assert compare_reports(current, {}) == []
 
     def test_custom_swap_floor(self):
-        current = _with_swap(_report(a=2.6), 2.5)
-        baseline = _with_swap(_report(a=2.6), 2.5)
+        current = _with_swap({}, 2.5)
+        baseline = _with_swap({}, 2.5)
         assert compare_reports(current, baseline, swap_floor=2.0) == []
         assert len(compare_reports(current, baseline)) == 1
 
@@ -274,38 +154,38 @@ def _with_slo(report, goodput_ratio, parity_ok=True):
 
 class TestSloSection:
     def test_above_floor_passes(self):
-        current = _with_slo(_report(a=2.6), 1.3)
-        baseline = _with_slo(_report(a=2.6), 1.2)
+        current = _with_slo({}, 1.3)
+        baseline = _with_slo({}, 1.2)
         assert compare_reports(current, baseline) == []
 
     def test_below_floor_fails(self):
-        current = _with_slo(_report(a=2.6), SLO_GOODPUT_FLOOR - 0.05)
-        baseline = _with_slo(_report(a=2.6), 1.3)
+        current = _with_slo({}, SLO_GOODPUT_FLOOR - 0.05)
+        baseline = _with_slo({}, 1.3)
         failures = compare_reports(current, baseline)
         assert len(failures) == 1
         assert "slo" in failures[0] and "goodput" in failures[0]
 
     def test_missing_section_fails(self):
-        baseline = _with_slo(_report(a=2.6), 1.3)
-        failures = compare_reports(_report(a=2.6), baseline)
+        baseline = _with_slo({}, 1.3)
+        failures = compare_reports({}, baseline)
         assert len(failures) == 1
         assert "slo" in failures[0] and "missing" in failures[0]
 
     def test_baseline_without_slo_is_backwards_compatible(self):
-        current = _with_slo(_report(a=2.6), 0.5)
-        assert compare_reports(current, _report(a=2.6)) == []
+        current = _with_slo({}, 0.5)
+        assert compare_reports(current, {}) == []
 
     def test_broken_parity_fails_even_above_floor(self):
-        current = _with_slo(_report(a=2.6), 1.5, parity_ok=False)
-        baseline = _with_slo(_report(a=2.6), 1.2)
+        current = _with_slo({}, 1.5, parity_ok=False)
+        baseline = _with_slo({}, 1.2)
         failures = compare_reports(current, baseline)
         assert len(failures) == 1
         assert "parity" in failures[0]
         assert "slo_aware_output_transparent" in failures[0]
 
     def test_custom_slo_floor(self):
-        current = _with_slo(_report(a=2.6), 1.05)
-        baseline = _with_slo(_report(a=2.6), 1.05)
+        current = _with_slo({}, 1.05)
+        baseline = _with_slo({}, 1.05)
         assert compare_reports(current, baseline, slo_floor=1.0) == []
         assert len(compare_reports(current, baseline)) == 1
 
@@ -313,32 +193,47 @@ class TestSloSection:
 class TestSectionsFilter:
     def test_slo_only_report_passes_against_full_baseline(self):
         """The CI slo-guard step's BENCH_slo.json carries only env +
-        slo; --sections slo must not trip the missing-variant checks."""
+        slo; --sections slo must not trip the missing-section checks."""
         current = _with_slo({"env": {}}, 1.3)
         baseline = _with_slo(
-            _with_swap(_with_prefill(_report(a=2.6), 0.4), 6.0), 1.2,
+            _with_swap(_with_speculative({}, 1.8), 6.0), 1.2,
         )
         assert compare_reports(
             current, baseline, sections={"slo"}
         ) == []
         # Without the filter the same pair fails on every other section.
-        assert len(compare_reports(current, baseline)) >= 3
+        assert len(compare_reports(current, baseline)) == 2
 
     def test_excluding_slo_skips_its_floor(self):
-        current = _with_slo(_report(a=2.6), 0.5)   # under the floor
-        baseline = _with_slo(_report(a=2.6), 1.2)
+        current = _with_slo({}, 0.5)   # under the floor
+        baseline = _with_slo({}, 1.2)
         assert compare_reports(
-            current, baseline, sections={"variants"}
+            current, baseline, sections={"swap"}
         ) == []
+
+    def test_ci_sections_skip_slo_but_keep_the_rest(self):
+        """The serving-perf-guard step compares speculative,swap only:
+        slo is not judged there, the other two floors still bind."""
+        baseline = _with_slo(_with_swap(_with_speculative({}, 1.8), 6.0), 1.2)
+        ci = {"speculative", "swap"}
+        current = _with_slo(_with_swap(_with_speculative({}, 1.8), 6.0), 0.5)
+        assert compare_reports(current, baseline, sections=ci) == []
+        current = _with_swap(_with_speculative({}, 1.0), 6.0)
+        failures = compare_reports(current, baseline, sections=ci)
+        assert len(failures) == 1 and "speculative" in failures[0]
+
+    def test_every_failing_section_reported_together(self):
+        baseline = _with_slo(_with_swap(_with_speculative({}, 1.8), 6.0), 1.2)
+        current = _with_slo(_with_swap(_with_speculative({}, 1.0), 1.0), 0.5)
+        failures = compare_reports(current, baseline)
+        assert [f.split(":")[0] for f in failures] == list(SECTIONS)
 
     def test_unknown_section_raises(self):
         with pytest.raises(ValueError):
             compare_reports(
-                _report(a=2.6), _report(a=2.6), sections={"latency"}
+                {}, {}, sections={"latency"}
             )
-        assert set(SECTIONS) == {
-            "variants", "prefill", "speculative", "swap", "slo",
-        }
+        assert set(SECTIONS) == {"speculative", "swap", "slo"}
 
 
 class TestCheckVerdicts:
@@ -389,32 +284,26 @@ class TestCli:
         return str(path)
 
     def test_pass_exit_zero(self, tmp_path, capsys):
-        current = self._write(tmp_path / "cur.json", _report(a=2.6))
-        baseline = self._write(tmp_path / "base.json", _report(a=2.5))
+        current = self._write(tmp_path / "cur.json", _with_swap({}, 8.0))
+        baseline = self._write(tmp_path / "base.json", _with_swap({}, 6.0))
         assert main([current, baseline]) == 0
         out = capsys.readouterr().out
         assert "serving-perf-guard OK" in out
 
     def test_fail_exit_one(self, tmp_path, capsys):
-        current = self._write(tmp_path / "cur.json", _report(a=1.5))
-        baseline = self._write(tmp_path / "base.json", _report(a=3.0))
+        current = self._write(tmp_path / "cur.json", _with_swap({}, 1.5))
+        baseline = self._write(tmp_path / "base.json", _with_swap({}, 6.0))
         assert main([current, baseline]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_threshold_flags(self, tmp_path):
-        current = self._write(tmp_path / "cur.json", _report(a=1.5))
-        baseline = self._write(tmp_path / "base.json", _report(a=1.5))
-        assert main([current, baseline]) == 1
-        assert main([current, baseline, "--floor", "1.4"]) == 0
 
     def test_spec_floor_flag_and_row_printed(self, tmp_path, capsys):
         current = self._write(
             tmp_path / "cur.json",
-            _with_speculative(_report(a=2.6), 1.3),
+            _with_speculative({}, 1.3),
         )
         baseline = self._write(
             tmp_path / "base.json",
-            _with_speculative(_report(a=2.6), 1.8),
+            _with_speculative({}, 1.8),
         )
         assert main([current, baseline]) == 1
         assert main([current, baseline, "--spec-floor", "1.2"]) == 0
@@ -423,10 +312,10 @@ class TestCli:
 
     def test_swap_floor_flag_and_row_printed(self, tmp_path, capsys):
         current = self._write(
-            tmp_path / "cur.json", _with_swap(_report(a=2.6), 2.5)
+            tmp_path / "cur.json", _with_swap({}, 2.5)
         )
         baseline = self._write(
-            tmp_path / "base.json", _with_swap(_report(a=2.6), 6.0)
+            tmp_path / "base.json", _with_swap({}, 6.0)
         )
         assert main([current, baseline]) == 1
         assert main([current, baseline, "--swap-floor", "2.0"]) == 0
@@ -435,10 +324,10 @@ class TestCli:
 
     def test_slo_floor_flag_and_row_printed(self, tmp_path, capsys):
         current = self._write(
-            tmp_path / "cur.json", _with_slo(_report(a=2.6), 1.05)
+            tmp_path / "cur.json", _with_slo({}, 1.05)
         )
         baseline = self._write(
-            tmp_path / "base.json", _with_slo(_report(a=2.6), 1.3)
+            tmp_path / "base.json", _with_slo({}, 1.3)
         )
         assert main([current, baseline]) == 1
         assert main([current, baseline, "--slo-floor", "1.0"]) == 0
@@ -450,7 +339,7 @@ class TestCli:
             tmp_path / "slo_only.json", _with_slo({"env": {}}, 1.3)
         )
         baseline = self._write(
-            tmp_path / "base.json", _with_slo(_report(a=2.6), 1.2)
+            tmp_path / "base.json", _with_slo(_with_swap({}, 6.0), 1.2)
         )
         assert main([current, baseline]) == 1
         assert main([current, baseline, "--sections", "slo"]) == 0
@@ -458,7 +347,7 @@ class TestCli:
         assert "serving-perf-guard OK (slo sections)" in out
 
     def test_unknown_section_flag_errors(self, tmp_path):
-        current = self._write(tmp_path / "cur.json", _report(a=2.6))
+        current = self._write(tmp_path / "cur.json", {})
         with pytest.raises(SystemExit):
             main([current, current, "--sections", "latency"])
 
@@ -481,13 +370,13 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_env_provenance_printed_on_failure(self, tmp_path, capsys):
-        report = _report(a=1.5)
+        report = _with_swap({}, 1.5)
         report["env"] = {
             "numpy": "9.9.9", "python": "3.11.7",
             "platform": "TestOS-1.0", "cpus": 64,
         }
         current = self._write(tmp_path / "cur.json", report)
-        baseline = self._write(tmp_path / "base.json", _report(a=3.0))
+        baseline = self._write(tmp_path / "base.json", _with_swap({}, 6.0))
         assert main([current, baseline]) == 1
         out = capsys.readouterr().out
         assert "current env: numpy 9.9.9" in out
@@ -503,18 +392,6 @@ class TestBaselineFile:
 
         root = pathlib.Path(__file__).resolve().parents[2]
         baseline = json.loads((root / "BENCH_serving.json").read_text())
-        assert baseline["bench"] == "serving-fused-decode"
-        for key, row in baseline["variants"].items():
-            assert float(row["speedup"]) >= variant_floor(key), key
-            assert float(row["fused_tok_s"]) > 0
-            assert float(row["unfused_tok_s"]) > 0
-            assert 0.0 < MAX_REGRESSION < 1.0
-        assert any(key.endswith("-fp") for key in baseline["variants"]), (
-            "the float-KV fused variant must be tracked"
-        )
-        prefill = baseline["prefill"]
-        assert float(prefill["stall_ratio"]) <= STALL_RATIO_CEILING
-        assert prefill["chunked"]["stall_max_ms"] > 0
         spec = baseline["speculative"]["variants"]
         high = spec["high-acceptance"]
         assert float(high["speedup"]) >= SPEC_SPEEDUP_FLOOR
@@ -530,3 +407,12 @@ class TestBaselineFile:
         env = baseline["env"]
         assert env["numpy"] and env["platform"] and env["cpus"] > 0
         assert compare_reports(baseline, baseline) == []
+
+    def test_committed_baseline_carries_only_guarded_sections(self):
+        """Every top-level key of BENCH_serving.json is a section the
+        guard diffs, or the env provenance it prints on failure."""
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parents[2]
+        baseline = json.loads((root / "BENCH_serving.json").read_text())
+        assert set(baseline) == set(SECTIONS) | {"env"}

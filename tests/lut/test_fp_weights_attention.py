@@ -160,3 +160,47 @@ class TestKvAttention:
             lut_decode_attention(q[:, :8], cache)
         with pytest.raises(LutError):
             QuantizedKvCache.quantize(k, v[:2], bits=4)
+
+
+class TestPaddedAttention:
+    """A history zero-padded to an aligned context, with ``context_valid``
+    masking the padding — the shape a growing decode cache hands in."""
+
+    def _padded(self, valid=9, context=16, seed=0):
+        rng = np.random.default_rng(seed)
+        k, v = np.zeros((2, 2, context, 8))
+        k[:, :valid] = rng.normal(size=(2, valid, 8))
+        v[:, :valid] = rng.normal(size=(2, valid, 8))
+        q = rng.normal(size=(2, 8))
+        return q, QuantizedKvCache.quantize(k, v, bits=4)
+
+    def test_masked_lut_equals_masked_dequant(self):
+        q, cache = self._padded(seed=4)
+        lut = lut_decode_attention(q, cache, context_valid=9)
+        ref = dequant_decode_attention(q, cache, context_valid=9)
+        np.testing.assert_allclose(lut, ref, atol=1e-9)
+
+    def test_padding_contributes_exactly_nothing(self):
+        """Masked full computation == truncated computation.
+
+        The padded rows' probabilities underflow to exactly 0.0, so the
+        attention over the padded cache equals (to reduction-order
+        noise) the attention computed over only the valid rows of the
+        dequantized cache.
+        """
+        from repro.numerics import softmax
+
+        q, cache = self._padded(seed=6)
+        masked = dequant_decode_attention(q, cache, context_valid=9)
+        for h in range(2):
+            k = cache.k_quant[h].dequantize()[:9]
+            v_t = cache.v_quant[h].dequantize()[:, :9]
+            probs = softmax((k @ q[h]) / np.sqrt(8))
+            np.testing.assert_allclose(masked[h], v_t @ probs, atol=1e-12)
+
+    def test_context_valid_bounds_checked(self):
+        q, cache = self._padded()
+        with pytest.raises(LutError):
+            lut_decode_attention(q, cache, context_valid=0)
+        with pytest.raises(LutError):
+            lut_decode_attention(q, cache, context_valid=cache.context + 1)

@@ -113,8 +113,8 @@ class TestPoolBlockBytes:
         } == {"_ka_flat", "_va_flat"}
 
     def test_scales_are_stored_per_group_and_read_back_per_element(self):
-        """head_dim 32 is two K groups: two stored scales a row, which the
-        unfused oracle's ``k_row_weight`` broadcasts back over the row."""
+        """head_dim 32 is two K groups: two stored scales a row, which
+        broadcast back over their group's elements at the read."""
         pool = BlockAllocator(kv_heads=2, head_dim=32, block_size=16, bits=4)
         rng = np.random.default_rng(0)
         k = rng.normal(size=(5, 2, 32)) * np.array([1.0, 50.0]).repeat(16)
@@ -122,18 +122,23 @@ class TestPoolBlockBytes:
         cache.append(k, rng.normal(size=(5, 2, 32)))
         bid = cache.block_ids[0]
         assert pool._k_scale.shape[1:] == pool._k_zp.shape[1:] == (2, 16, 2)
-        weight = pool.k_row_weight(bid, 1, 0, 5)
-        assert weight.scale.shape == weight.zero_point.shape == (5, 32)
+
+        def per_element(stored):  # (rows, groups) -> (rows, head_dim)
+            return np.repeat(stored[bid, 1, :5], 16, axis=-1)
+
+        scale, zero = per_element(pool._k_scale), per_element(pool._k_zp)
+        assert scale.shape == zero.shape == (5, 32)
         for g in range(2):
             cols = slice(16 * g, 16 * (g + 1))
             np.testing.assert_array_equal(
-                weight.scale[:, cols],
+                scale[:, cols],
                 np.broadcast_to(pool._k_scale[bid, 1, :5, g, None], (5, 16)),
             )
-        assert (weight.scale[:, 0] != weight.scale[:, 16]).all()
+        assert (scale[:, 0] != scale[:, 16]).all()
         # Each element within half a step of its own group's grid.
+        codes = pool._k_codes[bid, 1, :5].astype(np.float64)
         assert (
-            np.abs(weight.dequantize() - k[:, 1]) <= weight.scale / 2 + 1e-12
+            np.abs(scale * (codes - zero) - k[:, 1]) <= scale / 2 + 1e-12
         ).all()
 
     @pytest.mark.parametrize("backend", ["lut-naive", "lut-blocked"])

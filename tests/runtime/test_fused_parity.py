@@ -2,30 +2,33 @@
 
 The fused decode attention
 (:func:`~repro.runtime.paging.fused_paged_decode_attention`) claims to
-be bit-identical to the per-sequence per-block path on the LUT backends
-at *any* batch composition, and 1e-9-close on ``reference`` (whose
-batched BLAS/einsum reductions differ in the last ulp). This module
-pins that claim three ways:
+be bit-identical on the LUT backends, at *any* batch composition, to a
+from-scratch recompute that re-quantizes each sequence's float history
+and reads no pool arena (:mod:`tests.runtime.oracle`), and 1e-9-close
+on ``reference`` (whose batched BLAS/einsum reductions differ in the
+last ulp). This module pins that claim two ways:
 
 - a seeded random-schedule **engine fuzz**: random admissions, prompt
   lengths, shared prefixes, samplers, pool bounds (forcing
-  preemptions), run through the full :class:`ServingEngine` twice —
-  fused vs. the unfused oracle — asserting identical token streams;
+  preemptions), run through the full :class:`ServingEngine` and
+  compared against the oracle's one-request-at-a-time decode
+  (``all_rows_streams``) — identical token streams;
 - a **kernel-level parity matrix** over block sizes × GQA ratios ×
   partial trailing fills × backends, including freed-block-reuse and
-  CoW-divergence block-table states;
-- a **dense cross-check**: the fused path at batch 1 against the
-  contiguous :class:`LayerKvCache` + ``lut_decode_attention`` recipe.
+  CoW-divergence block-table states.
 """
 
 import numpy as np
 import pytest
 
-from repro.lut.attention import float_decode_attention, lut_decode_attention
+from repro.lut.attention import (
+    QuantizedKvCache,
+    float_decode_attention,
+    lut_decode_attention,
+)
 from repro.models.configs import ModelConfig
 from repro.runtime import (
     DecoderModel,
-    LayerKvCache,
     Request,
     RuntimeConfig,
     SamplingParams,
@@ -36,9 +39,13 @@ from repro.runtime.paging import (
     PagedLayerCache,
     fused_paged_decode_attention,
     fused_paged_verify_attention,
-    paged_decode_attention,
 )
 from repro.runtime.scheduler import worst_case_blocks
+from tests.runtime.oracle import (
+    assert_parity,
+    oracle_attention,
+    oracle_decode_batch,
+)
 
 LUT_BACKENDS = ("lut-naive", "lut-blocked")
 BACKENDS = LUT_BACKENDS + ("reference",)
@@ -49,7 +56,7 @@ FUZZ = ModelConfig(
 )
 
 #: Seeds per LUT backend; 2 backends x this many schedules >= 25 random
-#: schedules through the differential engine harness.
+#: schedules through the engine-vs-oracle harness.
 FUZZ_SEEDS = range(13)
 
 
@@ -122,12 +129,17 @@ def _random_schedule(rng):
     return requests, block_size, pool_blocks, scheduler, max_batch
 
 
-def _run_engine(schedule, backend, fused):
+def _runtime(backend, block_size):
+    return dict(
+        weight_bits=4, kv_bits=4, backend=backend, max_seq_len=96,
+        kv_block_size=block_size,
+    )
+
+
+def _run_engine(schedule, backend):
     requests, block_size, pool_blocks, scheduler, max_batch = schedule
     model = DecoderModel(FUZZ, RuntimeConfig(
-        weight_bits=4, kv_bits=4, backend=backend, max_seq_len=96,
-        kv_block_size=block_size, kv_pool_blocks=pool_blocks,
-        fused_decode=fused,
+        kv_pool_blocks=pool_blocks, **_runtime(backend, block_size)
     ))
     engine = ServingEngine(
         model, max_batch_size=max_batch, scheduler=scheduler
@@ -141,23 +153,22 @@ def _run_engine(schedule, backend, fused):
 
 class TestEngineFuzz:
     @pytest.mark.parametrize("backend", LUT_BACKENDS)
-    def test_random_schedules_token_streams_bit_identical(self, backend):
+    def test_random_schedules_token_streams_bit_identical(
+        self, backend, all_rows_streams
+    ):
         """>= 25 random schedules across the two LUT backends: the fused
-        engine's token streams equal the unfused oracle's exactly, under
-        admission churn, shared prefixes, CoW divergence, bounded pools
-        and preemptions."""
+        engine's token streams equal the from-scratch oracle's exactly,
+        under admission churn, shared prefixes, CoW divergence, bounded
+        pools and preemptions."""
         preempted = shared = cow = 0
         for seed in FUZZ_SEEDS:
             schedule = _random_schedule(np.random.default_rng(seed))
             fused_streams, fused_stats, fused_model = _run_engine(
-                schedule, backend, fused=True
+                schedule, backend
             )
-            oracle_streams, _, _ = _run_engine(
-                schedule, backend, fused=False
-            )
-            assert fused_streams == oracle_streams, (
-                f"seed {seed}: fused token streams diverged"
-            )
+            assert fused_streams == all_rows_streams(
+                FUZZ, _runtime(backend, schedule[1]), schedule[0]
+            ), f"seed {seed}: fused token streams diverged"
             preempted += fused_stats.preemptions
             pool_stats = fused_model.kv_pool.stats
             shared += pool_stats["shared"]
@@ -169,10 +180,11 @@ class TestEngineFuzz:
         assert cow > 0, "no schedule diverged through copy-on-write"
 
     def test_random_batches_reference_within_1e9(self):
-        """On ``reference``, fused and unfused decode logits agree to
-        1e-9 (token streams are not compared — a last-ulp flip could
-        legally change an argmax). Both models are driven with the same
-        token inputs so the comparison is step-by-step."""
+        """On ``reference``, fused decode logits agree with the oracle
+        decode step's to 1e-9 (token streams are not compared — a
+        last-ulp flip could legally change an argmax). Both models are
+        driven with the same token inputs so the comparison is
+        step-by-step."""
         rng = np.random.default_rng(99)
         for trial in range(6):
             rt = dict(
@@ -180,9 +192,7 @@ class TestEngineFuzz:
                 max_seq_len=64, kv_block_size=int(rng.choice([8, 16])),
             )
             fused = DecoderModel(FUZZ, RuntimeConfig(**rt))
-            oracle = DecoderModel(
-                FUZZ, RuntimeConfig(fused_decode=False, **rt)
-            )
+            oracle = DecoderModel(FUZZ, RuntimeConfig(**rt))
             nseq = int(rng.integers(1, 6))
             caches_f = [fused.new_caches() for _ in range(nseq)]
             caches_o = [oracle.new_caches() for _ in range(nseq)]
@@ -195,25 +205,17 @@ class TestEngineFuzz:
             for _ in range(int(rng.integers(2, 10))):
                 tokens = rng.integers(0, FUZZ.vocab, size=nseq)
                 got = fused.decode_batch(tokens, caches_f)
-                want = oracle.decode_batch(tokens, caches_o)
+                want = oracle_decode_batch(oracle, tokens, caches_o)
                 np.testing.assert_allclose(
                     got, want, atol=1e-9, err_msg=f"trial {trial}"
                 )
 
 
-def _stacked_unfused(queries, caches, repeat, backend):
+def _stacked_oracle(queries, caches, repeat, backend):
     return np.stack([
-        paged_decode_attention(queries[i], cache, repeat=repeat,
-                               backend=backend)
+        oracle_attention(queries[i], cache, repeat=repeat, backend=backend)
         for i, cache in enumerate(caches)
     ])
-
-
-def _assert_parity(got, want, backend, msg=""):
-    if backend == "reference":
-        np.testing.assert_allclose(got, want, atol=1e-9, err_msg=msg)
-    else:
-        np.testing.assert_array_equal(got, want, err_msg=msg)
 
 
 class TestFusedKernelParityMatrix:
@@ -232,7 +234,7 @@ class TestFusedKernelParityMatrix:
         self, backend, block_size, head_dim, kv_heads, repeat
     ):
         """Ragged lengths with full and partial trailing blocks: the
-        fused batch equals B per-sequence calls."""
+        fused batch equals B per-sequence oracle recomputes."""
         rng = np.random.default_rng(
             block_size * 1000 + head_dim * 10 + kv_heads
         )
@@ -260,8 +262,8 @@ class TestFusedKernelParityMatrix:
         got = fused_paged_decode_attention(
             queries, caches, repeat=repeat, backend=backend
         )
-        want = _stacked_unfused(queries, caches, repeat, backend)
-        _assert_parity(got, want, backend)
+        want = _stacked_oracle(queries, caches, repeat, backend)
+        assert_parity(got, want, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kv_bits", [2, 4, 8])
@@ -280,12 +282,12 @@ class TestFusedKernelParityMatrix:
         got = fused_paged_decode_attention(
             queries, caches, repeat=2, backend=backend
         )
-        want = _stacked_unfused(queries, caches, 2, backend)
-        _assert_parity(got, want, backend)
+        want = _stacked_oracle(queries, caches, 2, backend)
+        assert_parity(got, want, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_growth_across_block_boundaries(self, backend):
-        """Interleave appends and fused/unfused comparisons so trailing
+        """Interleave appends and fused/oracle comparisons so trailing
         blocks fill, freeze, and new blocks open mid-stream."""
         rng = np.random.default_rng(5)
         pool = BlockAllocator(2, 8, block_size=8, bits=4)
@@ -303,14 +305,14 @@ class TestFusedKernelParityMatrix:
             got = fused_paged_decode_attention(
                 queries, caches, repeat=2, backend=backend
             )
-            want = _stacked_unfused(queries, caches, 2, backend)
-            _assert_parity(got, want, backend, msg=f"step {step}")
+            want = _stacked_oracle(queries, caches, 2, backend)
+            assert_parity(got, want, backend, msg=f"step {step}")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cow_divergence_through_fused_path(self, backend):
         """Two sequences share prefix blocks, then diverge: the append
         copy-on-writes the shared trailing block, and the fused batch
-        over [donor, fork] still matches per-sequence decode."""
+        over [donor, fork] still matches the per-sequence oracle."""
         rng = np.random.default_rng(17)
         pool = BlockAllocator(2, 8, block_size=8, bits=4)
         donor = PagedLayerCache(pool, layer=0)
@@ -341,8 +343,8 @@ class TestFusedKernelParityMatrix:
         got = fused_paged_decode_attention(
             queries, caches, repeat=2, backend=backend
         )
-        want = _stacked_unfused(queries, caches, 2, backend)
-        _assert_parity(got, want, backend)
+        want = _stacked_oracle(queries, caches, 2, backend)
+        assert_parity(got, want, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_freed_block_reuse_through_fused_path(self, backend):
@@ -412,23 +414,24 @@ class TestFusedKernelParityMatrix:
 
     def test_single_block_matches_contiguous_dense_cache(self):
         """Dense cross-check through the *fused* path: within one block
-        the fused recipe coincides with the contiguous LayerKvCache +
-        lut_decode_attention computation bit for bit."""
+        the fused recipe coincides with ``QuantizedKvCache.quantize`` of
+        the zero-padded history + ``lut_decode_attention`` bit for bit."""
         rng = np.random.default_rng(7)
         k = rng.normal(size=(13, 2, 16))
         v = rng.normal(size=(13, 2, 16))
         query = rng.normal(size=(2, 16))
         pool = BlockAllocator(2, 16, block_size=16, bits=4)
         paged = PagedLayerCache(pool)
-        dense = LayerKvCache(2, 16, bits=4)
         paged.append(k, v)
-        dense.append(k, v)
         got = fused_paged_decode_attention(
             query[None], [paged], backend="lut-blocked"
         )[0]
-        qc, valid = dense.quantized()
+        k_pad, v_pad = np.zeros((2, 2, 16, 16))
+        k_pad[:, :13] = k.transpose(1, 0, 2)
+        v_pad[:, :13] = v.transpose(1, 0, 2)
         want = lut_decode_attention(
-            query, qc, backend="lut-blocked", context_valid=valid
+            query, QuantizedKvCache.quantize(k_pad, v_pad, bits=4),
+            backend="lut-blocked", context_valid=13,
         )
         np.testing.assert_array_equal(got, want)
 
@@ -488,8 +491,8 @@ class TestSharedGatherRatios:
         got = fused_paged_decode_attention(
             queries, caches, repeat=repeat, backend=backend
         )
-        want = _stacked_unfused(queries, caches, repeat, backend)
-        _assert_parity(got, want, backend)
+        want = _stacked_oracle(queries, caches, repeat, backend)
+        assert_parity(got, want, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("repeat", [1, 2, 4])
@@ -518,7 +521,7 @@ class TestSharedGatherRatios:
             want = fused_paged_decode_attention(
                 queries[:, j], caches, repeat=repeat, backend=backend
             )
-            _assert_parity(got[:, j], want, backend, msg=f"row {j}")
+            assert_parity(got[:, j], want, backend, msg=f"row {j}")
 
 
 class TestFloatKvFused:
@@ -543,7 +546,7 @@ class TestFloatKvFused:
     @pytest.mark.parametrize("repeat", [1, 2])
     def test_matches_per_sequence_float_reference(self, repeat):
         """Ragged float batch vs B calls of the contiguous-view gemv
-        path (the unfused decode's float oracle)."""
+        path (the oracle's float attention)."""
         lengths = [1, 7, 8, 19, 24]
         _, caches = self._grown(lengths, seed=41)
         rng = np.random.default_rng(42)
@@ -599,18 +602,17 @@ class TestFloatKvFused:
                 got, want, atol=1e-9, err_msg=f"step {step}"
             )
 
-    def test_engine_float_kv_fused_logits_match_unfused(self):
+    def test_engine_float_kv_fused_logits_match_oracle(self):
         """Model-level differential drive with kv_bits=None: the fused
-        engine's decode logits track the unfused oracle at 1e-9 over
-        mixed prefill lengths and many steps."""
+        decode logits track the oracle decode step at 1e-9 over mixed
+        prefill lengths and many steps."""
         rng = np.random.default_rng(47)
         rt = dict(
             weight_bits=4, kv_bits=None, backend="lut-blocked",
             max_seq_len=64, kv_block_size=8,
         )
         fused = DecoderModel(FUZZ, RuntimeConfig(**rt))
-        oracle = DecoderModel(FUZZ, RuntimeConfig(fused_decode=False, **rt))
-        assert fused.runtime.fused_decode
+        oracle = DecoderModel(FUZZ, RuntimeConfig(**rt))
         nseq = 4
         caches_f = [fused.new_caches() for _ in range(nseq)]
         caches_o = [oracle.new_caches() for _ in range(nseq)]
@@ -621,5 +623,5 @@ class TestFloatKvFused:
         for _ in range(12):
             tokens = rng.integers(0, FUZZ.vocab, size=nseq)
             got = fused.decode_batch(tokens, caches_f)
-            want = oracle.decode_batch(tokens, caches_o)
+            want = oracle_decode_batch(oracle, tokens, caches_o)
             np.testing.assert_allclose(got, want, atol=1e-9)

@@ -1,23 +1,19 @@
-"""Paged KV allocation: pool lifecycle, incremental plan extension,
+"""Paged KV allocation: pool lifecycle, incremental arena columns,
 bit-exact parity with from-scratch dense computation, block reuse."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.kernels import build_weight_plan, get_backend
-from repro.lut.attention import MASKED_SCORE, lut_decode_attention
-from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
+from repro.lut.attention import QuantizedKvCache, lut_decode_attention
 from repro.models.configs import ModelConfig
-from repro.numerics import softmax
-from repro.quant.weight import quantize_weights
 from repro.runtime import DecoderModel, RuntimeConfig
-from repro.runtime.kv import LayerKvCache
 from repro.runtime.paging import (
     BlockAllocator,
     PagedLayerCache,
-    paged_decode_attention,
+    fused_paged_decode_attention,
 )
+from tests.runtime.oracle import assert_parity, reference_paged_attention
 
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
 
@@ -76,21 +72,19 @@ class TestBlockAllocator:
 
 class TestPagedLayerCache:
     def test_views_match_contiguous_cache(self):
+        """The block-gathered views are the appended rows, concatenated."""
         pool = BlockAllocator(2, 8, block_size=4)
         paged = PagedLayerCache(pool)
-        dense = LayerKvCache(2, 8)
         rng = np.random.default_rng(0)
         k = rng.normal(size=(11, 2, 8))
         v = rng.normal(size=(11, 2, 8))
         paged.append(k[:5], v[:5])       # bulk across block boundary
-        dense.append(k[:5], v[:5])
         for i in range(5, 11):
             paged.append(k[i], v[i])
-            dense.append(k[i], v[i])
         assert paged.length == 11
         assert len(paged.block_ids) == 3
-        np.testing.assert_array_equal(paged.k_view(), dense.k_view())
-        np.testing.assert_array_equal(paged.v_view(), dense.v_view())
+        np.testing.assert_array_equal(paged.k_view(), k.transpose(1, 0, 2))
+        np.testing.assert_array_equal(paged.v_view(), v.transpose(1, 0, 2))
 
     def test_release_returns_blocks_and_is_idempotent(self):
         pool = BlockAllocator(2, 8, block_size=4, num_blocks=4)
@@ -122,81 +116,38 @@ class TestPagedLayerCache:
         assert fcache.memory_bytes() == 2 * 2 * 16 * 8 * 8
 
 
-def reference_paged_attention(
-    k_hist, v_hist, query, *, bits, block_size, lut_k, backend, repeat=1,
-    full_k_plan=True,
-):
-    """From-scratch dense recomputation of the paged decode recipe.
+def _attend(query, cache, repeat=1, backend=None):
+    return fused_paged_decode_attention(
+        query[None], [cache], repeat=repeat, backend=backend
+    )[0]
 
-    Everything is quantized and planned in one shot (no incremental
-    extension, no caching): with ``full_k_plan`` the scores come from
-    ONE full-context K plan — pinning the paged path's per-block
-    score decomposition against a dense matmul, valid bit-for-bit on
-    the LUT backends whose reduction order is pinned per output column
-    — otherwise from per-block scratch-built plans (the reference
-    backend's BLAS GEMM may associate differently across matmul
-    shapes, a 1-ulp effect the LUT kernels by construction don't
-    have). V slabs are quantized from scratch per padded block and the
-    context partials accumulate in block order. The paged incremental
-    path must match this bit for bit.
-    """
-    kv_heads, length, head_dim = k_hist.shape
-    nblocks = -(-length // block_size)
-    ctx_pad = nblocks * block_size
-    config = LutMpGemmConfig(k=lut_k, backend=backend)
-    kernel = get_backend(backend)
-    k_group = 16 if head_dim % 16 == 0 else None
-    v_group = 16 if block_size % 16 == 0 else None
-    inv_sqrt_d = 1.0 / np.sqrt(head_dim)
-    v_pad = np.zeros((kv_heads, ctx_pad, head_dim))
-    v_pad[:, :length] = v_hist
-    out = np.zeros((kv_heads * repeat, head_dim))
 
-    def quantize_k(rows):
-        if k_group:
-            return quantize_weights(rows, bits, axis=1, group_size=k_group)
-        return quantize_weights(rows, bits, axis=0)
-
-    for qh in range(kv_heads * repeat):
-        h = qh // repeat
-        q_row = query[qh][None]
-        table = (
-            precompute_tables(q_row, config) if kernel.needs_table else None
-        )
-        scores = np.full(ctx_pad, MASKED_SCORE)
-        if full_k_plan:
-            plan = build_weight_plan(quantize_k(k_hist[h]), lut_k)
-            scores[:length] = (
-                kernel.execute(plan, config, q_row, table)[0] * inv_sqrt_d
-            )
-        else:
-            for b in range(nblocks):
-                lo = b * block_size
-                hi = min(lo + block_size, length)
-                plan = build_weight_plan(quantize_k(k_hist[h, lo:hi]), lut_k)
-                scores[lo:hi] = (
-                    kernel.execute(plan, config, q_row, table)[0] * inv_sqrt_d
-                )
-        probs = softmax(scores)
-        acc = None
-        for b in range(nblocks):
-            v_t = v_pad[h, b * block_size:(b + 1) * block_size].T
-            if v_group:
-                vq = quantize_weights(
-                    v_t, bits, axis=1, group_size=v_group
-                )
-            else:
-                vq = quantize_weights(v_t, bits, axis=0)
-            p_seg = probs[b * block_size:(b + 1) * block_size][None]
-            p_table = (
-                precompute_tables(p_seg, config)
-                if kernel.needs_table else None
-            )
-            part = kernel.execute(build_weight_plan(vq, lut_k), config,
-                                  p_seg, p_table)[0]
-            acc = part if acc is None else acc + part
-        out[qh] = acc
-    return out
+def _grown_cache(table, rows, block_size, bits, start):
+    """A cache holding ``rows[:start]`` in one of four block-table states:
+    private, adopting a live donor's full block, adopting its partial
+    block (the next append copy-on-writes it), or on blocks a released
+    sequence left behind (scrubbed, then reused)."""
+    k, v = rows
+    kv_heads, head_dim = k.shape[1:]
+    pool = BlockAllocator(
+        kv_heads, head_dim, block_size=block_size, bits=bits,
+        num_blocks=8, prefix_cache_blocks=0,
+    )
+    ids = list(range(len(k)))
+    if table == "reused":
+        first = PagedLayerCache(pool)
+        first.append(k[::-1] * 3.0, v[::-1] - 1.0)
+        _attend(np.ones((kv_heads, head_dim)), first)  # arenas written
+        first.release()
+    cache = PagedLayerCache(pool, layer=0)
+    if table in ("adopted", "cow"):
+        donor = PagedLayerCache(pool, layer=0)
+        donor.append(k[:start], v[:start], token_ids=ids[:start])
+        chain = pool.match_prefix(0, ids[:start])
+        cache.adopt_prefix(chain, ids[:start])  # the donor stays live
+    else:
+        cache.append(k[:start], v[:start], token_ids=ids[:start])
+    return cache
 
 
 class TestPagedDecodeParity:
@@ -205,59 +156,58 @@ class TestPagedDecodeParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("head_dim,block_size", [(8, 8), (16, 16)],
                              ids=("per-row", "grouped"))
+    @pytest.mark.parametrize("table", ["private", "adopted", "cow", "reused"])
     def test_incremental_equals_scratch_at_every_length(
-        self, backend, head_dim, block_size
+        self, backend, head_dim, block_size, table
     ):
         """Grow a paged cache token by token, attending between appends
-        (so plans are built once and *extended* afterwards), and pin the
-        output bit-for-bit against a from-scratch recomputation at
-        every context length across three block boundaries."""
+        (arena columns written once and V arenas refreshed as blocks
+        fill), and pin the fused output against a from-scratch
+        recomputation at every context length across three block
+        boundaries — bitwise on the LUT backends, 1e-9 on reference —
+        whether the table is private, adopted, CoW-split or reused."""
         kv_heads, bits, repeat = 2, 4, 2
         rng = np.random.default_rng(head_dim)
         total = 2 * block_size + 5
         k = rng.normal(size=(total, kv_heads, head_dim))
         v = rng.normal(size=(total, kv_heads, head_dim))
         query = rng.normal(size=(kv_heads * repeat, head_dim))
-        pool = BlockAllocator(
-            kv_heads, head_dim, block_size=block_size, bits=bits
-        )
-        cache = PagedLayerCache(pool)
-        cache.append(k[:5], v[:5])        # prefill chunk
-        for t in range(5, total + 1):
-            got = paged_decode_attention(
-                query, cache, repeat=repeat, backend=backend
-            )
+        start = block_size if table == "adopted" else 5
+        cache = _grown_cache(table, (k, v), block_size, bits, start)
+        pool = cache.pool
+        for t in range(start, total + 1):
+            got = _attend(query, cache, repeat=repeat, backend=backend)
             want = reference_paged_attention(
                 k[:t].transpose(1, 0, 2), v[:t].transpose(1, 0, 2), query,
                 bits=bits, block_size=block_size, lut_k=4,
                 backend=backend, repeat=repeat,
-                # LUT kernels reduce per output column in pinned order,
-                # so their per-block scores equal a full-context plan's
-                # bit for bit; BLAS (reference) may not — compare it
-                # against scratch per-block plans instead.
-                full_k_plan=backend != "reference",
             )
-            np.testing.assert_array_equal(got, want, err_msg=f"length {t}")
+            assert_parity(got, want, backend, msg=f"length {t}")
             if t < total:
-                cache.append(k[t], v[t])
+                cache.append(k[t], v[t], token_ids=[t])
+        assert pool.stats["shared"] == (table in ("adopted", "cow"))
+        assert pool.stats["cow"] == (table == "cow")
+        assert pool.stats["reused"] == (3 if table == "reused" else 0)
 
     def test_single_block_matches_contiguous_cache_exactly(self):
         """Within one 16-token block the paged recipe coincides with the
-        contiguous LayerKvCache + lut_decode_attention path bit for bit
-        (same padding, same V grouping, single context matmul)."""
+        dense ``QuantizedKvCache.quantize`` + ``lut_decode_attention``
+        path over the zero-padded history bit for bit (same padding,
+        same V grouping, single context matmul)."""
         rng = np.random.default_rng(7)
         k = rng.normal(size=(13, 2, 16))
         v = rng.normal(size=(13, 2, 16))
         query = rng.normal(size=(2, 16))
         pool = BlockAllocator(2, 16, block_size=16, bits=4)
         paged = PagedLayerCache(pool)
-        dense = LayerKvCache(2, 16, bits=4)
         paged.append(k, v)
-        dense.append(k, v)
-        got = paged_decode_attention(query, paged, backend="lut-blocked")
-        qc, valid = dense.quantized()
+        got = _attend(query, paged, backend="lut-blocked")
+        k_pad, v_pad = np.zeros((2, 2, 16, 16))
+        k_pad[:, :13] = k.transpose(1, 0, 2)
+        v_pad[:, :13] = v.transpose(1, 0, 2)
         want = lut_decode_attention(
-            query, qc, backend="lut-blocked", context_valid=valid
+            query, QuantizedKvCache.quantize(k_pad, v_pad, bits=4),
+            backend="lut-blocked", context_valid=13,
         )
         np.testing.assert_array_equal(got, want)
 
@@ -271,18 +221,8 @@ class TestPagedDecodeParity:
             pool = BlockAllocator(2, 8, block_size=8, bits=4)
             cache = PagedLayerCache(pool)
             cache.append(k, v)
-            outs[backend] = paged_decode_attention(
-                query, cache, repeat=2, backend=backend
-            )
+            outs[backend] = _attend(query, cache, repeat=2, backend=backend)
         np.testing.assert_array_equal(outs["lut-naive"], outs["lut-blocked"])
-
-    def test_requires_quantized_pool_and_tokens(self):
-        cache = PagedLayerCache(BlockAllocator(2, 8, block_size=8))
-        with pytest.raises(ServingError):
-            paged_decode_attention(np.zeros((2, 8)), cache)
-        qcache = PagedLayerCache(BlockAllocator(2, 8, block_size=8, bits=4))
-        with pytest.raises(ServingError):
-            paged_decode_attention(np.zeros((2, 8)), qcache)
 
 
 class TestPlanWorkIsFlat:
@@ -314,19 +254,30 @@ class TestPlanWorkIsFlat:
             )
 
     def test_full_blocks_freeze_their_plans(self):
+        """A full block's K-arena columns and V arenas (with their fill
+        stamp) stay untouched by later appends and attends."""
         pool = BlockAllocator(1, 8, block_size=8, bits=4)
         cache = PagedLayerCache(pool)
         rng = np.random.default_rng(3)
         cache.append(rng.normal(size=(8, 1, 8)), rng.normal(size=(8, 1, 8)))
         query = rng.normal(size=(1, 8))
-        paged_decode_attention(query, cache, backend="lut-blocked")
-        first_bid = cache.block_ids[0]
-        frozen_plan = pool.k_plans(first_bid)[0]
-        frozen_v = pool.v_quantized(first_bid)
-        cache.append(rng.normal(size=(5, 1, 8)), rng.normal(size=(5, 1, 8)))
-        paged_decode_attention(query, cache, backend="lut-blocked")
-        assert pool.k_plans(first_bid)[0] is frozen_plan
-        assert pool.v_quantized(first_bid)[0] is frozen_v[0]
+        _attend(query, cache, backend="lut-blocked")
+        first = cache.block_ids[0]
+        names = [
+            name for name in pool._QUANT_ARRAYS if name[:4] in ("_ka_", "_va_")
+        ]
+        frozen = {name: getattr(pool, name)[first].copy() for name in names}
+        assert frozen["_va_fill"] == 8
+        for _ in range(2):
+            cache.append(
+                rng.normal(size=(5, 1, 8)), rng.normal(size=(5, 1, 8))
+            )
+            _attend(query, cache, backend="lut-blocked")
+        assert len(cache.block_ids) == 3
+        for name in names:
+            np.testing.assert_array_equal(
+                getattr(pool, name)[first], frozen[name], err_msg=name
+            )
 
 
 class TestBlockReuse:

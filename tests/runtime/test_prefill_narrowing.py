@@ -158,7 +158,6 @@ class TestNarrowedPrefill:
 
 class TestLogitsOffDecode:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("fused", [True, False])
     @given(
         lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
         kv_bits=st.sampled_from([None, 4]),
@@ -166,14 +165,14 @@ class TestLogitsOffDecode:
     )
     @settings(max_examples=15, deadline=None)
     def test_caches_equal_the_logits_on_step(
-        self, backend, fused, lengths, kv_bits, seed
+        self, backend, lengths, kv_bits, seed
     ):
         rng = np.random.default_rng(seed)
         prompts = [rng.integers(0, GQA.vocab, size=n) for n in lengths]
         tokens = rng.integers(0, GQA.vocab, size=(2, len(lengths)))
 
         def run(logits):
-            model = _model(backend, kv_bits, fused_decode=fused)
+            model = _model(backend, kv_bits)
             caches = [model.new_caches() for _ in prompts]
             for prompt, c in zip(prompts, caches):
                 model.prefill(prompt, c)

@@ -66,25 +66,22 @@ def assert_pools_bit_equal(a: BlockAllocator, b: BlockAllocator) -> None:
 
 
 def assert_lazy_state_equal(a: BlockAllocator, b: BlockAllocator) -> None:
-    """Materialize the lazy per-block plans/caches on both pools and
-    compare contents (dict *presence* may differ — rollback drops
-    entries the oracle still holds; they must rebuild bit-identically).
-    Mutates plan-work stats, so call after the stats diff."""
+    """Refresh both kinds of V arena on every live or parked block of
+    both pools, then compare the plan arenas (stamps may differ before
+    the refresh — rollback resets an arena the oracle still holds; both
+    must rebuild bit-identically). Mutates plan-work stats, so call
+    after the stats diff."""
     if a.bits is None:
         return
-    for bid in sorted(a._in_use | set(a._cached_free)):
-        for pa, pb in zip(a.k_plans(bid), b.k_plans(bid)):
-            np.testing.assert_array_equal(pa.dequantized, pb.dequantized)
-            np.testing.assert_array_equal(pa.scale_gn, pb.scale_gn)
-            np.testing.assert_array_equal(pa.zero_gn, pb.zero_gn)
-        qa, pla = a.v_quantized(bid)
-        qb, plb = b.v_quantized(bid)
-        for wa, wb in zip(qa, qb):
-            np.testing.assert_array_equal(wa.codes, wb.codes)
-            np.testing.assert_array_equal(wa.scale, wb.scale)
-            np.testing.assert_array_equal(wa.zero_point, wb.zero_point)
-        for pa, pb in zip(pla, plb):
-            np.testing.assert_array_equal(pa.dequantized, pb.dequantized)
+    for pool in (a, b):
+        live = sorted(pool._in_use | set(pool._cached_free))
+        for deq in (False, True):
+            pool.refresh_v_arenas(live, deq)
+    for name in a._QUANT_ARRAYS + a._DEQ_ARRAYS:
+        if name.startswith(("_ka_", "_va_")):
+            np.testing.assert_array_equal(
+                getattr(a, name), getattr(b, name), err_msg=name
+            )
 
 
 def assert_caches_equal(a: PagedLayerCache, b: PagedLayerCache) -> None:

@@ -5,9 +5,9 @@ request with one stacked quantize + column build;
 :meth:`PagedLayerCache.append` quantizes a multi-block prompt's K rows
 once. Both lean on the same argument — scales are per weight row and
 every lookup column is per output column, so stacking changes no value.
-The property below pins the V side against the per-block, per-head
-:meth:`BlockAllocator.v_quantized` plans over random pools, for the
-arenas of either kind of backend; the call-count tests pin that the
+The property below pins the V side against per-block, per-head
+``quantize_weights`` → ``build_weight_plan`` plans over random pools,
+for the arenas of either kind of backend; the call-count tests pin that the
 batching is really one call on the shared quantize core (a per-block
 loop fails them), that each KV head's query heads share one gathered
 row (a per-head gather fails them) and that no ``WeightPlan`` is built
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels
 import repro.runtime.paging as paging
 from repro.errors import LutError, QuantizationError
 from repro.kernels import build_weight_plan
@@ -31,8 +32,8 @@ from repro.runtime.paging import (
     batched_decode_append,
     fused_paged_decode_attention,
     fused_paged_verify_attention,
-    paged_decode_attention,
 )
+from tests.runtime.oracle import assert_parity, oracle_attention
 
 #: The arenas (fill stamp first) a table backend / a table-less backend
 #: maintains, keyed by ``refresh_v_arenas``' *deq* flag.
@@ -54,13 +55,15 @@ def _cache(pool, rng, length):
 
 
 def _assert_arena_matches_per_head_plans(pool, bid, deq):
-    """Block *bid*'s arena slabs of one kind equal its per-head
-    ``v_quantized`` plans (built from the float slab alone, one head at
-    a time, through ``quantize_weights`` → ``build_weight_plan``)."""
-    _, plans = pool.v_quantized(bid)
+    """Block *bid*'s arena slabs of one kind equal its per-head plans,
+    built from the float slab alone, one head at a time, through
+    ``quantize_weights`` → ``build_weight_plan``."""
     entries = 1 << (pool.lut_k - 1)
     assert getattr(pool, _V_ARENAS[deq][0])[bid] == pool._fill[bid]
-    for h, plan in enumerate(plans):
+    for h in range(pool.kv_heads):
+        _, plan = _plan_of(
+            pool._v[bid, h].T, pool.bits, pool._v_group, pool.lut_k
+        )
         if deq:
             np.testing.assert_array_equal(
                 pool._va_deq[bid, h], plan.dequantized
@@ -174,19 +177,12 @@ class TestRefreshVArenas:
                 queries, caches, repeat=2, backend=backend
             )
             want = np.stack([
-                paged_decode_attention(
+                oracle_attention(
                     queries[i], cache, repeat=2, backend=backend
                 )
                 for i, cache in enumerate(caches)
             ])
-            if backend == "reference":
-                np.testing.assert_allclose(
-                    got, want, atol=1e-9, err_msg=f"step {step}"
-                )
-            else:
-                np.testing.assert_array_equal(
-                    got, want, err_msg=f"step {step}"
-                )
+            assert_parity(got, want, backend, msg=f"step {step}")
             # Only the dispatching kind's stamp moved to the new fill.
             trailing = [c.block_ids[-1] for c in caches]
             fresh, other = (
@@ -409,9 +405,11 @@ class TestOneQuantizePerCall:
         step builds its arena columns straight from the codes: zero
         ``build_weight_plan`` calls, wherever the name is bound."""
         import repro.kernels.plan as plan_module
+        import tests.runtime.oracle as oracle
 
+        assert not hasattr(paging, "build_weight_plan")
         calls = []
-        for module in (paging, plan_module):
+        for module in (repro.kernels, plan_module, oracle):
             real = module.build_weight_plan
             monkeypatch.setattr(
                 module, "build_weight_plan",
@@ -425,8 +423,8 @@ class TestOneQuantizePerCall:
             batched_decode_append(caches, *_rows(rng, 6, pool))
             fused_paged_decode_attention(queries, caches, repeat=2)
         assert calls == []
-        pool.k_plans(caches[0].block_ids[0])  # the unfused oracle does
-        assert len(calls) == self.KV
+        oracle_attention(queries[0], caches[0], repeat=2)  # the oracle does
+        assert calls
 
 
 def test_v_quant_timer_covers_quantize_on_both_paths(monkeypatch):
