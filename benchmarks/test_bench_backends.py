@@ -14,13 +14,17 @@ must beat two M = 1 dispatches. Where the compiled body of
 row count — M = 1 and 2, where padding to full lanes could lose, included
 (the experiment itself has already required equal bytes). The same gate
 holds the paged attention executor's compiled body (``rows-*``: decode
-scores, decode context, a verify's M = 10 scores) to its numpy body.
+scores, decode context, a verify's M = 10 scores) and the int4-KV pool
+writer's (``kv-*``: a decode step's K/V append and V-arena refresh) to
+their numpy bodies.
 """
 
 from benchmarks.conftest import run_once
 from repro.experiments.bench_backends import (
     BODY_BACKENDS,
     BODY_MS,
+    KV_BACKENDS,
+    KV_ROWS,
     ROWS_BACKENDS,
     ROWS_SHAPES,
 )
@@ -78,6 +82,15 @@ def test_bench_backends(benchmark, show):
             assert rows[(label, ROWS_BACKENDS[1])].time_s <= numpy_body.time_s
         else:
             assert (label, ROWS_BACKENDS[1]) not in rows
+
+    # The two bodies of the int4-KV pool's writer, gated the same way.
+    for label in KV_ROWS:
+        numpy_body = rows[(label, KV_BACKENDS[0])]
+        assert numpy_body.max_abs_err == 0.0
+        if native.status()["loaded"]:
+            assert rows[(label, KV_BACKENDS[1])].time_s <= numpy_body.time_s
+        else:
+            assert (label, KV_BACKENDS[1]) not in rows
 
     # Lossless configuration: LUT backends match the dequant reference
     # to float accumulation noise, the reference backend exactly.

@@ -37,6 +37,14 @@ arrays through the block table and runs ``rowwise_lut_execute``; the
 compiled one (``lut_rows_paged``) reads them in place. Equal bytes after
 ``+ 0.0`` (the executor's zero-point rule) or the experiment raises.
 
+The ``kv-*`` rows time the two bodies of the int4-KV pool's writer at the
+same step: ``kv-append`` lands B = 8 K/V rows in 8 blocks (float slabs,
+K codes and scales, K-arena columns), ``kv-refresh`` rebuilds those 8
+blocks' V arenas. The numpy body quantizes, builds the columns and
+scatters them; the compiled one (``kv_append`` / ``kv_refresh``) writes
+them in place in one pass. Every pool array must be equal byte for byte
+after the call, or the experiment raises.
+
 Extends Section 3.2 of the paper (the software kernel pipeline); there
 is no corresponding figure — this is the repo's own regression bench.
 """
@@ -63,6 +71,7 @@ from repro.lut.mpgemm import (
     dequant_mpgemm_reference,
 )
 from repro.quant.weight import quantize_weights
+from repro.runtime.paging import BlockAllocator
 
 #: (label, M, N, K). ``decode`` is the serving batch on a bench-128
 #: layer (rows-limited blocking); the 1024-wide rows are column-limited.
@@ -95,6 +104,9 @@ ROWS_SHAPES: tuple[tuple[str, int, bool], ...] = (
 #: Sequences, blocks each, KV heads, head_dim = block_size, pool blocks.
 ROWS_B, ROWS_BLOCKS, ROWS_KV, ROWS_DIM, ROWS_POOL = 8, 5, 4, 16, 64
 ROWS_BACKENDS = ("paged (numpy)", "paged (compiled)")
+#: The int4-KV pool writer rows, at the rows-* step's geometry.
+KV_ROWS = ("kv-append", "kv-refresh")
+KV_BACKENDS = ("pool (numpy)", "pool (compiled)")
 WEIGHT_BITS = 4
 LUT_K = 4
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
@@ -123,6 +135,7 @@ META = ExperimentMeta(
         "attn_m": ATTN_M,
         "body_ms": BODY_MS,
         "rows_shapes": ROWS_SHAPES,
+        "kv_rows": KV_ROWS,
     },
 )
 
@@ -331,6 +344,74 @@ def _paged_rows(rng, label: str, t: int, context: bool) -> list[BackendBenchRow]
     ]
 
 
+def _kv_pool(seed: int):
+    """A pool of :data:`ROWS_B` half-full blocks, and the two writer calls
+    one decode step makes on it by row label, each repeatable (same
+    slots, same stale stamps every time)."""
+    rng = np.random.default_rng(seed)
+    pool = BlockAllocator(
+        ROWS_KV, ROWS_DIM, ROWS_DIM, num_blocks=ROWS_POOL, bits=WEIGHT_BITS,
+        lut_k=LUT_K,
+    )
+    bids = np.array([pool.allocate() for _ in range(ROWS_B)], np.int64)
+    for bid in bids:
+        pool.write_rows(
+            bid, *rng.normal(size=(2, ROWS_DIM // 2, ROWS_KV, ROWS_DIM))
+        )
+    k, v = rng.normal(size=(2, ROWS_B, ROWS_KV, ROWS_DIM))
+    offs = pool._fill[bids]
+
+    def append():
+        pool._land_rows(bids, offs, k, v)
+
+    def refresh():
+        pool._va_fill[bids] = -1
+        pool.refresh_v_arenas(bids)
+
+    return pool, {"kv-append": append, "kv-refresh": refresh}
+
+
+def _kv_rows(label: str) -> list[BackendBenchRow]:
+    """Time the two bodies of the pool's writer at one decode-step call."""
+
+    def best(call) -> float:
+        out = np.inf
+        for _ in range(MAX_REPS):
+            started = time.perf_counter()
+            call()
+            out = min(out, time.perf_counter() - started)
+        return out
+
+    with native.unloaded():
+        want, calls = _kv_pool(7)
+        calls[label]()
+        times = {KV_BACKENDS[0]: best(calls[label])}
+    if native.status()["loaded"]:
+        got, calls = _kv_pool(7)
+        calls[label]()
+        if got.last_kv_body != "compiled" or any(
+            getattr(got, name).tobytes() != getattr(want, name).tobytes()
+            for name in want._resident
+        ):
+            raise LutError(f"compiled and numpy pool writers differ: {label}")
+        times[KV_BACKENDS[1]] = best(calls[label])
+    return [
+        BackendBenchRow(
+            shape_label=label,
+            backend=name,
+            m=ROWS_B,
+            n=ROWS_DIM,
+            kdim=ROWS_DIM,
+            bits=WEIGHT_BITS,
+            time_s=time_s,
+            speedup_vs_naive=times[KV_BACKENDS[0]] / time_s,
+            max_abs_err=0.0,
+            peak_traced_bytes=None,
+        )
+        for name, time_s in times.items()
+    ]
+
+
 def run(
     shapes: tuple[tuple[str, int, int, int], ...] = SHAPES,
     attn_shapes: tuple[tuple[str, int, int, int], ...] = ATTN_SHAPES,
@@ -383,6 +464,8 @@ def run(
         rows.extend(_body_rows(rng, m))
     for label, t, context in rows_shapes:
         rows.extend(_paged_rows(rng, label, t, context))
+    for label in KV_ROWS:
+        rows.extend(_kv_rows(label))
     return rows
 
 
@@ -390,8 +473,8 @@ def format_result(rows: list[BackendBenchRow]) -> str:
     status = native.status()
     lines = [
         "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive,"
-        " attn-* rows vs rowwise-per-head, body-* and rows-* rows vs the"
-        " numpy body)",
+        " attn-* rows vs rowwise-per-head, body-*, rows-* and kv-* rows vs"
+        " the numpy body)",
         "lut-blocked bodies: " + (
             f"compiled {', '.join(status['entry_points'])} ({status['flags']})"
             if status["loaded"] else f"numpy ({status['reason']})"
@@ -407,7 +490,7 @@ def format_result(rows: list[BackendBenchRow]) -> str:
         )
         lines.append(
             f"{row.shape_label:>12} {row.backend:>22} {row.m:>4} {row.n:>5} "
-            f"{row.kdim:>5} {row.time_s * 1e3:>9.2f} "
+            f"{row.kdim:>5} {row.time_s * 1e3:>9.3f} "
             f"{row.speedup_vs_naive:>7.2f}x {row.max_abs_err:>9.2e} {peak}"
         )
     return "\n".join(lines)

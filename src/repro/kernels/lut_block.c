@@ -18,6 +18,7 @@
  * add after it (-ffp-contract=off) nor evaluate wider than double (checked
  * below; -std=c11 makes gcc report it for double). Never -ffast-math. */
 #include <float.h>
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -282,5 +283,247 @@ int lut_rows_paged(
             }
         }
     }
+    return 0;
+}
+
+/* The int4-KV pool's quantized state, written in place (ARCHITECTURE
+ * section 8): kv_append lands new K/V rows, kv_refresh rebuilds blocks' V
+ * arenas. Both replay, per weight row, the numpy sequence of
+ * BlockAllocator._quantize_rows -> _lookup_columns element by element:
+ *
+ *     lo, hi = min, max of the group     (only finite values get here)
+ *     scale  = span > 0 ? span / qmax : 1.0,  span = hi - lo
+ *     zp     = -lo / scale + 0.0         (+ 0.0: never a -0.0, whichever
+ *                                          zero min() kept; affine_quantize
+ *                                          does the same)
+ *     code   = clip(nearbyint(w / scale + zp), 0, qmax)
+ *     flat   = fold[sum_j bit_i(code_j) << j] + g * 2**k   per plane i
+ *     affine = (scale / 2, 2 * zp + 1 - 2**bits)           per lookup group
+ *
+ * `code` rounds w / scale, then + zp, then to an integer: the division
+ * must stay a division (never -ffast-math's reciprocal multiply) and the
+ * add a separate add (-ffp-contract=off), and nearbyint in the default
+ * rounding mode is round-half-to-even, as np.round (np.rint) is. Up to
+ * ROWS weight rows go through in lockstep, rows innermost: a V slab's rows
+ * are its head_dim channels, adjacent in memory, so every step above but
+ * the fold lookup is one vector operation across them. Rows never mix. The
+ * pool arrays are the C-contiguous arenas of BlockAllocator._block_layout;
+ * their base pointers come in `pool`, in KV_ARRAYS order, and the pool
+ * geometry in `geo`, in KV_GEO order. */
+enum { KV_K, KV_V, KV_K_CODES, KV_K_SCALE, KV_K_ZP, KV_KA_FLAT, KV_KA_SCALE,
+       KV_KA_ZERO, KV_VA_FLAT, KV_VA_SCALE, KV_VA_ZERO, KV_FOLD, KV_ARRAYS };
+enum { GEO_BLOCKS, GEO_KV, GEO_BLOCK, GEO_DIM, GEO_BITS, GEO_LUT_K,
+       GEO_K_GROUP, GEO_V_GROUP, KV_GEO };
+#define ROWS 64
+
+/* Where quantize_rows writes row l's results, in elements: codes (NULL:
+ * not stored) at codes[l * code_row + j], one scale / zero-point per
+ * quantization group q (NULL likewise) at qs[l * q_row + q], plane i of
+ * lookup group g at flat[l * flat_row + i * flat_plane + g * flat_group],
+ * the affine at as[l * a_row + g * a_group] and az likewise. */
+typedef struct {
+    uint8_t *codes;
+    double *qs, *qz, *as, *az;
+    int64_t *flat;
+    ptrdiff_t code_row, q_row, flat_row, flat_plane, flat_group, a_row,
+        a_group;
+} kv_out;
+
+/* scale and zero-point of `rows` rows' group of `group` values, row l's
+ * j-th at w[l * rs + j * es]. Returns 0 where the compiled body does not
+ * replay the numpy one: a non-finite value, or a scale that underflows to
+ * zero. */
+static int group_affine(const double *w, ptrdiff_t rs, ptrdiff_t es,
+                        int64_t rows, int64_t group, double qmax,
+                        double *scale, double *zp)
+{
+    double lo[ROWS], hi[ROWS];
+    int ok = 1;
+    for (int64_t l = 0; l < rows; l++)
+        lo[l] = hi[l] = w[l * rs];
+    for (int64_t j = 0; j < group; j++)
+        for (int64_t l = 0; l < rows; l++) {
+            const double x = w[l * rs + j * es];
+            ok &= isfinite(x) != 0;
+            lo[l] = x < lo[l] ? x : lo[l];
+            hi[l] = x > hi[l] ? x : hi[l];
+        }
+    for (int64_t l = 0; l < rows; l++) {
+        const double span = hi[l] - lo[l];
+        scale[l] = span > 0 ? span / qmax : 1.0;
+        zp[l] = -lo[l] / scale[l] + 0.0;
+        ok &= scale[l] != 0.0;
+    }
+    return ok;
+}
+
+/* Whether quantize_rows takes rows of n values in groups of `group`: 1 to 8
+ * bits (spread has 256 entries), lookup groups of 1 to 8 codes (bits * k
+ * bits fit a uint64_t), each quantization group whole lookup groups (else
+ * one lookup group spans two scales; the numpy body raises) and each row
+ * whole quantization groups. */
+static int geo_replayable(const int64_t *geo, int64_t n, int64_t group)
+{
+    const int64_t bits = geo[GEO_BITS], k = geo[GEO_LUT_K];
+    return bits >= 1 && bits <= 8 && k >= 1 && k <= 8 && group >= 1
+           && group % k == 0 && n % group == 0;
+}
+
+/* Whether every group of m rows of n values (laid out as in group_affine)
+ * is one quantize_rows replays. */
+static int rows_replayable(const double *w, ptrdiff_t rs, ptrdiff_t es,
+                           int64_t m, int64_t n, int64_t group, double qmax)
+{
+    double scale[ROWS], zp[ROWS];
+    for (int64_t l0 = 0; l0 < m; l0 += ROWS)
+        for (int64_t g0 = 0; g0 < n; g0 += group)
+            if (!group_affine(w + l0 * rs + g0 * es, rs, es,
+                              m - l0 < ROWS ? m - l0 : ROWS, group, qmax,
+                              scale, zp))
+                return 0;
+    return 1;
+}
+
+/* m weight rows of n values (laid out as in group_affine), quantized in
+ * groups of `group` and indexed in lookup groups of k, written to `o`. The
+ * K-bit indices of all planes at once, as kernels/plan.lookup_indices
+ * builds them: spread[q] holds bit i of code q at bit i * k, so the sum of
+ * spread[code_j] << j over a lookup group's k codes holds plane i's index
+ * in bits i * k .. i * k + k - 1 (lanes k wide: nothing carries). */
+static __attribute__((noinline)) void quantize_rows(
+    const double *w, ptrdiff_t rs, ptrdiff_t es, int64_t m, int64_t n,
+    int64_t group, const int64_t *geo, const int64_t *fold, kv_out o)
+{
+    const int64_t bits = geo[GEO_BITS], k = geo[GEO_LUT_K];
+    const double qmax = (double)((1 << bits) - 1), top = (double)(1 << bits);
+    const uint64_t lane = ((uint64_t)1 << k) - 1;
+    double scale[ROWS], zp[ROWS];
+    uint64_t spread[256], packed[ROWS];
+    for (int64_t code = 0; code <= (int64_t)qmax; code++) {
+        spread[code] = 0;
+        for (int64_t i = 0; i < bits; i++)
+            spread[code] |= (uint64_t)((code >> i) & 1) << (i * k);
+    }
+    for (int64_t l0 = 0; l0 < m; l0 += ROWS) {
+        const int64_t rows = m - l0 < ROWS ? m - l0 : ROWS;
+        const double *wl = w + l0 * rs;
+        for (int64_t g0 = 0, q = 0, g = 0; g0 < n; g0 += group, q++) {
+            group_affine(wl + g0 * es, rs, es, rows, group, qmax, scale, zp);
+            for (int64_t l = 0; o.qs && l < rows; l++) {
+                o.qs[(l0 + l) * o.q_row + q] = scale[l];
+                o.qz[(l0 + l) * o.q_row + q] = zp[l];
+            }
+            for (int64_t c0 = g0; c0 < g0 + group; c0 += k, g++) {
+                for (int64_t l = 0; l < rows; l++)
+                    packed[l] = 0;
+                for (int64_t j = 0; j < k; j++)
+                    for (int64_t l = 0; l < rows; l++) {
+                        double x = nearbyint(
+                            wl[l * rs + (c0 + j) * es] / scale[l] + zp[l]);
+                        x = x < 0.0 ? 0.0 : x > qmax ? qmax : x;
+                        const int64_t code = (int64_t)x;
+                        if (o.codes)
+                            o.codes[(l0 + l) * o.code_row + c0 + j] =
+                                (uint8_t)code;
+                        packed[l] += spread[code] << j;
+                    }
+                int64_t *flat = o.flat + l0 * o.flat_row + g * o.flat_group;
+                for (int64_t i = 0; i < bits; i++)
+                    for (int64_t l = 0; l < rows; l++)
+                        flat[l * o.flat_row + i * o.flat_plane] =
+                            fold[packed[l] >> (i * k) & lane] + (g << k);
+                const ptrdiff_t a = l0 * o.a_row + g * o.a_group;
+                for (int64_t l = 0; l < rows; l++) {
+                    o.as[a + l * o.a_row] = scale[l] / 2.0;
+                    o.az[a + l * o.a_row] = 2.0 * zp[l] + 1.0 - top;
+                }
+            }
+        }
+    }
+}
+
+/* Row i of r (r, kv, head_dim) C-contiguous K / V rows lands in slot
+ * offs[i] of block bids[i]: float slabs, K codes, one K scale / zero-point
+ * per quantization group, and the row's K-arena column per KV head (the kv
+ * heads of a row go through quantize_rows together). Returns 0; 1 at a
+ * block id or offset out of range, 2 at a pool geometry (geo_replayable)
+ * or a K value (group_affine) the numpy body must handle -- all before any
+ * write. */
+int kv_append(void *const *pool, const int64_t *geo, const double *k_rows,
+              const double *v_rows, const int64_t *bids, const int64_t *offs,
+              int64_t r)
+{
+    const int64_t kv = geo[GEO_KV], bs = geo[GEO_BLOCK], hd = geo[GEO_DIM];
+    const int64_t bits = geo[GEO_BITS], group = geo[GEO_K_GROUP];
+    for (int64_t i = 0; i < r; i++)
+        if ((uint64_t)bids[i] >= (uint64_t)geo[GEO_BLOCKS]
+            || (uint64_t)offs[i] >= (uint64_t)bs)
+            return 1;
+    if (!geo_replayable(geo, hd, group)
+        || !rows_replayable(k_rows, hd, 1, r * kv, hd, group,
+                         (double)((1 << bits) - 1)))
+        return 2;
+    const int64_t gk = hd / geo[GEO_LUT_K], groups = hd / group;
+    for (int64_t i = 0; i < r; i++) {
+        const int64_t slot = bids[i] * kv * bs + offs[i]; /* head 0 */
+        for (int64_t h = 0; h < kv; h++)
+            for (int64_t d = 0; d < hd; d++) {
+                const int64_t at = (slot + h * bs) * hd + d;
+                ((double *)pool[KV_K])[at] = k_rows[(i * kv + h) * hd + d];
+                ((double *)pool[KV_V])[at] = v_rows[(i * kv + h) * hd + d];
+            }
+        const int64_t col = bids[i] * kv * gk * bs + offs[i];
+        const kv_out o = {
+            .codes = (uint8_t *)pool[KV_K_CODES] + slot * hd,
+            .qs = (double *)pool[KV_K_SCALE] + slot * groups,
+            .qz = (double *)pool[KV_K_ZP] + slot * groups,
+            .as = (double *)pool[KV_KA_SCALE] + col,
+            .az = (double *)pool[KV_KA_ZERO] + col,
+            .flat = (int64_t *)pool[KV_KA_FLAT] + bids[i] * kv * bits * gk * bs
+                + offs[i],
+            .code_row = bs * hd, .q_row = bs * groups,
+            .flat_row = bits * gk * bs, .flat_plane = gk * bs,
+            .flat_group = bs, .a_row = gk * bs, .a_group = bs,
+        };
+        quantize_rows(k_rows + i * kv * hd, hd, 1, kv, hd, group, geo,
+                      (const int64_t *)pool[KV_FOLD], o);
+    }
+    return 0;
+}
+
+/* The V arenas of the n blocks bids: a block's (kv, block_size, head_dim)
+ * slab read as kv (head_dim, block_size) weights, every slot including
+ * those past the fill. Returns as kv_append does, 2 at a pool geometry or
+ * a V value. */
+int kv_refresh(void *const *pool, const int64_t *geo, const int64_t *bids,
+               int64_t n)
+{
+    const int64_t kv = geo[GEO_KV], bs = geo[GEO_BLOCK], hd = geo[GEO_DIM];
+    const int64_t bits = geo[GEO_BITS], group = geo[GEO_V_GROUP];
+    const double *v = (const double *)pool[KV_V];
+    for (int64_t b = 0; b < n; b++)
+        if ((uint64_t)bids[b] >= (uint64_t)geo[GEO_BLOCKS])
+            return 1;
+    if (!geo_replayable(geo, bs, group))
+        return 2;
+    const int64_t gv = bs / geo[GEO_LUT_K];
+    for (int64_t b = 0; b < n; b++)
+        for (int64_t h = 0; h < kv; h++)
+            if (!rows_replayable(v + (bids[b] * kv + h) * bs * hd, 1, hd, hd,
+                                 bs, group, (double)((1 << bits) - 1)))
+                return 2;
+    for (int64_t b = 0; b < n; b++)
+        for (int64_t h = 0; h < kv; h++) {
+            const int64_t slab = bids[b] * kv + h, col = slab * gv * hd;
+            const kv_out o = {
+                .as = (double *)pool[KV_VA_SCALE] + col,
+                .az = (double *)pool[KV_VA_ZERO] + col,
+                .flat = (int64_t *)pool[KV_VA_FLAT] + col * bits,
+                .flat_row = 1, .flat_plane = gv * hd, .flat_group = hd,
+                .a_row = 1, .a_group = hd,
+            };
+            quantize_rows(v + slab * bs * hd, 1, hd, hd, bs, group, geo,
+                          (const int64_t *)pool[KV_FOLD], o);
+        }
     return 0;
 }

@@ -1,17 +1,19 @@
 """Build, cache and load ``lut_block.c``, the compiled ``lut-blocked`` loops.
 
-One object, two entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
-weight mpGEMM pass, and ``lut_rows_paged``, the paged attention executor.
-The first :func:`lut_block` / :func:`status` call of a process finds ``cc``
+One object, four entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
+weight mpGEMM pass, ``lut_rows_paged``, the paged attention executor, and
+``kv_append`` / ``kv_refresh``, the int4-KV pool's quantized-state writer.
+An object that lacks any of them is not used at all. The first call of a
+process to one of the accessors below or to :func:`status` finds ``cc``
 on ``PATH``, builds the source next to this file into a private per-user
 cache directory and loads it with :mod:`ctypes`. An object's name carries a
 key over all that decides its bytes (source, flags, compiler version, CPU
 feature flags: never loaded on another kind of CPU) and a hash of the
 bytes, checked before every load because ``dlopen`` of a truncated object
 kills the process. Builds are renamed into place, so concurrent processes
-each end with a whole file. Any failure leaves the routine unloaded, the
-reason in :func:`status` and one warning; both callers then run their
-numpy bodies, which compute the same bytes. Nothing selects between the
+each end with a whole file. Any failure leaves the routines unloaded, the
+reason in :func:`status` and one warning; every caller then runs its
+numpy body, which computes the same bytes. Nothing selects between the
 two but whether this load worked.
 """
 
@@ -30,8 +32,11 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("lut_block.c")
 #: Never -ffast-math / -Ofast, and no contraction: ``z·Σa`` and ``acc·s``
-#: round before the add that follows them (ARCHITECTURE section 6).
+#: round before the add that follows them (ARCHITECTURE section 6), and
+#: the KV writer's ``w / scale`` stays a division (section 8).
 FLAGS = ("-std=c11", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
+#: After the source: ``nearbyint`` where the target cannot inline it.
+LIBS = ("-lm",)
 
 _PTR, _STEP, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int64
 #: ``name -> (restype, argtypes)``, lut_block.c's parameter lists line by
@@ -47,6 +52,10 @@ ENTRY_POINTS = {
         + [_SIZE, _SIZE, _SIZE, _SIZE] + [_PTR, _PTR, _PTR]
         + [_SIZE, _SIZE, _PTR] + [_PTR, _PTR]
     )),
+    "kv_append": (ctypes.c_int, (
+        [_PTR, _PTR] + [_PTR, _PTR] + [_PTR, _PTR, _SIZE]
+    )),
+    "kv_refresh": (ctypes.c_int, [_PTR, _PTR] + [_PTR, _SIZE]),
 }
 _STATUS_KEYS = ("loaded", "reason", "object_path", "flags", "compiler")
 _lock = threading.Lock()
@@ -86,7 +95,7 @@ def _build(cc: str, flags: tuple[str, ...], cache: Path, stem: str) -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *flags, "-o", tmp, str(SOURCE)],
+            [cc, *flags, "-o", tmp, str(SOURCE), *LIBS],
             capture_output=True, text=True, timeout=120,
         )
         if proc.returncode:
@@ -115,7 +124,7 @@ def _load() -> dict:
         flags = FLAGS + (("-march=native",) if cpu else ())
         state.update(compiler=f"{cc} ({version})", flags=" ".join(flags))
         key = hashlib.sha256("\0".join(
-            (SOURCE.read_text(), *flags, version, cpu or "")
+            (SOURCE.read_text(), *flags, *LIBS, version, cpu or "")
         ).encode()).hexdigest()[:16]
         cache, stem = _cache_dir(), f"lut_block-{key}"
         whole = [
@@ -166,10 +175,20 @@ def lut_rows_paged():
     return _ensure()["fns"].get("lut_rows_paged")
 
 
+def kv_append():
+    """The loaded K/V row writer of the int4-KV pool, or None likewise."""
+    return _ensure()["fns"].get("kv_append")
+
+
+def kv_refresh():
+    """The loaded V-arena writer of the int4-KV pool, or None likewise."""
+    return _ensure()["fns"].get("kv_refresh")
+
+
 @contextmanager
 def unloaded():
     """Dispatch inside the block as a process with no compiler would: how
-    the tests and the kernel microbenchmark reach the numpy body on a host
+    the tests and the kernel microbenchmark reach the numpy bodies on a host
     that has one. Process-wide, so not for code that serves requests."""
     global _state
     saved = _ensure()

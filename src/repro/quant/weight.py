@@ -117,7 +117,9 @@ def affine_quantize(
     else:
         span = hi - lo
         scale = np.where(span > 0, span / qmax, 1.0)
-        zero_point = -lo / scale
+        # + 0.0 turns a -0.0 into +0.0: which zero min() keeps from a
+        # ±0.0 tie is numpy's loops' choice, and no code depends on it.
+        zero_point = -lo / scale + 0.0
     codes = np.round(weights / scale + zero_point)
     return np.clip(codes, 0, qmax).astype(code_dtype(bits)), scale, zero_point
 

@@ -42,7 +42,12 @@ whole context (vLLM-style paging):
   :func:`~repro.kernels.plan.flat_lookup`), the Eq. 2 parameters — with
   no weight or plan object per step. Same operations on the same
   values as the ``quantize_weights`` → ``build_weight_plan`` chain,
-  hence the same bits.
+  hence the same bits. Where ``kernels/lut_block.c`` loaded, its
+  ``kv_append`` / ``kv_refresh`` replay that sequence element by element
+  and write the pool's arrays in place through block ids, in one pass
+  per call (:meth:`BlockAllocator._land_rows`,
+  :meth:`BlockAllocator.refresh_v_arenas`); the numpy cores stay the
+  fallback and the oracle, and both bodies write the same bytes.
 - **Row-shared, read in place**: the fused kernels hand the arenas and
   the block table to :func:`~repro.kernels.paged_lut_execute`, which
   reads each KV head's columns where they live (its numpy body gathers
@@ -92,12 +97,14 @@ replaces the per-sequence ``cache.append`` loop with one pool-level
 write: per-cache boundary allocation / copy-on-write first (at most
 one allocation per sequence, in batch order — the same allocation
 order as the sequential loop), then :meth:`BlockAllocator.append_rows`
-lands every row with **one** stacked quantize + column build. Per-row
-scales are row-local and every lookup column is per output column, so
-the resulting pool state is bit-identical to the sequential loop. A
-prompt goes the same way: one :meth:`PagedLayerCache.append` quantizes
-all its K rows in one stacked call and hands each block its slice,
-however many blocks it spans.
+lands every row in **one** compiled pass, or one stacked quantize +
+column build on the numpy body. Per-row scales are row-local and every
+lookup column is per output column, so the resulting pool state is
+bit-identical to the sequential loop. A prompt goes the same way: on
+the numpy body one :meth:`PagedLayerCache.append` quantizes all its K
+rows in one stacked call and hands each block its slice, however many
+blocks it spans; the compiled writer lands each block's rows in one
+call of its own.
 
 **Float-KV fused decode.** :func:`fused_paged_decode_attention` also
 serves pools built with ``bits=None``: the float K/V slabs are
@@ -118,12 +125,13 @@ from repro.errors import LutError, ServingError
 from repro.kernels import (
     effective_activations,
     get_backend,
+    native,
     paged_lut_execute,
     reduce_blocks,
     rowwise_dequant_execute,
     shared_rows,
 )
-from repro.kernels.plan import flat_lookup, lookup_indices
+from repro.kernels.plan import flat_lookup, fold_offsets, lookup_indices
 from repro.lut.attention import MASKED_SCORE
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.lut.table import DEFAULT_K
@@ -351,7 +359,12 @@ class BlockAllocator:
         #: counts K-arena columns written — per decode step it stays
         #: constant (one column per KV head per layer) no matter
         #: how long the context is; the serving bench reads the
-        #: ``*_s`` timers to prove per-step plan time is flat.
+        #: ``*_s`` timers to prove per-step plan time is flat. Both
+        #: timers cover the whole quantize + column build of their side,
+        #: on either body: ``k_plan_s`` the K rows' (on the compiled body
+        #: the one ``kv_append`` call, which lands the float rows too),
+        #: ``v_quant_s`` the V arenas' (refreshes and the verify's masked
+        #: requantizations).
         #: ``shared`` counts prefix-index adoptions (each one is a block
         #: allocation avoided), ``cow`` copy-on-write clones, ``cached``/
         #: ``evicted`` the recently-freed park/reclaim traffic.
@@ -392,6 +405,19 @@ class BlockAllocator:
         False: ("_va_flat", "_va_scale", "_va_zero"),
         True: ("_va_deq",),
     }
+    #: What the compiled writer (``kv_append`` / ``kv_refresh`` in
+    #: ``kernels/lut_block.c``) reads and writes, in its ``KV_ARRAYS``
+    #: order; the fold table follows them there.
+    _KV_WRITER_ARRAYS = (
+        "_k", "_v", "_k_codes", "_k_scale", "_k_zp",
+        "_ka_flat", "_ka_scale", "_ka_zero",
+        "_va_flat", "_va_scale", "_va_zero",
+    )
+    #: Which body last wrote the quantized KV state, ``"compiled"`` or
+    #: ``"numpy"`` (None before the first write): the K rows of
+    #: :meth:`_land_rows` or the lookup-column V arenas of
+    #: :meth:`refresh_v_arenas`.
+    last_kv_body: str | None = None
 
     def _block_layout(self) -> dict[str, tuple[tuple[int, ...], np.dtype, float]]:
         """``name -> (per-block shape, dtype, scrubbed value)``: the one
@@ -450,6 +476,73 @@ class BlockAllocator:
             if scrubbed:
                 arr[...] = scrubbed
             setattr(self, name, arr)
+        self._kv_operands = self._kv_writer_operands()
+
+    def _kv_writer_operands(self):
+        """``(owned, pointers address, geometry address)`` of the compiled
+        writer, or None where the writer does not take this pool: no
+        quantized state, a lookup group wider than its 8-code buffer, a
+        quantization group that is not whole lookup groups (the numpy
+        body raises :class:`LutError` there), or an array that is not
+        C-contiguous at the layout's shape and dtype (the routine trusts
+        all of these). *owned* holds every buffer whose address goes to
+        C: the Eq. 5/6 fold table, the int64 base addresses of
+        :attr:`_KV_WRITER_ARRAYS` and the fold table, and the pool
+        geometry, in ``lut_block.c``'s ``KV_ARRAYS`` / ``KV_GEO`` order.
+        Re-made by every :meth:`_alloc`, so the writer never sees storage
+        :meth:`_grow` replaced."""
+        k_group = self._k_group or self.head_dim
+        v_group = self._v_group or self.block_size
+        if (
+            self.bits is None
+            or not 1 <= self.lut_k <= 8
+            or k_group % self.lut_k
+            or v_group % self.lut_k
+        ):
+            return None
+        arrays = [getattr(self, name) for name in self._KV_WRITER_ARRAYS]
+        if not all(
+            a.flags.c_contiguous
+            and a.shape == (self.capacity,) + self._layout[name][0]
+            and a.dtype == self._layout[name][1]
+            for name, a in zip(self._KV_WRITER_ARRAYS, arrays)
+        ):
+            return None
+        fold = fold_offsets(self.lut_k, 1 << (self.lut_k - 1), True)
+        pointers = np.array(
+            [a.ctypes.data for a in arrays + [fold]], dtype=np.uint64
+        )
+        geometry = np.array((
+            self.capacity, self.kv_heads, self.block_size, self.head_dim,
+            self.bits, self.lut_k, k_group, v_group,
+        ), dtype=np.int64)
+        return (
+            (fold, pointers, geometry),
+            pointers.ctypes.data,
+            geometry.ctypes.data,
+        )
+
+    def _kv_writer(self, routine):
+        """The compiled writer *routine* (``native.kv_append`` /
+        ``native.kv_refresh``) returns, where it loaded and takes this
+        pool; else None, and the numpy body runs."""
+        fn = routine()
+        return fn if fn is not None and self._kv_operands is not None else None
+
+    def _kv_compiled(self, fn, *args) -> bool:
+        """One call of a compiled writer: True when it wrote, False when
+        a value it does not replay (non-finite, or a scale that
+        underflows to zero) leaves the call to the numpy body. A block id
+        or offset out of range raises :class:`IndexError`. The routine
+        checks all of that before its first write: unless it returns
+        True, nothing was written."""
+        status = fn(*self._kv_operands[1:], *args)
+        if status == 1:
+            raise IndexError(
+                f"a block id outside [0, {self.capacity}) or an offset "
+                f"outside [0, {self.block_size})"
+            )
+        return status == 0
 
     def accepts(self, payload: dict) -> bool:
         """Whether a :meth:`PagedLayerCache.serialize` payload is in this
@@ -844,6 +937,16 @@ class BlockAllocator:
             self.bits,
         )
 
+    def _check_lookup_groups(self, gsize: int) -> None:
+        """Raise :class:`LutError` unless a quantization group of *gsize*
+        values is whole lookup groups: else one ``lut_k`` group would
+        span two scales."""
+        if gsize % self.lut_k != 0:
+            raise LutError(
+                f"scale varies within a k={self.lut_k} group; group_size "
+                "must be a multiple of k for the LUT path"
+            )
+
     def _lookup_columns(self, codes, scale, zero_point):
         """Lookup columns of :meth:`_quantize_rows` output: what
         ``build_weight_plan`` → ``flat_lookup_indices(…, True)`` /
@@ -852,11 +955,7 @@ class BlockAllocator:
         G)`` flat indices and ``(n, G)`` affine, ``G = K // lut_k``."""
         n, ngroups, gsize = codes.shape
         k = self.lut_k
-        if gsize % k != 0:
-            raise LutError(
-                f"scale varies within a k={k} group; group_size must be a "
-                "multiple of k for the LUT path"
-            )
+        self._check_lookup_groups(gsize)
         flat = flat_lookup(
             lookup_indices(codes.reshape(n, -1), self.bits, k),
             k, 1 << (k - 1), True,
@@ -877,15 +976,15 @@ class BlockAllocator:
         column, so each row's codes, scales and K-arena columns are
         bit-identical to quantizing it alone. Returns ``(codes, scale,
         zero_point, arena flat indices, arena scale, arena zero)``, row
-        axis leading — slice to split rows across blocks;
-        :meth:`_land_rows` scatters them. Owns the ``k_plan_s`` timer
-        (index + affine build only).
+        axis leading, for :meth:`_land_rows` to scatter. The numpy
+        body's half of the ``k_plan_s`` timer: quantize and column
+        build.
         """
+        started = time.perf_counter()
         r, kv = k_rows.shape[0], self.kv_heads
         codes, scale, zero_point = self._quantize_rows(
             k_rows.reshape(r * kv, self.head_dim), self._k_group
         )
-        started = time.perf_counter()
         flat_idx, a_scale, a_zero = self._lookup_columns(
             codes, scale, zero_point
         )
@@ -904,18 +1003,45 @@ class BlockAllocator:
         self.stats["k_plan_s"] += time.perf_counter() - started
         return cols
 
-    def _land_rows(self, bids, offs, k_rows, v_rows, k_cols=None) -> None:
-        """Scatter row ``i`` of ``(R, kv_heads, head_dim)`` K/V rows to
-        slot ``offs[i]`` of block ``bids[i]`` (or of the one block
-        ``bids``): float slabs, then the quantized K state (*k_cols*,
-        or a fresh :meth:`_k_columns`)."""
+    def _land_rows(self, bids, offs, k_rows, v_rows) -> None:
+        """Land row ``i`` of ``(R, kv_heads, head_dim)`` C-contiguous
+        float64 K / V rows in slot ``offs[i]`` of block ``bids[i]`` (int64
+        arrays; or of the one block ``bids``), all checked by the caller:
+        the float slabs, then on a quantized pool the K
+        state — codes, one scale and zero-point per quantization group,
+        and the row's K-arena column per KV head.
+
+        **Two bodies, one result.** Where ``lut_block.c`` loaded (and
+        :meth:`_kv_writer_operands` took the pool), ``kv_append`` writes
+        all of it in place in one pass, replaying the numpy sequence of
+        :meth:`_k_columns` element by element (ARCHITECTURE §8). The
+        numpy body scatters one :meth:`_k_columns` build with one
+        fancy-indexed write per array; so does a call holding a value
+        the compiled body leaves to it (:meth:`_kv_compiled`). The
+        bytes are the same either way; :attr:`last_kv_body` says which
+        body ran, and ``k_plan_s`` times the quantize + column build on
+        both.
+        """
+        fn = None if self.bits is None else self._kv_writer(native.kv_append)
+        if fn is not None:
+            started = time.perf_counter()
+            if np.ndim(bids) == 0:
+                bids = np.full(len(offs), bids, dtype=np.int64)
+            if self._kv_compiled(
+                fn, k_rows.ctypes.data, v_rows.ctypes.data,
+                bids.ctypes.data, offs.ctypes.data, len(bids),
+            ):
+                self.stats["k_plan_s"] += time.perf_counter() - started
+                self.stats["k_plan_cols"] += len(offs) * self.kv_heads
+                self.last_kv_body = "compiled"
+                return
         self._k[bids, :, offs] = k_rows
         self._v[bids, :, offs] = v_rows
         if self.bits is None:
             return
-        if k_cols is None:
-            k_cols = self._k_columns(k_rows)
-        codes, scale, zero_point, ka_flat, ka_scale, ka_zero = k_cols
+        codes, scale, zero_point, ka_flat, ka_scale, ka_zero = (
+            self._k_columns(k_rows)
+        )
         # Stored scales: one per quantization group.
         per = self.head_dim // self._k_scale.shape[-1]
         self._k_codes[bids, :, offs] = codes
@@ -925,45 +1051,85 @@ class BlockAllocator:
         self._ka_scale[bids, :, :, offs] = ka_scale
         self._ka_zero[bids, :, :, offs] = ka_zero
         self.stats["k_plan_cols"] += len(offs) * self.kv_heads
+        self.last_kv_body = "numpy"
+
+    def _writable(self, ids: list[int], rows: int, k_rows, v_rows):
+        """Every check a write of *rows* rows into each of the blocks
+        *ids* must pass, all made before anything changes: K / V rows of
+        shape ``(len(ids) * rows, kv_heads, head_dim)``, ids in the pool
+        (else :class:`IndexError`), the blocks distinct and private,
+        each with room at a valid fill, and on a quantized pool K scale
+        groups that are whole lookup groups (else :class:`LutError`,
+        :meth:`_check_lookup_groups`). Returns the rows as C-contiguous
+        float64 and the blocks' fills (the first offsets)."""
+        k_rows = np.ascontiguousarray(k_rows, dtype=np.float64)
+        v_rows = np.ascontiguousarray(v_rows, dtype=np.float64)
+        shape = (len(ids) * rows, self.kv_heads, self.head_dim)
+        if k_rows.shape != shape or v_rows.shape != shape:
+            raise ServingError(
+                f"expected rows of shape {shape}, got "
+                f"{k_rows.shape} / {v_rows.shape}"
+            )
+        if min(ids) < 0 or max(ids) >= self.capacity:
+            raise IndexError(
+                f"block ids {min(ids)}..{max(ids)} for {self.capacity} blocks"
+            )
+        if len(set(ids)) != len(ids):
+            raise ServingError("destination blocks must be distinct")
+        if self.bits is not None and rows:
+            self._check_lookup_groups(self._k_group or self.head_dim)
+        fills = []
+        for bid in ids:
+            if self._refcount[bid] > 1:
+                raise ServingError(
+                    f"block {bid} is shared by {self.refcount(bid)} "
+                    "tables; copy-on-write before appending"
+                )
+            fills.append(int(self._fill[bid]))
+        for bid, fill in zip(ids, fills):
+            if fill < 0:
+                raise IndexError(f"block {bid} at fill {fill}")
+            if fill + rows > self.block_size:
+                raise ServingError(
+                    f"block overflow: block {bid} at fill {fill} + {rows} "
+                    f"> {self.block_size}"
+                )
+        return k_rows, v_rows, fills
+
+    def _unregister_written(self, ids: list[int]) -> None:
+        """Drop the prefix-index entries of blocks about to be written:
+        an entry describes a block's current rows exactly."""
+        for bid in ids:
+            if self._block_key.get(bid) is not None:
+                self._unregister(bid)
 
     def write_rows(
         self,
         block_id: int,
         k_rows: np.ndarray,
         v_rows: np.ndarray,
-        k_cols: tuple[np.ndarray, ...] | None = None,
     ) -> None:
         """Append ``(t, kv_heads, head_dim)`` rows into one block.
 
         Writes the float slabs, quantizes the K rows in place (per-row
         scales — independent of every other row, hence equal to a
-        from-scratch quantize) and writes their K-arena columns; the
-        block's V arenas go stale by their fill stamp (the trailing
-        group's scales may have changed). *k_cols* hands in
-        the rows' slice of an already-built :meth:`_k_columns` — how
-        :meth:`PagedLayerCache.append` quantizes a multi-block prompt
-        once. Shared blocks are read-only at this layer: writing one is
-        an error — callers must go through :meth:`cow_clone` first. A
-        stale prefix-index entry for the block is dropped before the
-        rows land (the caller re-registers the grown content afterwards
-        if it tracks tokens).
+        from-scratch quantize) and writes their K-arena columns, all
+        through :meth:`_land_rows`; the block's V arenas go stale by
+        their fill stamp (the trailing group's scales may have changed).
+        Shared blocks are read-only at this
+        layer: writing one is an error — callers must go through
+        :meth:`cow_clone` first. Every check (:meth:`_writable`) comes
+        before any change; then a stale prefix-index entry for the block
+        is dropped before the rows land (the caller re-registers the
+        grown content afterwards if it tracks tokens).
         """
-        if self._refcount[block_id] > 1:
-            raise ServingError(
-                f"block {block_id} is shared by {self.refcount(block_id)} "
-                "tables; copy-on-write before appending"
-            )
-        if self._block_key.get(block_id) is not None:
-            self._unregister(block_id)
-        t_new = k_rows.shape[0]
-        off = int(self._fill[block_id])
-        if off + t_new > self.block_size:
-            raise ServingError(
-                f"block overflow: {off} + {t_new} > {self.block_size}"
-            )
-        self._land_rows(
-            block_id, np.arange(off, off + t_new), k_rows, v_rows, k_cols
-        )
+        ids = [int(block_id)]
+        t_new = len(k_rows)
+        k_rows, v_rows, (off,) = self._writable(ids, t_new, k_rows, v_rows)
+        if t_new == 0:
+            return
+        self._unregister_written(ids)
+        self._land_rows(ids[0], np.arange(off, off + t_new), k_rows, v_rows)
         self._fill[block_id] = off + t_new
 
     def append_rows(
@@ -974,46 +1140,22 @@ class BlockAllocator:
         ``block_ids`` names B distinct writable blocks; ``k_rows`` /
         ``v_rows`` are ``(B, kv_heads, head_dim)`` — one new token per
         block. Semantically B single-row :meth:`write_rows` calls,
-        executed as one vectorized slab write plus **one** stacked
-        quantize + column build over all ``B * kv_heads`` rows
-        (:meth:`_k_columns`), so the codes, scales and K-arena columns
-        land bit-identical to the sequential loop (the batched-append
-        parity tests pin this). Staleness accounting is per block
-        exactly as in :meth:`write_rows`: stale prefix-index entries
-        drop before the rows land, and ``k_plan_cols`` grows by one
-        column per KV head per block.
+        executed as one :meth:`_land_rows`: one compiled pass, or one
+        vectorized slab write plus **one** stacked quantize + column
+        build over all ``B * kv_heads`` rows (:meth:`_k_columns`), so
+        the codes, scales and K-arena columns land bit-identical to the
+        sequential loop (the batched-append parity tests pin this).
+        Every destination passes every check (:meth:`_writable`) before
+        anything changes; then stale prefix-index entries drop and
+        ``k_plan_cols`` grows by one column per KV head per block.
         """
-        bids = np.asarray(block_ids, dtype=np.int64)
-        nb = int(bids.size)
-        if nb == 0:
+        ids = np.asarray(block_ids, dtype=np.int64).tolist()
+        if not ids:
             return
-        if len({int(i) for i in bids}) != nb:
-            raise ServingError(
-                "append_rows destination blocks must be distinct"
-            )
-        k_rows = np.asarray(k_rows, dtype=np.float64)
-        v_rows = np.asarray(v_rows, dtype=np.float64)
-        shape = (nb, self.kv_heads, self.head_dim)
-        if k_rows.shape != shape or v_rows.shape != shape:
-            raise ServingError(
-                f"expected rows of shape {shape}, got "
-                f"{k_rows.shape} / {v_rows.shape}"
-            )
-        for bid in bids:
-            bid = int(bid)
-            if self._refcount[bid] > 1:
-                raise ServingError(
-                    f"block {bid} is shared by {self.refcount(bid)} "
-                    "tables; copy-on-write before appending"
-                )
-            if self._block_key.get(bid) is not None:
-                self._unregister(bid)
-        offs = self._fill[bids]
-        if (offs >= self.block_size).any():
-            raise ServingError(
-                f"block overflow: a destination block is already at "
-                f"fill {self.block_size}"
-            )
+        k_rows, v_rows, fills = self._writable(ids, 1, k_rows, v_rows)
+        self._unregister_written(ids)
+        bids = np.array(ids, dtype=np.int64)
+        offs = np.array(fills, dtype=np.int64)
         self._land_rows(bids, offs, k_rows, v_rows)
         self._fill[bids] = offs + 1
 
@@ -1069,24 +1211,54 @@ class BlockAllocator:
         multiplies — each kind stamps its own fill, so a pool dispatched
         to both keeps both honest and one kind of backend never pays for
         the other's. Blocks whose stamp already matches are skipped
-        (full blocks refresh once, ever; duplicate ids count once); the
-        stale ones are rebuilt by **one** stacked
-        :meth:`_v_arena_columns` call and scattered with one write per
-        arena. The fused decode calls this once per layer per step with
-        every gathered block: steady-state V-quant work is still one
-        trailing block per sequence per layer, in one quantize + column
-        build instead of B.
+        (full blocks refresh once, ever; duplicate ids count once). An id
+        outside the pool raises :class:`IndexError`, and a V scale group
+        that is not whole lookup groups :class:`LutError`, before
+        anything changes. The fused decode calls this once per layer per step
+        with every gathered block: steady-state V-quant work is one
+        trailing block per sequence per layer.
+
+        **Two bodies, one result** for the lookup columns. Where
+        ``lut_block.c`` loaded, ``kv_refresh`` rebuilds every stale
+        block's ``_va_flat`` / ``_va_scale`` / ``_va_zero`` in place in
+        one pass, each block's ``_v`` slab read transposed — every slot,
+        the scrubbed ones past the fill included — replaying
+        :meth:`_v_arena_columns` element by element. The numpy body (and
+        the dequantized arena, and a call holding a value the compiled
+        body leaves to it) stacks the stale slabs into **one**
+        :meth:`_v_arena_columns` build and scatters it with one write per
+        arena. :attr:`last_kv_body` says which body wrote the columns;
+        ``v_quant_s`` times the build on both.
         """
         if deq and self._va_deq is None:
             self._alloc(self._DEQ_ARRAYS, self.capacity)
         stamp = self._va_deq_fill if deq else self._va_fill
         bids = np.unique(np.asarray(block_ids, dtype=np.int64))
+        if bids.size and (bids[0] < 0 or bids[-1] >= self.capacity):
+            raise IndexError(
+                f"block ids {bids[0]}..{bids[-1]} for {self.capacity} blocks"
+            )
         stale = bids[stamp[bids] != self._fill[bids]]
         if stale.size == 0:
             return
-        cols = self._v_arena_columns(self._v[stale], deq)
-        for name, col in zip(self._V_ARENAS[deq], cols):
-            getattr(self, name)[stale] = col
+        if not deq:
+            self._check_lookup_groups(self._v_group or self.block_size)
+        fn = None if deq else self._kv_writer(native.kv_refresh)
+        started = time.perf_counter()
+        if fn is not None and self._kv_compiled(
+            fn, stale.ctypes.data, stale.size
+        ):
+            self.stats["v_quant_cols"] += (
+                stale.size * self.block_size * self.kv_heads
+            )
+            self.stats["v_quant_s"] += time.perf_counter() - started
+            self.last_kv_body = "compiled"
+        else:
+            cols = self._v_arena_columns(self._v[stale], deq)
+            for name, col in zip(self._V_ARENAS[deq], cols):
+                getattr(self, name)[stale] = col
+            if not deq:
+                self.last_kv_body = "numpy"
         stamp[stale] = self._fill[stale]
 
 
@@ -1233,12 +1405,6 @@ class PagedLayerCache:
                 # Earlier rows arrived untracked; prefix keys derived
                 # from a partial history would lie about block content.
                 track = False
-        # One stacked K quantize + column build for the whole append,
-        # however many blocks a prompt spans; each block gets its slice.
-        k_cols = (
-            self.pool._k_columns(k_rows)
-            if self.bits is not None and total else None
-        )
         written = 0
         while written < total:
             off = self.length % self.block_size
@@ -1251,10 +1417,7 @@ class PagedLayerCache:
             take = min(self.block_size - off, total - written)
             rows = np.s_[written:written + take]
             self.pool.write_rows(
-                self.block_ids[-1],
-                k_rows[rows],
-                v_rows[rows],
-                k_cols and tuple(col[rows] for col in k_cols),
+                self.block_ids[-1], k_rows[rows], v_rows[rows]
             )
             self.length += take
             written += take

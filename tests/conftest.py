@@ -7,15 +7,19 @@ from repro.kernels import native
 
 LUT_BODIES = ("compiled", "numpy")
 
-#: Test classes and modules that run once per body of ``lut-blocked``
-#: (weight loop and paged attention executor alike): the kernel
-#: equivalence class and the runtime parity, speculation and arena suites.
+#: Test classes and modules that run once per body of the compiled
+#: routines (weight loop, paged attention executor and the int4-KV pool's
+#: writer alike): the kernel equivalence class and the runtime parity,
+#: speculation, arena and pool-state suites.
 BOTH_BODIES = {
     "TestCrossBackendEquivalence",
+    "test_batched_append",
     "test_decode_parity",
     "test_fused_parity",
+    "test_kv_state_bodies",
     "test_linear",
     "test_paged_bounds",
+    "test_paged_kv_state",
     "test_prefill_narrowing",
     "test_spec_engine",
     "test_speculative",
@@ -33,8 +37,8 @@ settings.load_profile("both-bodies")
 
 @pytest.fixture(autouse=True)
 def lut_body(request):
-    """Pin which body ``LutBlockedBackend.execute`` and
-    ``paged_lut_execute`` run for one test.
+    """Pin which body ``LutBlockedBackend.execute``,
+    ``paged_lut_execute`` and the int4-KV pool's writer run for one test.
 
     Unparametrized (every test outside :data:`BOTH_BODIES`) it changes
     nothing: the process's own load attempt decides, as in the product.

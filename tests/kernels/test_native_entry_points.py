@@ -1,12 +1,15 @@
-"""One object, two entry points, one fallback.
+"""One object, four entry points, one fallback.
 
-``lut_block.c`` exports the weight loop (``lut_block``) and the paged
-attention executor (``lut_rows_paged``). ``native.status()`` names what
-the loaded object exports, an object that lacks either is not used at
-all, and ``native.unloaded()`` sends *both* callers to their numpy
-bodies — it is how the tests and ``bench_backends`` get there.
+``lut_block.c`` exports the weight loop (``lut_block``), the paged
+attention executor (``lut_rows_paged``) and the int4-KV pool's writer
+(``kv_append``, ``kv_refresh``). ``native.status()`` names what the
+loaded object exports, an object that lacks any of them is not used at
+all — all routines or none — and ``native.unloaded()`` sends *every*
+caller to its numpy body: it is how the tests and ``bench_backends`` get
+there.
 """
 
+import re
 import shutil
 import warnings
 
@@ -17,16 +20,19 @@ from repro.kernels import get_backend, native, paged_lut_execute
 from repro.kernels.plan import build_weight_plan
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.quant.weight import quantize_weights
+from repro.runtime.paging import BlockAllocator
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
 )
-BOTH = ("lut_block", "lut_rows_paged")
+ALL = ("lut_block", "lut_rows_paged", "kv_append", "kv_refresh")
 
 
-def _dispatch_both():
-    """One weight mpGEMM and one paged dispatch through ``lut-blocked``:
-    ``(last_body, last_paged_body)``."""
+def _dispatch_all():
+    """One weight mpGEMM and one paged dispatch through ``lut-blocked``,
+    one K/V append and one V-arena refresh on an int4 pool: ``(last_body,
+    last_paged_body, the pool's last_kv_body after the append, and after
+    the refresh)``."""
     rng = np.random.default_rng(0)
     config = LutMpGemmConfig(backend="lut-blocked")
     plan = build_weight_plan(
@@ -43,44 +49,60 @@ def _dispatch_both():
         (flat, plan.scale_gn[None, None].copy(), plan.zero_gn[None, None].copy()),
         repeat=2,
     )
-    return backend.last_body, backend.last_paged_body
+    pool = BlockAllocator(2, 8, 16, bits=4)
+    bids = [pool.allocate(), pool.allocate()]
+    pool.append_rows(bids, *rng.normal(size=(2, 2, 2, 8)))
+    appended = pool.last_kv_body
+    pool.refresh_v_arenas(bids)
+    return backend.last_body, backend.last_paged_body, appended, pool.last_kv_body
 
 
 @needs_cc
-def test_status_names_both_entry_points():
+def test_status_names_every_entry_point():
     status = native.status()
     assert status["loaded"] is True, status["reason"]
-    assert status["entry_points"] == BOTH == tuple(native.ENTRY_POINTS)
-    assert native.lut_block() is not None
-    assert native.lut_rows_paged() is not None
-    assert _dispatch_both() == ("compiled", "compiled")
+    assert status["entry_points"] == ALL == tuple(native.ENTRY_POINTS)
+    for name in ALL:
+        assert getattr(native, name)() is not None, name
+    assert _dispatch_all() == ("compiled",) * 4
 
 
-def test_unloaded_reaches_the_numpy_body_of_both_routines():
+def test_unloaded_reaches_the_numpy_body_of_every_routine():
     with native.unloaded():
         status = native.status()
         assert (status["loaded"], status["entry_points"]) == (False, ())
-        assert native.lut_block() is None and native.lut_rows_paged() is None
-        assert _dispatch_both() == ("numpy", "numpy")
+        assert all(getattr(native, name)() is None for name in ALL)
+        assert _dispatch_all() == ("numpy",) * 4
     assert native.status()["entry_points"] == (
-        BOTH if native.status()["loaded"] else ()
+        ALL if native.status()["loaded"] else ()
     )
 
 
 @needs_cc
-def test_object_without_an_entry_point_is_not_used(monkeypatch, tmp_path):
-    """Both routines or neither: a source that lost ``lut_rows_paged``
-    builds, but the load fails as a whole and says why."""
-    source = native.SOURCE.read_text()
+@pytest.mark.parametrize("name", ALL)
+def test_object_without_an_entry_point_is_not_used(
+    monkeypatch, tmp_path, name
+):
+    """All routines or none: a source whose *name* is renamed builds,
+    but the load fails as a whole and says why."""
+    source, renamed = re.subn(
+        rf"^(\w+ ){name}\(", rf"\1{name}_gone(",
+        native.SOURCE.read_text(), flags=re.M,
+    )
+    assert renamed == 1
     cut = tmp_path / "lut_block.c"
-    cut.write_text(source[:source.index("#define SPLAT2")].rpartition("/*")[0])
+    cut.write_text(source)
     monkeypatch.setattr(native, "SOURCE", cut)
+    # Unoptimized: the load, not the code, is under test here.
+    monkeypatch.setattr(
+        native, "FLAGS", tuple(f for f in native.FLAGS if f != "-O3")
+    )
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(native, "_state", None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _dispatch_both() == ("numpy", "numpy")
+        assert _dispatch_all() == ("numpy",) * 4
     assert [w.category for w in caught] == [RuntimeWarning]
     status = native.status()
     assert status["loaded"] is False and status["entry_points"] == ()
-    assert "lut_rows_paged" in status["reason"]
+    assert name in status["reason"]

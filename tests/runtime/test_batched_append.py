@@ -266,3 +266,45 @@ class TestBatchedAppendValidation:
         fork.adopt_prefix(chain, tokens)
         with pytest.raises(ServingError, match="copy-on-write"):
             shared_pool.append_rows([fork.block_ids[-1]], row, row)
+
+
+class TestRejectedAppendKeepsThePrefixIndex:
+    """A write that raises changes nothing — the prefix-index entry of
+    every destination included, however far the checks got."""
+
+    def _indexed(self, pool, tokens, seed):
+        cache = PagedLayerCache(pool, layer=0)
+        cache.append(*_step_rows(len(tokens), seed), token_ids=tokens)
+        return cache
+
+    def test_append_rows_overflowing_a_full_block(self):
+        pool, _ = _pool_pair()
+        tokens = list(range(BLOCK))
+        bid = self._indexed(pool, tokens, 0).block_ids[-1]
+        row = np.zeros((1, KV_HEADS, HEAD_DIM))
+        with pytest.raises(ServingError, match="overflow"):
+            pool.append_rows([bid], row, row)
+        assert pool.match_prefix(0, tokens) == [(bid, BLOCK)]
+
+    def test_write_rows_overflowing_a_full_block(self):
+        pool, _ = _pool_pair()
+        tokens = list(range(BLOCK))
+        bid = self._indexed(pool, tokens, 0).block_ids[-1]
+        with pytest.raises(ServingError, match="overflow"):
+            pool.write_rows(bid, *_step_rows(1, 1))
+        assert pool.match_prefix(0, tokens) == [(bid, BLOCK)]
+
+    def test_append_rows_whose_second_destination_is_shared(self):
+        pool, _ = _pool_pair()
+        first = self._indexed(pool, [1, 2, 3], 0).block_ids[-1]
+        tokens = list(range(BLOCK))
+        donor = self._indexed(pool, tokens, 1)
+        fork = PagedLayerCache(pool, layer=0)
+        fork.adopt_prefix(pool.match_prefix(0, tokens), tokens)
+        with pytest.raises(ServingError, match="copy-on-write"):
+            pool.append_rows(
+                [first, fork.block_ids[-1]], *_step_rows(2, 2)
+            )
+        assert pool.match_prefix(0, [1, 2, 3]) == [(first, 3)]
+        assert pool.match_prefix(0, tokens) == [(donor.block_ids[-1], BLOCK)]
+        assert int(pool._fill[first]) == 3

@@ -1,11 +1,14 @@
-"""A corrupt block table is an error, not a read out of bounds.
+"""A corrupt block table is an error, not a read or write out of bounds.
 
 The numpy body of the paged attention executor gathers ``arena[ids]``,
 and numpy raises ``IndexError`` on an id past the pool's capacity; the
 compiled body (``lut_rows_paged``) follows the same ids through raw
 pointers, so it checks them first. On both bodies (this module is in
 ``BOTH_BODIES``): a bad id raises ``IndexError``, no arena, block table
-or free list changes, and the process is still there to assert it.
+or free list changes, and the process is still there to assert it. The
+pool's writer (``kv_append`` / ``kv_refresh``) writes through block ids
+and offsets the same way: the pool refuses a bad one before either body
+runs, and the compiled writer refuses it again before its first write.
 """
 
 import numpy as np
@@ -194,3 +197,64 @@ class TestAttentionBounds:
             queries, caches, repeat=REPEAT, backend=backend
         )
         assert got.tobytes() == want.tobytes()
+
+
+class TestWriterBounds:
+    """A bad block id or offset on an append or a V refresh raises and
+    changes nothing, on either body."""
+
+    def test_append_and_refresh_refuse_ids_outside_the_pool(self, served):
+        pool, caches, _ = served
+        before = _snapshot(pool, caches)
+        row = np.zeros((1, KV, HD))
+        for bad in (pool.capacity, pool.capacity + 1000, -1):
+            live = caches[0].block_ids[-1]  # room left: fill 5
+            with pytest.raises(IndexError):
+                pool.append_rows([live, bad], *np.zeros((2, 2, KV, HD)))
+            with pytest.raises(IndexError):
+                pool.write_rows(bad, row, row)
+            with pytest.raises(IndexError):
+                pool.refresh_v_arenas([live, bad])
+        _assert_untouched(pool, caches, before)
+
+    def test_append_refuses_a_corrupt_fill(self, served):
+        pool, caches, _ = served
+        bid = caches[0].block_ids[-1]
+        pool._fill[bid] = -1
+        before = _snapshot(pool, caches)
+        row = np.zeros((1, KV, HD))
+        with pytest.raises(IndexError):
+            pool.append_rows([bid], row, row)
+        with pytest.raises(IndexError):
+            pool.write_rows(bid, row, row)
+        _assert_untouched(pool, caches, before)
+
+    @pytest.mark.parametrize(
+        "bid, off", [("capacity", 0), (0, BLOCK), (0, -1), (-1, 0)]
+    )
+    def test_land_rows_refuses_a_bad_slot(self, served, lut_body, bid, off):
+        """Past the pool's own checks: the slot itself. numpy indexes a
+        negative id or offset from the end, so only the compiled writer
+        refuses those."""
+        pool, caches, _ = served
+        if lut_body == "numpy" and -1 in (bid, off):
+            pytest.skip("the numpy body wraps a negative id or offset")
+        bid = pool.capacity if bid == "capacity" else bid
+        before = _snapshot(pool, caches)
+        live = caches[1].block_ids[-1]
+        bids = np.array([live, bid], dtype=np.int64)
+        offs = np.array([int(pool._fill[live]), off], dtype=np.int64)
+        with pytest.raises(IndexError):
+            pool._land_rows(bids, offs, *np.ones((2, 2, KV, HD)))
+        _assert_untouched(pool, caches, before)
+
+    def test_compiled_refresh_refuses_a_bad_id(self, served, lut_body):
+        pool, caches, _ = served
+        if lut_body == "numpy":
+            pytest.skip("the pool's own check is all the numpy body has")
+        before = _snapshot(pool, caches)
+        for bad in (pool.capacity, -1):
+            ids = np.array([caches[2].block_ids[0], bad], dtype=np.int64)
+            with pytest.raises(IndexError):
+                pool._kv_compiled(native.kv_refresh(), ids.ctypes.data, 2)
+        _assert_untouched(pool, caches, before)

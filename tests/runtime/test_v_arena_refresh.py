@@ -2,16 +2,16 @@
 
 :meth:`BlockAllocator.refresh_v_arenas` rebuilds every stale block of a
 request with one stacked quantize + column build;
-:meth:`PagedLayerCache.append` quantizes a multi-block prompt's K rows
-once. Both lean on the same argument — scales are per weight row and
+:meth:`PagedLayerCache.append` quantizes each block's share of a
+prompt's K rows once. Both lean on the same argument — scales are per weight row and
 every lookup column is per output column, so stacking changes no value.
 The property below pins the V side against per-block, per-head
 ``quantize_weights`` → ``build_weight_plan`` plans over random pools,
 for the arenas of either kind of backend; the call-count tests pin that the
-batching is really one call on the shared quantize core (a per-block
-loop fails them), that each KV head's query heads share one gathered
-row (a per-head gather fails them) and that no ``WeightPlan`` is built
-on the fused step.
+batching is really one call on the shared quantize core or the compiled
+writer (a per-block loop fails them), that each KV head's query heads
+share one gathered row (a per-head gather fails them) and that no
+``WeightPlan`` is built on the fused step.
 """
 
 import time
@@ -307,18 +307,39 @@ class TestDirectColumns:
             pool._v_arena_columns(np.zeros((0, 2, 16, 8)))
 
 
+def _compiled_weight(pool, fn, n) -> tuple[int, int, int]:
+    """``(rows, scale groups, group length)`` of the weight one compiled
+    writer call quantizes: *n* K rows (``kv_append``) or the V slabs of
+    *n* blocks (``kv_refresh``)."""
+    if fn.__name__ == "kv_append":
+        rows, length, group = n * pool.kv_heads, pool.head_dim, pool._k_group
+    else:
+        rows = n * pool.kv_heads * pool.head_dim
+        length, group = pool.block_size, pool._v_group
+    group = group or length
+    return rows, length // group, group
+
+
 @pytest.fixture
 def quantize_calls(monkeypatch):
-    """Shapes of every weight ``repro.runtime.paging`` sends through the
-    shared quantize core, ``(rows, scale groups, group length)``."""
+    """Shapes of every weight the pool quantizes in one call, ``(rows,
+    scale groups, group length)``, on either body: what the numpy body
+    sends through the shared quantize core, or what one compiled writer
+    call covers."""
     calls = []
     real = paging.affine_quantize
+    real_compiled = BlockAllocator._kv_compiled
 
     def counting(weights, *args, **kwargs):
         calls.append(np.shape(weights))
         return real(weights, *args, **kwargs)
 
+    def counting_compiled(pool, fn, *args):
+        calls.append(_compiled_weight(pool, fn, args[-1]))
+        return real_compiled(pool, fn, *args)
+
     monkeypatch.setattr(paging, "affine_quantize", counting)
+    monkeypatch.setattr(BlockAllocator, "_kv_compiled", counting_compiled)
     return calls
 
 
@@ -379,7 +400,9 @@ class TestOneQuantizePerCall:
             )
         assert len(quantize_calls) == 1  # second call: nothing stale
 
-    def test_one_k_quantize_per_multi_block_append(self, quantize_calls):
+    def test_one_k_quantize_per_block_of_a_prompt(self, quantize_calls):
+        """A multi-block prompt lands block by block, each block's K rows
+        in one quantize (numpy) or one writer call (compiled)."""
         rng = np.random.default_rng(4)
         pool = BlockAllocator(self.KV, self.HD, self.BLOCK, bits=4)
         rowwise = BlockAllocator(self.KV, self.HD, self.BLOCK, bits=4)
@@ -389,7 +412,9 @@ class TestOneQuantizePerCall:
         cache.append(k[:4], v[:4])  # the prompt starts mid-block
         quantize_calls.clear()
         cache.append(k[4:], v[4:])
-        assert quantize_calls == [(n * self.KV, 1, self.HD)]
+        assert quantize_calls == [
+            (rows * self.KV, 1, self.HD) for rows in (12, 16, 16, 9)
+        ]
         assert len(cache.block_ids) == 4
         # Same pool state as one append (one quantize) per row.
         for i in range(4 + n):
@@ -427,19 +452,33 @@ class TestOneQuantizePerCall:
         assert calls
 
 
-def test_v_quant_timer_covers_quantize_on_both_paths(monkeypatch):
-    """``v_quant_s`` times quantize + index build whether the work comes
-    from an arena refresh or verify's masked requantization."""
+@pytest.fixture
+def slow_quantize(monkeypatch):
+    """Every quantize the pool makes, on either body, takes >= 20 ms
+    more."""
     real = paging.affine_quantize
+    real_compiled = BlockAllocator._kv_compiled
 
     def slow(weights, *args, **kwargs):
         time.sleep(0.02)
         return real(weights, *args, **kwargs)
 
+    def slow_compiled(pool, fn, *args):
+        time.sleep(0.02)
+        return real_compiled(pool, fn, *args)
+
+    monkeypatch.setattr(paging, "affine_quantize", slow)
+    monkeypatch.setattr(BlockAllocator, "_kv_compiled", slow_compiled)
+
+
+def test_v_quant_timer_covers_quantize_on_both_paths(slow_quantize):
+    """``v_quant_s`` times quantize + index build whether the work comes
+    from an arena refresh or verify's masked requantization, on either
+    body."""
     rng = np.random.default_rng(5)
     pool = BlockAllocator(2, 8, 16, bits=4)
     cache = _cache(pool, rng, 20)
-    monkeypatch.setattr(paging, "affine_quantize", slow)
+    assert pool.stats["v_quant_s"] == 0.0
     pool.refresh_v_arenas(cache.block_ids)
     assert pool.stats["v_quant_s"] >= 0.02
     # Verify over a partial trailing block: only the fresh-partial
@@ -450,3 +489,18 @@ def test_v_quant_timer_covers_quantize_on_both_paths(monkeypatch):
         rng.normal(size=(1, 2, 2, 8)), [cache], [20]
     )
     assert pool.stats["v_quant_s"] >= 0.02
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_k_plan_timer_covers_quantize_on_both_paths(slow_quantize, batched):
+    """``k_plan_s`` times the K rows' whole quantize + column build, on
+    either body, for a prompt append and a batched decode append alike."""
+    rng = np.random.default_rng(7)
+    pool = BlockAllocator(2, 8, 16, bits=4)
+    caches = [_cache(pool, rng, 3) for _ in range(2)] if batched else []
+    pool.stats["k_plan_s"] = 0.0
+    if batched:
+        batched_decode_append(caches, *_rows(rng, 2, pool))
+    else:
+        _cache(pool, rng, 5)
+    assert pool.stats["k_plan_s"] >= 0.02
