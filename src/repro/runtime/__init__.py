@@ -14,8 +14,11 @@ configs (:mod:`repro.models.configs`) into a real inference engine:
   matching blocks read-only (copy-on-write on divergence);
 - :class:`DecoderModel` — a numeric decoder built from the same
   :class:`~repro.models.configs.ModelConfig` the cost model prices,
-  with prefill + incremental batched decode over block tables (one
-  :func:`fused_paged_decode_attention` dispatch per layer per step);
+  with prefill and one KV-cached step over ``(B, T)`` tokens for
+  batched decode (T = 1) and speculative verify (T = k + 1): one paged
+  attention body, :func:`fused_paged_verify_attention`, of which
+  :func:`fused_paged_decode_attention` is the T = 1 call, dispatched
+  once per layer per step;
 - :class:`ServingEngine` — continuous batching over a request queue
   with pluggable admission scheduling (``fifo`` / ``sjf`` /
   ``memory-aware``), pluggable preemption (``priority-remaining`` /

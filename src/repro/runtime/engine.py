@@ -746,6 +746,19 @@ class ServingEngine:
             self.draft_model.free_caches(seq.draft_caches)
             seq.draft_caches = None
 
+    def _drop_failed_batch(self, seqs: list[_Sequence]) -> None:
+        """Drop the batch of a failed batched step (decode or verify).
+
+        The step leaves per-layer cache state inconsistent across the
+        batch, so the sequences cannot be resumed: every one returns its
+        target and draft blocks to the pools instead of leaking them,
+        and ``active`` empties. The caller re-raises.
+        """
+        for seq in seqs:
+            self.model.free_caches(seq.caches)
+            self._free_draft(seq)
+        self.active = []
+
     def _retire(self, seq: _Sequence) -> RequestResult:
         """Record a finished sequence and return its blocks to the pool."""
         result = seq.result()
@@ -1047,13 +1060,7 @@ class ServingEngine:
                 candidates, [seq.caches for seq in seqs]
             )
         except Exception:
-            # Mirror the plain decode path: a failed batched step
-            # leaves per-layer state inconsistent — return all blocks
-            # instead of leaking them.
-            for seq in seqs:
-                self.model.free_caches(seq.caches)
-                self._free_draft(seq)
-            self.active = []
+            self._drop_failed_batch(seqs)
             raise
         done: list[RequestResult] = []
         still_active: list[_Sequence] = []
@@ -1363,14 +1370,7 @@ class ServingEngine:
         try:
             logits = self.model.decode_batch(tokens, caches)
         except Exception:
-            # A failed batched step leaves per-layer cache state
-            # inconsistent across the batch; the sequences cannot be
-            # resumed, so return their blocks instead of leaking them
-            # from the model's shared pool.
-            for seq in self.active:
-                self.model.free_caches(seq.caches)
-                self._free_draft(seq)
-            self.active = []
+            self._drop_failed_batch(self.active)
             raise
         # Vectorized accept/trace accounting: one argmax over the whole
         # logits batch (greedy sequences read their row of it — equal to

@@ -8,10 +8,12 @@ dispatching through the registered mpGEMM kernel backend, and decoding
 is **incremental and paged** — per-layer, per-sequence
 :class:`~repro.runtime.paging.PagedLayerCache` block tables over the
 model's shared :class:`~repro.runtime.paging.BlockAllocator` are
-extended token by token and attention runs over the cached context only:
-one :func:`~repro.runtime.paging.fused_paged_decode_attention` dispatch
-per layer for the whole batch, reading the pool's per-block plan arenas
-when the KV cache is quantized and its float slabs otherwise. A
+extended token by token and attention runs over the cached context only.
+Decode and speculative verify are one step over ``(B, T)`` tokens
+(:meth:`DecoderModel._step`, T = 1 or ``k + 1``): one paged-attention
+dispatch per layer for the whole batch, reading the pool's per-block
+plan arenas when the KV cache is quantized and its float slabs
+otherwise. A
 full-sequence forward per generated token never happens, and per-step
 weight-plan work is O(1) amortized in the context; the parity tests
 assert the incremental path reproduces the full forward's logits on
@@ -635,60 +637,19 @@ class DecoderModel:
         caches_per_seq: list[list[PagedLayerCache]],
         logits: bool = True,
     ) -> np.ndarray:
-        """One KV-cached decode step for a batch of sequences.
+        """One KV-cached decode step for a batch of sequences: the
+        shared step (:meth:`_step`) at T = 1.
 
         ``tokens[b]`` is sequence *b*'s most recent token; its position
-        is that sequence's current cache length. The linear projections
-        run **batched** across sequences (one ``(B, hidden)`` mpGEMM per
-        projection — this is what continuous batching buys); the K/V
-        appends land through one pool-level batched write per layer and
-        attention runs as one fused dispatch over every sequence's block
-        table. Returns next-token logits of shape ``(B, vocab)``.
-        ``logits=False`` (replaying known tokens) only advances the
-        caches — identically — and returns a ``(0, vocab)`` array.
+        is that sequence's current cache length. Returns next-token
+        logits of shape ``(B, vocab)``. ``logits=False`` (replaying
+        known tokens) only advances the caches — identically — and
+        returns a ``(0, vocab)`` array.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size != len(caches_per_seq):
             raise ServingError("one token and one cache set per sequence")
-        cfg, rt = self.config, self.runtime
-        b = tokens.size
-        d, hd = cfg.hidden, cfg.head_dim
-        positions = np.array([c[0].length for c in caches_per_seq])
-        if positions.max(initial=0) >= rt.max_seq_len:
-            raise ServingError(
-                f"a sequence reached max_seq_len {rt.max_seq_len}"
-            )
-        x = self.tok_emb[tokens] + self.pos_emb[positions]
-        rep = cfg.heads // cfg.kv_heads
-        # The post-append context total: each sequence's pre-append
-        # length plus its one new row.
-        step_context = int(positions.sum()) + b
-
-        def append(caches, k, v):
-            # Pool-level batched append: one allocation pass, one
-            # stacked quantize/plan build.
-            batched_decode_append(
-                caches,
-                k.reshape(b, cfg.kv_heads, hd),
-                v.reshape(b, cfg.kv_heads, hd),
-                tokens,
-            )
-
-        def attend(caches, q):
-            # One fused attention dispatch for the whole batch.
-            self.stats["attn_context_tokens"] += step_context
-            return fused_paged_decode_attention(
-                q.reshape(b, cfg.heads, hd),
-                caches,
-                repeat=rep,
-                table_dtype=rt.table_dtype,
-                backend=rt.backend,
-            ).reshape(b, d)
-
-        layer_caches = list(zip(*caches_per_seq))
-        out = self._run_layers(
-            x, layer_caches, append, attend, 0 if logits else b
-        )
+        out = self._step(tokens[:, None], caches_per_seq, logits)
         self.stats["decode_steps"] += 1
         return out
 
@@ -704,19 +665,15 @@ class DecoderModel:
         caches_per_seq: list[list[PagedLayerCache]],
     ) -> np.ndarray:
         """Score ``k + 1`` speculative candidate rows per sequence in
-        one batched step.
+        one batched step: the shared step (:meth:`_step`) at T = k + 1.
 
         ``tokens[b]`` holds sequence *b*'s candidate rows: its current
         last token followed by its draft proposals. Row ``j``'s logits
         are exactly what :meth:`decode_batch` would have returned after
-        the sequence consumed rows ``0..j`` — every candidate's KV rows
-        are appended first (a multi-row append writes the same bits the
-        sequential single-row appends would), then
-        :func:`~repro.runtime.paging.fused_paged_verify_attention`
-        attends each row over its own causal prefix only. Bit-identical
-        per row to sequential decode on the LUT backends, 1e-9 on
-        ``reference`` and float-KV pools. The caller keeps the accepted
-        prefix and rolls the rejected trailing rows back with
+        the sequence consumed rows ``0..j`` — bit-identical on the LUT
+        backends, 1e-9 on ``reference`` and float-KV pools. The caller
+        keeps the accepted prefix and rolls the rejected trailing rows
+        back with
         :meth:`~repro.runtime.paging.PagedLayerCache.truncate_rows`.
         Returns logits of shape ``(B, T, vocab)``.
         """
@@ -726,46 +683,71 @@ class DecoderModel:
                 "tokens must be (batch, candidates) with one row per "
                 "sequence"
             )
+        out = self._step(tokens, caches_per_seq)
+        self.stats["verify_steps"] += 1
+        return out.reshape(tokens.shape + (self.config.vocab,))
+
+    def _step(
+        self,
+        tokens: np.ndarray,
+        caches_per_seq: list[list[PagedLayerCache]],
+        logits: bool = True,
+    ) -> np.ndarray:
+        """The KV-cached step over ``(B, T)`` *tokens* (row ``(b, j)`` at
+        position ``length_b + j``): one ``(B · T, hidden)`` mpGEMM per
+        projection — row-wise the backends are batch-composition
+        invariant — and one fused attention dispatch per layer. At T = 1
+        the rows land through one pool-level
+        :func:`~repro.runtime.paging.batched_decode_append` and attend
+        through :func:`~repro.runtime.paging.fused_paged_decode_attention`;
+        at T > 1 each sequence's rows land with ``cache.append`` (they
+        may cross a block boundary) and attend through
+        :func:`~repro.runtime.paging.fused_paged_verify_attention`.
+        Returns the ``(B · T, vocab)`` logits (``(0, vocab)`` with
+        ``logits=False``).
+        """
         cfg, rt = self.config, self.runtime
         b, t = tokens.shape
         d, hd = cfg.hidden, cfg.head_dim
         base = np.array([c[0].length for c in caches_per_seq])
         if int(base.max(initial=0)) + t > rt.max_seq_len:
             raise ServingError(
-                f"a sequence's candidates exceed max_seq_len "
-                f"{rt.max_seq_len}"
+                f"a sequence's step exceeds max_seq_len {rt.max_seq_len}"
             )
         positions = base[:, None] + np.arange(t)[None, :]
-        # Row-wise the mpGEMM backends are batch-composition invariant,
-        # so flattening all B*T candidate rows into one dispatch per
-        # projection reproduces the per-step rows bit for bit.
         x = (self.tok_emb[tokens] + self.pos_emb[positions]).reshape(
             b * t, d
         )
-        rep = cfg.heads // cfg.kv_heads
+        shape = (b, t, cfg.kv_heads, hd)
+        kw = dict(
+            repeat=cfg.heads // cfg.kv_heads,
+            table_dtype=rt.table_dtype,
+            backend=rt.backend,
+        )
+        # Each row's post-append context, summed over the step.
         step_context = int((positions + 1).sum())
 
         def append(caches, k, v):
-            k = k.reshape(b, t, cfg.kv_heads, hd)
-            v = v.reshape(b, t, cfg.kv_heads, hd)
+            k, v = k.reshape(shape), v.reshape(shape)
+            if t == 1:
+                batched_decode_append(caches, k[:, 0], v[:, 0], tokens[:, 0])
+                return
             for s, cache in enumerate(caches):
                 cache.append(k[s], v[s], token_ids=tokens[s])
 
         def attend(caches, q):
             self.stats["attn_context_tokens"] += step_context
-            return fused_paged_verify_attention(
-                q.reshape(b, t, cfg.heads, hd),
-                caches,
-                base,
-                repeat=rep,
-                table_dtype=rt.table_dtype,
-                backend=rt.backend,
-            ).reshape(b * t, d)
+            q = q.reshape(b, t, cfg.heads, hd)
+            if t == 1:
+                out = fused_paged_decode_attention(q[:, 0], caches, **kw)
+            else:
+                out = fused_paged_verify_attention(q, caches, base, **kw)
+            return out.reshape(b * t, d)
 
         layer_caches = list(zip(*caches_per_seq))
-        logits = self._run_layers(x, layer_caches, append, attend)
-        self.stats["verify_steps"] += 1
-        return logits.reshape(b, t, cfg.vocab)
+        return self._run_layers(
+            x, layer_caches, append, attend, 0 if logits else b * t
+        )
 
     # ------------------------------------------------------------------
     def kv_memory_bytes(self, caches: list[PagedLayerCache]) -> int:

@@ -48,24 +48,20 @@ whole context (vLLM-style paging):
   per call (:meth:`BlockAllocator._land_rows`,
   :meth:`BlockAllocator.refresh_v_arenas`); the numpy cores stay the
   fallback and the oracle, and both bodies write the same bytes.
-- **Row-shared, read in place**: the fused kernels hand the arenas and
-  the block table to :func:`~repro.kernels.paged_lut_execute`, which
-  reads each KV head's columns where they live (its numpy body gathers
-  them once per KV head); the ``repeat`` query heads (and a verify's
-  ``T`` candidate positions) share that row as the ``M`` axis —
-  grouped-query attention *is* M — instead of each getting a copy.
-
-:func:`fused_paged_decode_attention` stitches the blocks back together
-bit-exactly: every output column of the score mpGEMM depends only on
-its own K row (no cross-column reductions anywhere in the kernel
-stack), so per-block score segments laid out in block order equal a
-single full-context matmul bit for bit; positions past the valid
-context are masked to :data:`~repro.lut.attention.MASKED_SCORE` exactly
-as the dense path masks its padding. The context mpGEMM accumulates
-per-block partial products in ascending block order — the block
-structure *is* the numeric recipe, and the parity tests pin the whole
-incremental paged path against a from-scratch dense computation of the
-same recipe.
+- **One paged attention, read in place**: a decode step and a
+  speculative verify are the same paged LUT mpGEMM with M = ``repeat``
+  or ``T · repeat`` rows per KV head — grouped-query attention and the
+  verify's candidates *are* M. :func:`fused_paged_verify_attention` is
+  the only body and :func:`fused_paged_decode_attention` its T = 1
+  call. It hands the arenas and the block table to
+  :func:`~repro.kernels.paged_lut_execute`, which reads each KV head's
+  columns where they live (its numpy body gathers them once per KV
+  head). Score columns depend only on their own K row, so per-block
+  segments in block order equal one full-context matmul bit for bit;
+  the context accumulates per-block partials in ascending block order
+  — the block structure *is* the numeric recipe, pinned against a
+  from-scratch dense recomputation. A pool built with ``bits=None``
+  runs the same body's float-KV branch: one batched einsum per side.
 
 **Copy-on-write prefix sharing.** On top of the pool sits a *prefix
 index*: every block written through a layer-tracking cache is
@@ -105,12 +101,6 @@ the numpy body one :meth:`PagedLayerCache.append` quantizes all its K
 rows in one stacked call and hands each block its slice, however many
 blocks it spans; the compiled writer lands each block's rows in one
 call of its own.
-
-**Float-KV fused decode.** :func:`fused_paged_decode_attention` also
-serves pools built with ``bits=None``: the float K/V slabs are
-gathered per batch and attention runs as one batched einsum per side
-with the same per-row exact-width softmax denominators
-(:func:`_grouped_softmax`) a per-sequence float softmax uses.
 """
 
 from __future__ import annotations
@@ -1804,101 +1794,21 @@ def fused_paged_decode_attention(
     table_dtype=None,
     backend: str | None = None,
 ) -> np.ndarray:
-    """One batched LUT decode attention over every sequence's block table.
+    """One batched decode step's attention: the paged body
+    :func:`fused_paged_verify_attention` at T = 1.
 
-    *queries* has shape ``(B, kv_heads * repeat, head_dim)`` — one new token per
-    sequence — and *caches* are the B sequences' layer caches over one
-    shared pool. Instead of per-(sequence, head, block) kernel calls,
-    the block tables are gathered into contiguous index arrays and the
-    whole batch runs as **one** score dispatch and **one** context
-    dispatch per layer against the pool's plan arenas, over a padded
-    ``(B, heads, max_blocks · block_size)`` score layout.
-
-    Exactness: every gathered arena column equals the corresponding
-    per-block :class:`~repro.kernels.WeightPlan` column, the batched
-    row-wise executor replays the backends' scalar order per row, pad
-    positions are masked to :data:`MASKED_SCORE` exactly like the
-    dense path masks its own padding, and the softmax
-    denominators respect each row's true padded width
-    (:func:`_grouped_softmax`). On the LUT backends the result is
-    bit-identical to a from-scratch per-sequence recomputation (quantize
-    the float history, one plan per block and KV head, block-ordered
-    context partials), regardless of batch composition; the
-    ``reference`` backend's batched BLAS/einsum reductions differ in the
-    last ulp, so its parity is 1e-9.
+    *queries* has shape ``(B, kv_heads * repeat, head_dim)`` — one new
+    token per sequence, whose K/V row every cache already holds — and
+    *caches* are the B sequences' layer caches over one shared pool.
     Returns ``(B, heads, head_dim)``.
-
-    A pool built with ``bits=None`` takes the **float-KV branch**
-    instead: gathered padded float slabs, one batched score einsum,
-    :func:`_grouped_softmax` over each sequence's *exact* length, one
-    batched context einsum. That recipe is batch-composition invariant
-    bitwise (einsum reduces per output element) and matches the
-    per-sequence :func:`~repro.lut.attention.float_decode_attention`
-    path at 1e-9 — its per-head BLAS gemv reductions associate
-    differently in the last ulp.
     """
-    if not caches:
-        raise ServingError("fused decode needs at least one sequence")
-    pool = caches[0].pool
-    if any(c.pool is not pool for c in caches):
-        raise ServingError("all fused caches must share one block pool")
-    if any(c.length == 0 for c in caches):
+    base = [c.length - 1 for c in caches]
+    if -1 in base:
         raise ServingError("cannot attend over an empty cache")
-    kv, hd, block_size = pool.kv_heads, pool.head_dim, pool.block_size
-    heads = kv * repeat
-    b = len(caches)
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.shape != (b, heads, hd):
-        raise LutError(
-            f"queries must be ({b}, {heads}, {hd}), got {queries.shape}"
-        )
-    nblocks = np.array([len(c.block_ids) for c in caches], dtype=np.int64)
-    lengths = np.array([c.length for c in caches], dtype=np.int64)
-    maxb = int(nblocks.max())
-    n = maxb * block_size
-    # Padded block-id table; pad entries point at block 0, whose gathered
-    # (finite) garbage is fully masked below.
-    ids = np.zeros((b, maxb), dtype=np.int64)
-    for i, cache in enumerate(caches):
-        ids[i, :nblocks[i]] = cache.block_ids
-    table_valid = np.arange(maxb)[None, :] < nblocks[:, None]
-    inv_sqrt_d = 1.0 / np.sqrt(hd)
-    key_valid = np.arange(n)[None, :] < lengths[:, None]
-    if pool.bits is None:
-        # Float-KV branch: gather the padded K/V slabs and run one
-        # batched einsum per side, grouped-query heads sharing each KV
-        # head's slab by reshape (no np.repeat materialization). The
-        # softmax denominators sum each row's *exact* context length —
-        # the per-sequence float path softmaxes an unpadded length-L
-        # vector, so exact widths (not the quantized path's padded
-        # ``nblocks * block_size``) are what keep this the same recipe.
-        # einsum's per-output-element reductions make the result
-        # batch-composition invariant bitwise; parity with the
-        # per-sequence BLAS path is 1e-9 (different reduction order).
-        kg = pool._k[ids].transpose(0, 2, 1, 3, 4).reshape(b, kv, n, hd)
-        q4 = queries.reshape(b, kv, repeat, hd)
-        scores = np.einsum("bkrd,bknd->bkrn", q4, kg).reshape(b, heads, n)
-        scores = np.where(
-            key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
-        )
-        probs = _grouped_softmax(scores, lengths)
-        vg = pool._v[ids].transpose(0, 2, 1, 3, 4).reshape(b, kv, n, hd)
-        out = np.einsum(
-            "bkrn,bknd->bkrd", probs.reshape(b, kv, repeat, n), vg
-        )
-        return out.reshape(b, heads, hd)
-    config, kernel = _lut_dispatch(pool.lut_k, act_dtype, table_dtype, backend)
-    # One stacked refresh of the batch's stale V arenas — in steady
-    # state each sequence's trailing block; full blocks refresh once.
-    deq = not kernel.needs_table
-    pool.refresh_v_arenas(ids[table_valid], deq)
-    scores = _fused_scores(pool, kernel, config, queries[:, None], ids)[:, 0]
-    scores = np.where(
-        key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
-    )
-    probs = _grouped_softmax(scores, nblocks * block_size)
-    columns = [getattr(pool, name) for name in pool._V_ARENAS[deq]]
-    return _fused_context(pool, kernel, config, probs, ids, columns, nblocks)
+    return fused_paged_verify_attention(
+        np.asarray(queries, dtype=np.float64)[:, None], caches, base,
+        repeat, act_dtype, table_dtype, backend,
+    )[:, 0]
 
 
 def fused_paged_verify_attention(
@@ -1910,39 +1820,56 @@ def fused_paged_verify_attention(
     table_dtype=None,
     backend: str | None = None,
 ) -> np.ndarray:
-    """Score T candidate rows per sequence against the paged cache in
-    one batched pass — the speculative-verify attention.
+    """The paged attention: T query rows per sequence against every
+    sequence's block table in one batched pass — a decode step at T = 1,
+    a speculative verify at T = k + 1.
 
     *queries* is ``(B, T, heads, head_dim)``: for each sequence, T
-    consecutive candidate positions whose K/V rows have **already been
-    appended** to the caches (``cache.length == base_lengths[b] + T``).
-    Row ``(b, j)`` attends causally over exactly ``base_lengths[b] + j
-    + 1`` keys — the context a sequential decode step at that position
-    would see.
+    consecutive positions whose K/V rows have **already been appended**
+    (``cache.length == base_lengths[b] + T``). Row ``(b, j)`` attends
+    causally over exactly ``base_lengths[b] + j + 1`` keys — the context
+    a decode step at that position sees. The block tables form one
+    padded ``(B, max_blocks)`` id table (pads name block 0, whose finite
+    garbage is masked); the batch runs as **one** score and **one**
+    context dispatch, R = ``B · kv_heads`` K rows each shared by M =
+    ``T · repeat`` query rows. Returns ``(B, T, heads, head_dim)``.
 
-    Exactness is column-local, which is what makes one fused pass over
-    the *already-extended* cache possible: per-token K quantization
-    scales and per-column K-arena entries never look at later rows, so
-    masking columns at or past each row's causal width reproduces the
-    time-``j`` score vector bit-for-bit, and the softmax widths follow
-    :func:`fused_paged_decode_attention` (each row's *padded* block
-    context on the quantized path, exact lengths on the float path).
-    The V side is the one place later rows leak — a trailing block's
-    group quantization folds every resident row into its scales — so
-    each row whose time-``j`` trailing block was partial gets that
-    block requantized from a zero-masked copy at its time-``j`` fill
-    (one *stacked* quantize + column build over all such (row, block)
-    combos: the same per-step count, T trailing quantizations per
-    sequence, as T sequential decode steps). Full blocks serve from the
-    shared V arenas exactly like decode.
+    **K is column-local.** Per-token K scales and per-column arena
+    entries never look at later rows, and every score column depends
+    only on its own K row, so masking the columns at or past a row's
+    causal width to :data:`MASKED_SCORE` reproduces its time-``j`` score
+    vector bit for bit. The softmax denominators sum each row's
+    *padded* block context (:func:`_grouped_softmax`).
 
-    The result is bit-identical to T sequential
-    :func:`fused_paged_decode_attention` calls on the LUT backends
-    (1e-9 on reference; float-KV pools differ only in einsum padding
-    width, 1e-9 as well). Returns ``(B, T, heads, head_dim)``.
+    **V leaks through the trailing block**: its group quantization
+    folds every resident row into its scales. Every live block is
+    refreshed at its *current* fill and read **in place** through the
+    row-repeated block table — row ``T - 1``'s view, and every row's
+    for a block that was full at its time. Only a row whose time-``j``
+    fill is below its trailing block's current fill (so only at T > 1)
+    sees that block requantized from a copy zero-masked past its
+    time-``j`` fill: the context slabs are then gathered per row, those
+    (row, block) slabs overwritten by one stacked masked build, and
+    read through an identity table. Slots past a fill always hold +0.0
+    (scrubbed on free and on rollback), so the refreshed arena equals
+    the masked copy at the current fill byte for byte.
+
+    Exactness: on the LUT backends each row is bit-identical to a
+    from-scratch recomputation over its time-``j`` float history
+    (quantize it, one plan per block and KV head, block-ordered context
+    partials), whatever the batch and T; the ``reference`` backend's
+    batched BLAS/einsum reductions differ in the last ulp: 1e-9. A pool
+    built with ``bits=None`` takes the **float-KV branch**: gathered
+    padded float slabs, one batched einsum per side (query heads share
+    their KV head's slab by reshape) and :func:`_grouped_softmax` over
+    each row's *exact* causal width, as the per-sequence float path
+    softmaxes an unpadded vector. einsum reduces per output element, so
+    it is batch-composition invariant bitwise and matches
+    :func:`~repro.lut.attention.float_decode_attention` at 1e-9 (its
+    per-head BLAS gemv associates differently).
     """
     if not caches:
-        raise ServingError("verify needs at least one sequence")
+        raise ServingError("attention needs at least one sequence")
     pool = caches[0].pool
     if any(c.pool is not pool for c in caches):
         raise ServingError("all fused caches must share one block pool")
@@ -1958,16 +1885,16 @@ def fused_paged_verify_attention(
         )
     t = queries.shape[1]
     base = np.asarray(base_lengths, dtype=np.int64)
-    if base.shape != (b,) or (base < 0).any():
+    if base.shape != (b,) or min(base.tolist()) < 0:
         raise ServingError(
             f"base_lengths must be {b} non-negative lengths"
         )
-    for i, cache in enumerate(caches):
-        if cache.length != int(base[i]) + t:
+    base = base.tolist()
+    for i, (cache, n0) in enumerate(zip(caches, base)):
+        if cache.length != n0 + t:
             raise ServingError(
-                f"cache {i} holds {cache.length} rows; verify of {t} "
-                f"candidates over base {int(base[i])} requires "
-                f"{int(base[i]) + t}"
+                f"cache {i} holds {cache.length} rows; attention over {t} "
+                f"rows past base {n0} requires {n0 + t}"
             )
     bt = b * t
     nblocks = np.array([len(c.block_ids) for c in caches], dtype=np.int64)
@@ -1976,11 +1903,11 @@ def fused_paged_verify_attention(
     ids = np.zeros((b, maxb), dtype=np.int64)
     for i, cache in enumerate(caches):
         ids[i, :nblocks[i]] = cache.block_ids
-    table_valid = np.arange(maxb)[None, :] < nblocks[:, None]
-    # Per-row causal geometry: row (b, j) sees f = base_b + j + 1 keys.
-    f_rows = (base[:, None] + np.arange(t)[None, :] + 1).reshape(bt)
-    nb_rows = -(-f_rows // block_size)
-    ids_rows = np.repeat(ids, t, axis=0)
+    # Per-row causal geometry: row (b, j) sees f = base_b + j + 1 keys
+    # (Python ints: at decode's B rows cheaper than array arithmetic).
+    f_list = [n0 + j + 1 for n0 in base for j in range(t)]
+    f_rows = np.array(f_list, dtype=np.int64)
+    nb_rows = np.array([-(-f // block_size) for f in f_list], dtype=np.int64)
     key_valid = np.arange(n)[None, :] < f_rows[:, None]
     inv_sqrt_d = 1.0 / np.sqrt(hd)
     if pool.bits is None:
@@ -1999,14 +1926,11 @@ def fused_paged_verify_attention(
         )
         return out.reshape(b, t, heads, hd)
     config, kernel = _lut_dispatch(pool.lut_k, act_dtype, table_dtype, backend)
-    # V arenas serve only blocks that are full *now* (full at every
-    # queried time); rows whose time-j trailing block was partial get a
-    # fresh zero-masked requantization below, so partial-now blocks are
-    # never read from the arena.
+    # One stacked refresh of the batch's stale V arenas — in steady
+    # state each sequence's trailing block; full blocks refresh once.
     deq = not kernel.needs_table
-    live = ids[table_valid]
-    pool.refresh_v_arenas(live[pool._fill[live] == block_size], deq)
-
+    live = np.arange(maxb)[None, :] < nblocks[:, None]
+    pool.refresh_v_arenas(ids[live], deq)
     scores = _fused_scores(pool, kernel, config, queries, ids).reshape(
         bt, heads, n
     )
@@ -2014,28 +1938,30 @@ def fused_paged_verify_attention(
         key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
     )
     probs = _grouped_softmax(scores, nb_rows * block_size)
-
-    # Gathered per-row V arena slabs, then overwrite the time-j
-    # trailing-partial combos with fresh masked requantizations.
-    slabs = [getattr(pool, name)[ids_rows] for name in pool._V_ARENAS[deq]]
-    tb_rows = nb_rows - 1                      # time-j trailing block idx
-    fill_rows = f_rows - tb_rows * block_size  # its time-j fill
-    fresh = np.nonzero(fill_rows < block_size)[0]
-    if fresh.size:
-        tb = tb_rows[fresh]
-        v_src = pool._v[ids_rows[fresh, tb]]  # (C, kv, block_size, hd)
-        keep = (
-            np.arange(block_size)[None, None, :, None]
-            < fill_rows[fresh][:, None, None, None]
-        )
-        cols = pool._v_arena_columns(np.where(keep, v_src, 0.0), deq)
-        for slab, col in zip(slabs, cols):
-            slab[fresh, tb] = col
-    # The slabs are their own arena: (row, block j) lives at row·maxb + j.
+    columns = [getattr(pool, name) for name in pool._V_ARENAS[deq]]
+    ids_rows = ids
+    if t > 1:
+        ids_rows = np.repeat(ids, t, axis=0)
+        tb_rows = nb_rows - 1                      # time-j trailing block idx
+        fill_rows = f_rows - tb_rows * block_size  # its time-j fill
+        tb_ids = ids_rows[np.arange(bt), tb_rows]
+        masked = np.nonzero(fill_rows < pool._fill[tb_ids])[0]
+        if masked.size:
+            keep = (
+                np.arange(block_size)[None, None, :, None]
+                < fill_rows[masked][:, None, None, None]
+            )
+            cols = pool._v_arena_columns(
+                np.where(keep, pool._v[tb_ids[masked]], 0.0), deq
+            )
+            columns = [col[ids_rows] for col in columns]
+            for slab, col in zip(columns, cols):
+                slab[masked, tb_rows[masked]] = col
+            # The slabs are their own arena: (row, block i) at row·maxb + i.
+            columns = [s.reshape((-1,) + s.shape[2:]) for s in columns]
+            ids_rows = np.arange(bt * maxb, dtype=np.int64).reshape(bt, maxb)
     out = _fused_context(
-        pool, kernel, config, probs,
-        np.arange(bt * maxb, dtype=np.int64).reshape(bt, maxb),
-        [slab.reshape((-1,) + slab.shape[2:]) for slab in slabs], nb_rows,
+        pool, kernel, config, probs, ids_rows, columns, nb_rows
     )
     return out.reshape(b, t, heads, hd)
 

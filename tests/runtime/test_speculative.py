@@ -1,4 +1,5 @@
-"""Speculative decoding parity: batched verify vs sequential decode.
+"""Speculative decoding parity: batched verify vs sequential decode,
+and every verify row vs a from-scratch oracle.
 
 ``fused_paged_verify_attention`` must reproduce, for every candidate
 row, the attention output a sequential decode step at that position
@@ -6,13 +7,17 @@ would have produced — bit-for-bit on the LUT backends (per-column K
 plans and per-row zero-masked trailing V requantization make the verify
 row a function of its causal prefix only), 1e-9 on reference and on
 float-KV pools (batched BLAS/einsum padding associates differently in
-the last ulp).
+the last ulp). Decode is that body at T = 1, so the sequential
+comparison partly checks the body against itself;
+:class:`TestVerifyRowsAgainstOracle` checks each row against
+``tests/runtime/oracle.py``, which shares no code with it.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ServingError
+from repro.lut.attention import float_decode_attention
 from repro.models.configs import ModelConfig
 from repro.runtime.model import DecoderModel, RuntimeConfig
 from repro.runtime.paging import (
@@ -21,6 +26,7 @@ from repro.runtime.paging import (
     fused_paged_decode_attention,
     fused_paged_verify_attention,
 )
+from tests.runtime.oracle import assert_parity, reference_paged_attention
 
 LUT_BACKENDS = ("lut-naive", "lut-blocked")
 KV_HEADS = 2
@@ -144,6 +150,87 @@ class TestVerifyAttentionParity:
             fused_paged_verify_attention(
                 queries, caches, base, repeat=REPEAT
             )
+
+
+#: Prompt lengths over 8-token blocks. Across T = 1..5 a row's time-j
+#: trailing block is partial (3), full (7 at j = 0, 6 at j = 1) or the
+#: first row of a new block (7 at j = 1, 8 at j = 0); the last two
+#: share one 13-token prompt, partial trailing block included, which the
+#: first candidate append copy-on-writes.
+ORACLE_BASES = (3, 6, 7, 8, 13, 13)
+
+
+def _oracle_world(bits, t):
+    """A verify batch over :data:`ORACLE_BASES` with *t* candidate rows
+    per sequence appended. Returns ``(caches, histories, queries)``:
+    each sequence's float ``(K, V)`` history, ``(length, kv_heads,
+    head_dim)`` each, is all the oracle reads."""
+    rng = np.random.default_rng(40 + t)
+    pool = BlockAllocator(KV_HEADS, HEAD_DIM, block_size=8, bits=bits)
+    shape = (KV_HEADS, HEAD_DIM)
+    hist = [
+        tuple(rng.normal(size=(n + t,) + shape) for _ in "kv")
+        for n in ORACLE_BASES
+    ]
+    hist[5] = tuple(
+        np.concatenate([owner[:13], own[13:]])
+        for owner, own in zip(hist[4], hist[5])
+    )
+    caches = [PagedLayerCache(pool) for _ in ORACLE_BASES[:4]]
+    caches += [PagedLayerCache(pool, layer=0) for _ in range(2)]
+    prompt = np.arange(13)
+    for cache, n, (k, v) in zip(caches[:5], ORACLE_BASES, hist):
+        cache.append(k[:n], v[:n], token_ids=prompt[:n])
+    caches[5].adopt_prefix(pool.match_prefix(0, prompt), prompt)
+    assert caches[5].block_ids == caches[4].block_ids
+    for cache, n, (k, v) in zip(caches, ORACLE_BASES, hist):
+        cache.append(k[n:], v[n:])
+    assert pool.stats["cow"] == 1
+    queries = rng.normal(size=(len(caches), t, HEADS, HEAD_DIM))
+    return caches, hist, queries
+
+
+class TestVerifyRowsAgainstOracle:
+    """Every verify row ``(b, j)`` against a from-scratch recomputation
+    over sequence b's time-j float history — no pool arena, no decode
+    call — so verify is not checked against itself now that decode is
+    its T = 1 call."""
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    @pytest.mark.parametrize("bits", [2, 4])
+    @pytest.mark.parametrize("backend", LUT_BACKENDS + ("reference",))
+    def test_rows_equal_the_from_scratch_recipe(self, backend, bits, t):
+        caches, hist, queries = _oracle_world(bits, t)
+        got = fused_paged_verify_attention(
+            queries, caches, ORACLE_BASES, repeat=REPEAT, backend=backend
+        )
+        for b, (n, (k, v)) in enumerate(zip(ORACLE_BASES, hist)):
+            for j in range(t):
+                f = n + j + 1
+                want = reference_paged_attention(
+                    k[:f].transpose(1, 0, 2), v[:f].transpose(1, 0, 2),
+                    queries[b, j], bits=bits, block_size=8,
+                    lut_k=caches[b].lut_k, backend=backend, repeat=REPEAT,
+                )
+                assert_parity(got[b, j], want, backend, f"row ({b}, {j})")
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_float_kv_rows_within_1e9(self, t):
+        caches, hist, queries = _oracle_world(None, t)
+        got = fused_paged_verify_attention(
+            queries, caches, ORACLE_BASES, repeat=REPEAT
+        )
+        for b, (n, (k, v)) in enumerate(zip(ORACLE_BASES, hist)):
+            for j in range(t):
+                f = n + j + 1
+                want = float_decode_attention(
+                    queries[b, j], k[:f].transpose(1, 0, 2),
+                    v[:f].transpose(1, 0, 2), repeat=REPEAT,
+                )
+                np.testing.assert_allclose(
+                    got[b, j], want, atol=1e-9, rtol=0,
+                    err_msg=f"row ({b}, {j})",
+                )
 
 
 MODEL_CFG = ModelConfig(

@@ -343,11 +343,24 @@ def quantize_calls(monkeypatch):
     return calls
 
 
+class _Dispatches(list):
+    """Dispatch shapes; ``columns`` holds the arrays each one read."""
+
+    def __init__(self):
+        super().__init__()
+        self.columns = []
+
+    def clear(self):
+        super().clear()
+        self.columns.clear()
+
+
 @pytest.fixture
 def gather_calls(monkeypatch):
     """``(weight rows R, shared activation rows M)`` of every fused LUT
-    dispatch (either body: the paged executor is the seam both share)."""
-    calls = []
+    dispatch (either body: the paged executor is the seam both share),
+    and in ``gather_calls.columns`` the column arrays each was handed."""
+    calls = _Dispatches()
     real = paging.paged_lut_execute
 
     def counting(kernel, table, sums, ids, columns, repeat, counts=None):
@@ -356,6 +369,7 @@ def gather_calls(monkeypatch):
         )
         assert len(table) % rows == 0
         calls.append((rows, len(table) // rows))
+        calls.columns.append(tuple(columns))
         return real(kernel, table, sums, ids, columns, repeat, counts)
 
     monkeypatch.setattr(paging, "paged_lut_execute", counting)
@@ -453,6 +467,163 @@ class TestOneQuantizePerCall:
 
 
 @pytest.fixture
+def masked_builds(monkeypatch):
+    """The slab count of every V-arena build made outside
+    ``refresh_v_arenas``: the attention's masked requantizations."""
+    builds, refreshing = [], []
+    real_refresh = BlockAllocator.refresh_v_arenas
+    real_build = BlockAllocator._v_arena_columns
+
+    def refresh(pool, *args, **kwargs):
+        refreshing.append(True)
+        try:
+            return real_refresh(pool, *args, **kwargs)
+        finally:
+            refreshing.pop()
+
+    def build(pool, v_slabs, *args, **kwargs):
+        if not refreshing:
+            builds.append(len(v_slabs))
+        return real_build(pool, v_slabs, *args, **kwargs)
+
+    monkeypatch.setattr(BlockAllocator, "refresh_v_arenas", refresh)
+    monkeypatch.setattr(BlockAllocator, "_v_arena_columns", build)
+    return builds
+
+
+@pytest.mark.parametrize("backend", ["lut-naive", "lut-blocked"])
+class TestContextReadsTheArenasInPlace:
+    """Decode, and a verify whose rows all see their blocks' current
+    fill, hand the pool's own arenas to both dispatches and requantize
+    nothing outside the refresh; only a row whose time-j trailing block
+    has grown since gets a masked build of its own, one block each."""
+
+    KV, HD, BLOCK, REPEAT = 2, 8, 16, 2
+
+    def _verify(self, rng, bases, t, backend):
+        pool = BlockAllocator(self.KV, self.HD, self.BLOCK, bits=4)
+        caches = [_cache(pool, rng, n) for n in bases]
+        for cache in caches:
+            cache.append(*_rows(rng, t, pool))
+        queries = rng.normal(
+            size=(len(bases), t, self.KV * self.REPEAT, self.HD)
+        )
+        fused_paged_verify_attention(
+            queries, caches, bases, repeat=self.REPEAT, backend=backend
+        )
+        return pool, max(len(c.block_ids) for c in caches)
+
+    @staticmethod
+    def _reads_the_pool(columns, pool, names) -> bool:
+        return all(c is getattr(pool, name) for c, name in zip(columns, names))
+
+    def _assert_in_place(self, pool, gather_calls):
+        score, context = gather_calls.columns
+        assert self._reads_the_pool(
+            score, pool, ("_ka_flat", "_ka_scale", "_ka_zero")
+        )
+        assert self._reads_the_pool(
+            context, pool, BlockAllocator._V_ARENAS[False]
+        )
+
+    def test_decode(self, backend, gather_calls, masked_builds):
+        rng = np.random.default_rng(12)
+        pool = BlockAllocator(self.KV, self.HD, self.BLOCK, bits=4)
+        caches = [_cache(pool, rng, n) for n in (1, 15, 16, 17, 40)]
+        fused_paged_decode_attention(
+            rng.normal(size=(5, self.KV * self.REPEAT, self.HD)), caches,
+            repeat=self.REPEAT, backend=backend,
+        )
+        self._assert_in_place(pool, gather_calls)
+        assert masked_builds == []
+
+    @pytest.mark.parametrize("bases, t", [
+        ((15, 31, 47), 2),    # row 0 fills its block; row 1 starts one
+        ((1, 16, 20), 1),
+    ])
+    def test_verify_of_rows_at_current_fill(
+        self, backend, gather_calls, masked_builds, bases, t
+    ):
+        pool, maxb = self._verify(np.random.default_rng(13), bases, t, backend)
+        self._assert_in_place(pool, gather_calls)
+        assert masked_builds == []
+        # The row-repeated table: B · T rows of every KV head and block.
+        assert gather_calls[1] == (
+            len(bases) * t * self.KV * maxb, self.REPEAT
+        )
+
+    def test_masked_rows_requantize_one_block_each(
+        self, backend, gather_calls, masked_builds
+    ):
+        # T = 4 over 16-token blocks: 5 -> rows 0-2 masked (fills 6-8 of
+        # 9); 14 -> row 0 (15 of 16) and row 2 (1 of 2), row 1 fills its
+        # block; 16 -> rows 0-2 (1-3 of 4). The last row never is.
+        pool, _ = self._verify(
+            np.random.default_rng(14), (5, 14, 16), 4, backend
+        )
+        assert masked_builds == [3 + 2 + 3]
+        _, context = gather_calls.columns
+        assert not any(
+            c is getattr(pool, name)
+            for c, name in zip(context, BlockAllocator._V_ARENAS[False])
+        )
+
+
+@pytest.mark.parametrize("accepted", range(5))
+def test_rollback_after_verify_leaves_a_never_speculated_pool(accepted):
+    """Verify refreshes every live V arena at its current fill, and
+    ``truncate_rows`` rolls the rejected rows back. From there the next
+    decode step returns the same bytes as on a pool that only ever
+    appended the *accepted* rows, and leaves every pool array
+    byte-equal to that pool's: block by block through the tables (a
+    rolled-back block freed mid-batch can shift later ids) and scrubbed
+    everywhere else."""
+    t, bases = 4, (5, 14, 16, 30)
+    rng = np.random.default_rng(15)
+    hist = [_rows(rng, n + t + 1, BlockAllocator(2, 8, 16)) for n in bases]
+    q0, q1 = rng.normal(size=(2, len(bases), 4, 8))
+
+    def world(rows):
+        pool = BlockAllocator(2, 8, 16, num_blocks=12, bits=4)
+        caches = []
+        for n, (k, v) in zip(bases, hist):
+            caches.append(PagedLayerCache(pool))
+            caches[-1].append(k[:n], v[:n])
+        fused_paged_decode_attention(q0, caches, repeat=2)
+        for cache, n, (k, v) in zip(caches, bases, hist):
+            if rows:
+                cache.append(k[n:n + rows], v[n:n + rows])
+        return pool, caches
+
+    spec_pool, spec = world(t)
+    fused_paged_verify_attention(
+        rng.normal(size=(len(bases), t, 4, 8)), spec, bases, repeat=2
+    )
+    for cache in spec:
+        cache.truncate_rows(t - accepted)
+    plain_pool, plain = world(accepted)
+    step = [np.stack([h[n + accepted] for h, n in zip(side, bases)])
+            for side in zip(*hist)]
+    outs = []
+    for pool, caches in ((spec_pool, spec), (plain_pool, plain)):
+        batched_decode_append(caches, *step)
+        outs.append(fused_paged_decode_attention(q1, caches, repeat=2))
+    np.testing.assert_array_equal(outs[0], outs[1])
+    assert spec_pool._resident == plain_pool._resident
+    for name in spec_pool._resident:
+        arrays = []
+        for pool, caches in ((spec_pool, spec), (plain_pool, plain)):
+            arr = getattr(pool, name)
+            free = sorted(set(range(pool.capacity)) - pool._in_use)
+            np.testing.assert_array_equal(
+                arr[free], pool._layout[name][2], err_msg=name
+            )
+            arrays.append([arr[c.block_ids] for c in caches])
+        for got, want in zip(*arrays):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@pytest.fixture
 def slow_quantize(monkeypatch):
     """Every quantize the pool makes, on either body, takes >= 20 ms
     more."""
@@ -481,10 +652,11 @@ def test_v_quant_timer_covers_quantize_on_both_paths(slow_quantize):
     assert pool.stats["v_quant_s"] == 0.0
     pool.refresh_v_arenas(cache.block_ids)
     assert pool.stats["v_quant_s"] >= 0.02
-    # Verify over a partial trailing block: only the fresh-partial
-    # branch quantizes (the one full block is already fresh).
-    pool.stats["v_quant_s"] = 0.0
+    # Verify over a partial trailing block whose arenas are fresh at
+    # the current fill: only row 0's masked build quantizes.
     cache.append(*_rows(rng, 2, pool))
+    pool.refresh_v_arenas(cache.block_ids)
+    pool.stats["v_quant_s"] = 0.0
     fused_paged_verify_attention(
         rng.normal(size=(1, 2, 2, 8)), [cache], [20]
     )
