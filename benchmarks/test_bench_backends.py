@@ -16,13 +16,16 @@ row count — M = 1 and 2, where padding to full lanes could lose, included
 holds the paged attention executor's compiled body (``rows-*``: decode
 scores, decode context, a verify's M = 10 scores) and the int4-KV pool
 writer's (``kv-*``: a decode step's K/V append and V-arena refresh) to
-their numpy bodies.
+their numpy bodies, and the float attention's (``attn-float-*``: decode
+steps over 2 and 5 blocks, prefills of 176 and of 32 rows) to its.
 """
 
 from benchmarks.conftest import run_once
 from repro.experiments.bench_backends import (
     BODY_BACKENDS,
     BODY_MS,
+    FLOAT_BACKENDS,
+    FLOAT_ROWS,
     KV_BACKENDS,
     KV_ROWS,
     ROWS_BACKENDS,
@@ -91,6 +94,15 @@ def test_bench_backends(benchmark, show):
             assert rows[(label, KV_BACKENDS[1])].time_s <= numpy_body.time_s
         else:
             assert (label, KV_BACKENDS[1]) not in rows
+
+    # The two bodies of the float attention, gated the same way.
+    for label, _, _, _ in FLOAT_ROWS:
+        numpy_body = rows[(label, FLOAT_BACKENDS[0])]
+        assert numpy_body.max_abs_err == 0.0
+        if native.status()["loaded"]:
+            assert rows[(label, FLOAT_BACKENDS[1])].time_s <= numpy_body.time_s
+        else:
+            assert (label, FLOAT_BACKENDS[1]) not in rows
 
     # Lossless configuration: LUT backends match the dequant reference
     # to float accumulation noise, the reference backend exactly.

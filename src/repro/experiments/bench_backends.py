@@ -45,6 +45,17 @@ scatters them; the compiled one (``kv_append`` / ``kv_refresh``) writes
 them in place in one pass. Every pool array must be equal byte for byte
 after the call, or the experiment raises.
 
+The ``attn-float-*`` rows time the two bodies of the float attention
+(:func:`~repro.runtime.paging.paged_float_attention`: prefill on every
+pool, decode and verify on a float-KV one) at the serving shapes, 4 KV
+heads of 2 query heads, head_dim 16, blocks of 16: a decode step of B = 8
+sequences whose contexts span 2 or 5 blocks, and a prefill of 176 rows
+over no past or of 32 rows over 128 cached ones. The compiled body
+(``attn_scores`` / ``attn_context``) reads the pool's float slabs in place
+and visits each row's causal keys only; the numpy body gathers the
+blocks and computes the same sequence over the padded table. Their
+outputs must be equal byte for byte, or the experiment raises.
+
 Extends Section 3.2 of the paper (the software kernel pipeline); there
 is no corresponding figure — this is the repo's own regression bench.
 """
@@ -71,7 +82,11 @@ from repro.lut.mpgemm import (
     dequant_mpgemm_reference,
 )
 from repro.quant.weight import quantize_weights
-from repro.runtime.paging import BlockAllocator
+from repro.runtime.paging import (
+    BlockAllocator,
+    PagedLayerCache,
+    paged_float_attention,
+)
 
 #: (label, M, N, K). ``decode`` is the serving batch on a bench-128
 #: layer (rows-limited blocking); the 1024-wide rows are column-limited.
@@ -107,6 +122,16 @@ ROWS_BACKENDS = ("paged (numpy)", "paged (compiled)")
 #: The int4-KV pool writer rows, at the rows-* step's geometry.
 KV_ROWS = ("kv-append", "kv-refresh")
 KV_BACKENDS = ("pool (numpy)", "pool (compiled)")
+#: (label, sequences, cached rows before the call, rows T) of the float
+#: attention rows: decode steps whose contexts span 2 and 5 blocks (the
+#: B = 8 rows' lengths staggered within the last block), prefills.
+FLOAT_ROWS: tuple[tuple[str, int, int, int], ...] = (
+    ("attn-float-decode-2", ROWS_B, ROWS_DIM, 1),
+    ("attn-float-decode-5", ROWS_B, 4 * ROWS_DIM, 1),
+    ("attn-float-prefill-176", 1, 0, 176),
+    ("attn-float-prefill-128+32", 1, 128, 32),
+)
+FLOAT_BACKENDS = ("float (numpy)", "float (compiled)")
 WEIGHT_BITS = 4
 LUT_K = 4
 BACKENDS = ("reference", "lut-naive", "lut-blocked")
@@ -136,6 +161,7 @@ META = ExperimentMeta(
         "body_ms": BODY_MS,
         "rows_shapes": ROWS_SHAPES,
         "kv_rows": KV_ROWS,
+        "float_rows": FLOAT_ROWS,
     },
 )
 
@@ -412,6 +438,56 @@ def _kv_rows(label: str) -> list[BackendBenchRow]:
     ]
 
 
+def _float_rows(rng, label: str, b: int, past: int, t: int):
+    """Time the two bodies of the float attention at one call shape: B
+    sequences of ``past + 2·i`` cached rows (``i`` the sequence) plus the
+    T rows the call attends for, over one float pool."""
+    pool = BlockAllocator(ROWS_KV, ROWS_DIM, ROWS_DIM)
+    caches, base = [], []
+    for i in range(b):
+        n0 = past + 2 * i
+        cache = PagedLayerCache(pool)
+        cache.append(*rng.normal(size=(2, n0 + t, ROWS_KV, ROWS_DIM)))
+        caches.append(cache)
+        base.append(n0)
+    queries = rng.normal(size=(b, t, ROWS_KV * ATTN_M, ROWS_DIM))
+
+    def best() -> float:
+        out = np.inf
+        for _ in range(MAX_REPS):
+            started = time.perf_counter()
+            paged_float_attention(queries, caches, base, ATTN_M)
+            out = min(out, time.perf_counter() - started)
+        return out
+
+    with native.unloaded():
+        want = paged_float_attention(queries, caches, base, ATTN_M)
+        times = {FLOAT_BACKENDS[0]: best()}
+    if native.status()["loaded"]:
+        got = paged_float_attention(queries, caches, base, ATTN_M)
+        if (
+            pool.last_attn_body != "compiled"
+            or got.tobytes() != want.tobytes()
+        ):
+            raise LutError(f"compiled and numpy float bodies differ: {label}")
+        times[FLOAT_BACKENDS[1]] = best()
+    return [
+        BackendBenchRow(
+            shape_label=label,
+            backend=name,
+            m=b * t * ATTN_M,
+            n=max(base) + t,
+            kdim=ROWS_DIM,
+            bits=64,
+            time_s=time_s,
+            speedup_vs_naive=times[FLOAT_BACKENDS[0]] / time_s,
+            max_abs_err=0.0,
+            peak_traced_bytes=None,
+        )
+        for name, time_s in times.items()
+    ]
+
+
 def run(
     shapes: tuple[tuple[str, int, int, int], ...] = SHAPES,
     attn_shapes: tuple[tuple[str, int, int, int], ...] = ATTN_SHAPES,
@@ -466,6 +542,8 @@ def run(
         rows.extend(_paged_rows(rng, label, t, context))
     for label in KV_ROWS:
         rows.extend(_kv_rows(label))
+    for label, b, past, t in FLOAT_ROWS:
+        rows.extend(_float_rows(rng, label, b, past, t))
     return rows
 
 
@@ -473,8 +551,8 @@ def format_result(rows: list[BackendBenchRow]) -> str:
     status = native.status()
     lines = [
         "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive,"
-        " attn-* rows vs rowwise-per-head, body-*, rows-* and kv-* rows vs"
-        " the numpy body)",
+        " attn-* rows vs rowwise-per-head, body-*, rows-*, kv-* and"
+        " attn-float-* rows vs the numpy body)",
         "lut-blocked bodies: " + (
             f"compiled {', '.join(status['entry_points'])} ({status['flags']})"
             if status["loaded"] else f"numpy ({status['reason']})"

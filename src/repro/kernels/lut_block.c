@@ -527,3 +527,234 @@ int kv_refresh(void *const *pool, const int64_t *geo, const int64_t *bids,
         }
     return 0;
 }
+
+/* Float attention over the pool's float K / V slabs, read in place through
+ * the block table (ARCHITECTURE section 8). Row (b, j), b < B, j < T, sees
+ * the f = base[b] + j + 1 leading keys of sequence b; its query head h
+ * reads KV head h / rep. Per row and query head, the one definition both
+ * bodies compute:
+ *
+ *     s_n = (q_0 * k_n0 + q_1 * k_n1 + ...  ascending d) * c     n < f
+ *     x_n = s_n - max s                                 attn_scores
+ *     e_n = exp(x_n)                                    numpy's np.exp
+ *     z   = e_0 + e_1 + ...                 ascending n  attn_context
+ *     out = 0.0 + (e_0 / z) * v_0 + (e_1 / z) * v_1 + ...  ascending n
+ *
+ * Every product rounds before the add after it (-ffp-contract=off). exp
+ * stays numpy's, whose SIMD exp cannot be replayed here bit for bit: the
+ * two passes meet at a packed array of the x_n, row-major over (row, query
+ * head, n < f) -- row r's segment at heads * sum_{r' < r} f_r' -- which
+ * np.exp turns into the e_n in place. The T * rep query rows that share a
+ * KV head are the lanes, LANES at a time in ascending j: a lane block reads
+ * each key of its widest lane once and none past it, no lane stores an s_n
+ * past its own f, and a key past a lane's f reaches its context as weight
+ * +0.0, which adds nothing to a sum that started at +0.0. Lanes never mix
+ * and d is never split, so neither the lane count nor the block's other
+ * rows can change a value.
+ * The pool's _k / _v are (blocks, kv, block_size, head_dim) C-contiguous,
+ * queries and out (B, T, kv * rep, head_dim) C-contiguous, ids the (B,
+ * maxb) int64 table; `geo` holds the geometry in ATTN_GEO order, then
+ * base, the B lengths before the T rows. */
+enum { AT_BLOCKS, AT_KV, AT_BLOCK, AT_DIM, AT_SEQS, AT_MAXB, AT_T, AT_REP,
+       ATTN_GEO };
+
+/* Whether every sequence's context fits its table (0 <= base, base + T <=
+ * maxb * block_size) and every block id it covers is in [0, blocks): both
+ * passes check before any read, and return 1 with nothing written. */
+static int attn_out_of_range(const int64_t *geo, const int64_t *ids)
+{
+    const int64_t bs = geo[AT_BLOCK], maxb = geo[AT_MAXB], t = geo[AT_T];
+    const int64_t *base = geo + ATTN_GEO;
+    for (int64_t b = 0; b < geo[AT_SEQS]; b++) {
+        if (base[b] < 0 || base[b] > maxb * bs - t)
+            return 1;
+        for (int64_t j = 0; j * bs < base[b] + t; j++)
+            if ((uint64_t)ids[b * maxb + j] >= (uint64_t)geo[AT_BLOCKS])
+                return 1;
+    }
+    return 0;
+}
+
+/* The lanes of the block that starts at lane m0 of KV head kh of sequence b,
+ * whose first row's packed segment starts at row index `first` (sum of f
+ * over earlier rows): lane l's width f, its (row, query head) index `at`
+ * (queries and out at at * head_dim) and its packed segment `seg`. Returns
+ * the live lane count. */
+static int64_t attn_lanes(const int64_t *geo, int64_t b, int64_t first,
+                          int64_t kh, int64_t m0, int64_t *f, int64_t *at,
+                          int64_t *seg)
+{
+    const int64_t t = geo[AT_T], rep = geo[AT_REP], heads = geo[AT_KV] * rep;
+    const int64_t *base = geo + ATTN_GEO;
+    const int64_t live = t * rep - m0 < LANES ? t * rep - m0 : LANES;
+    for (int64_t l = 0; l < live; l++) {
+        const int64_t j = (m0 + l) / rep, h = kh * rep + (m0 + l) % rep;
+        f[l] = base[b] + j + 1;
+        at[l] = (b * t + j) * heads + h;
+        seg[l] = heads * (first + j * base[b] + j * (j + 1) / 2) + h * f[l];
+    }
+    return live;
+}
+
+/* The first key of block j of sequence b's KV head kh; the block's keys
+ * follow head_dim apart. */
+static inline const double *attn_block(const double *slab, const int64_t *geo,
+                                       const int64_t *ids, int64_t b,
+                                       int64_t kh, int64_t j)
+{
+    const int64_t blk = ids[b * geo[AT_MAXB] + j];
+    return slab + (blk * geo[AT_KV] + kh) * geo[AT_BLOCK] * geo[AT_DIM];
+}
+
+/* a > b ? a : b in every lane. */
+typedef int64_t lanes_mask
+    __attribute__((vector_size(LANES * sizeof(int64_t))));
+static inline lanes_t lanes_max(lanes_t a, lanes_t b)
+{
+    const lanes_mask gt = a > b;
+    return (lanes_t)(((lanes_mask)a & gt) | ((lanes_mask)b & ~gt));
+}
+
+/* The x_n of every row and query head into x. A lane block's s_n go to
+ * scratch first, one lane vector a key, four keys at a time (four
+ * independent add chains); then each lane's max over its own keys, and
+ * x_n = s_n - max out to each lane's packed segment. scratch holds
+ * (head_dim + max f) * 8 + 8 doubles. */
+int attn_scores(const double *k, const int64_t *geo, const int64_t *ids,
+                const double *q, double c, double *x, void *scratch)
+{
+    const int64_t kv = geo[AT_KV], bs = geo[AT_BLOCK], hd = geo[AT_DIM];
+    const int64_t t = geo[AT_T], *base = geo + ATTN_GEO;
+    lanes_t *qv = (lanes_t *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
+    lanes_t *sv = qv + hd;
+    if (attn_out_of_range(geo, ids))
+        return 1;
+    for (int64_t b = 0, first = 0; b < geo[AT_SEQS]; b++) {
+        for (int64_t kh = 0; kh < kv; kh++)
+        for (int64_t m0 = 0; m0 < t * geo[AT_REP]; m0 += LANES) {
+            int64_t f[LANES], at[LANES], seg[LANES];
+            const int64_t live =
+                attn_lanes(geo, b, first, kh, m0, f, at, seg);
+            const int64_t all = f[0], top = f[live - 1]; /* f ascends */
+            for (int64_t d = 0; d < hd; d++) {
+                qv[d] = splat(0.0);
+                for (int64_t l = 0; l < live; l++)
+                    qv[d][l] = q[at[l] * hd + d];
+            }
+            for (int64_t j = 0, n = 0; n < top; j++) {
+                const double *kb = attn_block(k, geo, ids, b, kh, j);
+                const int64_t keys = top - n < bs ? top - n : bs;
+                int64_t i = 0;
+                for (; i + 4 <= keys; i += 4) {
+                    const double *k0 = kb + i * hd;
+                    lanes_t a0 = qv[0] * splat(k0[0]);
+                    lanes_t a1 = qv[0] * splat(k0[hd]);
+                    lanes_t a2 = qv[0] * splat(k0[2 * hd]);
+                    lanes_t a3 = qv[0] * splat(k0[3 * hd]);
+                    for (int64_t d = 1; d < hd; d++) {
+                        a0 += qv[d] * splat(k0[d]);
+                        a1 += qv[d] * splat(k0[hd + d]);
+                        a2 += qv[d] * splat(k0[2 * hd + d]);
+                        a3 += qv[d] * splat(k0[3 * hd + d]);
+                    }
+                    sv[n + i] = a0 * splat(c);
+                    sv[n + i + 1] = a1 * splat(c);
+                    sv[n + i + 2] = a2 * splat(c);
+                    sv[n + i + 3] = a3 * splat(c);
+                }
+                for (; i < keys; i++) {
+                    lanes_t acc = qv[0] * splat(kb[i * hd]);
+                    for (int64_t d = 1; d < hd; d++)
+                        acc += qv[d] * splat(kb[i * hd + d]);
+                    sv[n + i] = acc * splat(c);
+                }
+                n += keys;
+            }
+            lanes_t mx = sv[0];
+            for (int64_t n = 1; n < all; n++)
+                mx = lanes_max(sv[n], mx);
+            for (int64_t l = 0; l < live; l++)
+                for (int64_t n = all; n < f[l]; n++)
+                    mx[l] = sv[n][l] > mx[l] ? sv[n][l] : mx[l];
+            for (int64_t n = 0; n < top; n++) {
+                const lanes_t xn = sv[n] - mx;
+                for (int64_t l = 0; l < live; l++)
+                    if (n < f[l])
+                        x[seg[l] + n] = xn[l];
+            }
+        }
+        first += t * base[b] + t * (t + 1) / 2;
+    }
+    return 0;
+}
+
+/* out from the e_n that np.exp made of attn_scores' x. Per lane block:
+ * the e_n gathered into scratch as lane vectors (0.0 where a key is past
+ * a lane's f), z their running sum, ascending, and p_n = e_n / z; then
+ * the context four head_dim channels at a time, four accumulators over
+ * the keys in ascending order. A key past a lane's f reaches it as p =
+ * +0.0, whose product adds nothing to a sum that started at +0.0.
+ * scratch holds (head_dim + max f) * 8 + 8 doubles. */
+int attn_context(const double *v, const int64_t *geo, const int64_t *ids,
+                 const double *e, double *out, void *scratch)
+{
+    const int64_t kv = geo[AT_KV], bs = geo[AT_BLOCK], hd = geo[AT_DIM];
+    const int64_t t = geo[AT_T], *base = geo + ATTN_GEO;
+    lanes_t *pv = (lanes_t *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
+    if (attn_out_of_range(geo, ids))
+        return 1;
+    for (int64_t b = 0, first = 0; b < geo[AT_SEQS]; b++) {
+        for (int64_t kh = 0; kh < kv; kh++)
+        for (int64_t m0 = 0; m0 < t * geo[AT_REP]; m0 += LANES) {
+            int64_t f[LANES], at[LANES], seg[LANES];
+            const int64_t live =
+                attn_lanes(geo, b, first, kh, m0, f, at, seg);
+            const int64_t top = f[live - 1];
+            for (int64_t n = 0; n < top; n++) {
+                pv[n] = splat(0.0);
+                for (int64_t l = 0; l < live; l++)
+                    if (n < f[l])
+                        pv[n][l] = e[seg[l] + n];
+            }
+            lanes_t z = pv[0];
+            for (int64_t n = 1; n < top; n++)
+                z += pv[n];
+            for (int64_t l = live; l < LANES; l++)
+                z[l] = 1.0;
+            for (int64_t n = 0; n < top; n++)
+                pv[n] /= z;
+            int64_t d = 0;
+            for (; d + 4 <= hd; d += 4) {
+                lanes_t a0 = splat(0.0), a1 = a0, a2 = a0, a3 = a0;
+                for (int64_t j = 0, n = 0; n < top; j++) {
+                    const double *vn = attn_block(v, geo, ids, b, kh, j) + d;
+                    for (int64_t i = 0; i < bs && n < top; i++, n++) {
+                        a0 += pv[n] * splat(vn[i * hd]);
+                        a1 += pv[n] * splat(vn[i * hd + 1]);
+                        a2 += pv[n] * splat(vn[i * hd + 2]);
+                        a3 += pv[n] * splat(vn[i * hd + 3]);
+                    }
+                }
+                for (int64_t l = 0; l < live; l++) {
+                    double *o = out + at[l] * hd + d;
+                    o[0] = a0[l];
+                    o[1] = a1[l];
+                    o[2] = a2[l];
+                    o[3] = a3[l];
+                }
+            }
+            for (; d < hd; d++) {
+                lanes_t a0 = splat(0.0);
+                for (int64_t j = 0, n = 0; n < top; j++) {
+                    const double *vn = attn_block(v, geo, ids, b, kh, j) + d;
+                    for (int64_t i = 0; i < bs && n < top; i++, n++)
+                        a0 += pv[n] * splat(vn[i * hd]);
+                }
+                for (int64_t l = 0; l < live; l++)
+                    out[at[l] * hd + d] = a0[l];
+            }
+        }
+        first += t * base[b] + t * (t + 1) / 2;
+    }
+    return 0;
+}

@@ -1,9 +1,11 @@
 """Build, cache and load ``lut_block.c``, the compiled ``lut-blocked`` loops.
 
-One object, four entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
-weight mpGEMM pass, ``lut_rows_paged``, the paged attention executor, and
-``kv_append`` / ``kv_refresh``, the int4-KV pool's quantized-state writer.
-An object that lacks any of them is not used at all. The first call of a
+One object, six entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
+weight mpGEMM pass, ``lut_rows_paged``, the paged attention executor,
+``kv_append`` / ``kv_refresh``, the int4-KV pool's quantized-state writer,
+and ``attn_scores`` / ``attn_context``, the two passes of the float
+attention (``np.exp`` runs between them, in numpy). An object that lacks
+any of them is not used at all. The first call of a
 process to one of the accessors below or to :func:`status` finds ``cc``
 on ``PATH``, builds the source next to this file into a private per-user
 cache directory and loads it with :mod:`ctypes`. An object's name carries a
@@ -32,8 +34,9 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("lut_block.c")
 #: Never -ffast-math / -Ofast, and no contraction: ``z·Σa`` and ``acc·s``
-#: round before the add that follows them (ARCHITECTURE section 6), and
-#: the KV writer's ``w / scale`` stays a division (section 8).
+#: round before the add that follows them (ARCHITECTURE section 6), the
+#: KV writer's ``w / scale`` stays a division and every product of the
+#: float attention rounds before its sum (section 8).
 FLAGS = ("-std=c11", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 #: After the source: ``nearbyint`` where the target cannot inline it.
 LIBS = ("-lm",)
@@ -56,6 +59,10 @@ ENTRY_POINTS = {
         [_PTR, _PTR] + [_PTR, _PTR] + [_PTR, _PTR, _SIZE]
     )),
     "kv_refresh": (ctypes.c_int, [_PTR, _PTR] + [_PTR, _SIZE]),
+    "attn_scores": (ctypes.c_int, (
+        [_PTR, _PTR, _PTR] + [_PTR, ctypes.c_double, _PTR, _PTR]
+    )),
+    "attn_context": (ctypes.c_int, [_PTR, _PTR, _PTR] + [_PTR, _PTR, _PTR]),
 }
 _STATUS_KEYS = ("loaded", "reason", "object_path", "flags", "compiler")
 _lock = threading.Lock()
@@ -183,6 +190,16 @@ def kv_append():
 def kv_refresh():
     """The loaded V-arena writer of the int4-KV pool, or None likewise."""
     return _ensure()["fns"].get("kv_refresh")
+
+
+def attn_scores():
+    """The loaded first pass of the float attention, or None likewise."""
+    return _ensure()["fns"].get("attn_scores")
+
+
+def attn_context():
+    """The loaded second pass of the float attention, or None likewise."""
+    return _ensure()["fns"].get("attn_context")
 
 
 @contextmanager

@@ -41,9 +41,9 @@ def masked_width_softmax(scores: np.ndarray, widths) -> np.ndarray:
     grouped by width; a row's contiguous leading slice reduces with the
     same pairwise tree as the 1-D case.
 
-    Both exact-width softmaxes in the runtime delegate here: the fused
-    paged decode path (per-sequence padded context widths) and the
-    causal prefill path (per-row ``past + i + 1`` causal widths).
+    The int4-KV paged attention's softmax delegates here (per-row padded
+    context widths); the float attention has its own one-definition
+    softmax (:func:`repro.runtime.paging.paged_float_attention`).
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[-1]

@@ -13,7 +13,10 @@ Decode and speculative verify are one step over ``(B, T)`` tokens
 (:meth:`DecoderModel._step`, T = 1 or ``k + 1``): one paged-attention
 dispatch per layer for the whole batch, reading the pool's per-block
 plan arenas when the KV cache is quantized and its float slabs
-otherwise. A
+otherwise; prefill attends over the float slabs in place through the
+same float body (:func:`~repro.runtime.paging.paged_float_attention`),
+so on a float-KV pool a prefill row equals the decode step at its
+position byte for byte. A
 full-sequence forward per generated token never happens, and per-step
 weight-plan work is O(1) amortized in the context; the parity tests
 assert the incremental path reproduces the full forward's logits on
@@ -32,10 +35,8 @@ import numpy as np
 
 from repro.datatypes.formats import DataType
 from repro.errors import ServingError
-from repro.lut.attention import MASKED_SCORE
 from repro.lut.table import DEFAULT_K
 from repro.models.configs import ModelConfig
-from repro.numerics import masked_width_softmax
 from repro.runtime.linear import QuantizedLinear
 from repro.runtime.paging import (
     DEFAULT_BLOCK_SIZE,
@@ -45,6 +46,7 @@ from repro.runtime.paging import (
     batched_decode_append,
     fused_paged_decode_attention,
     fused_paged_verify_attention,
+    paged_float_attention,
 )
 
 
@@ -89,7 +91,7 @@ class SpeculativeConfig:
     backend: str | None = None
     #: Draft KV-cache width. ``"inherit"`` (default) copies the
     #: target's; an int quantizes the draft cache to that width;
-    #: ``None`` keeps the draft cache in float — the fast einsum
+    #: ``None`` keeps the draft cache in float — the float attention
     #: decode path, which skips all per-step quantize/plan work and is
     #: the usual choice for a cheap proposer (drafts only steer; the
     #: verify pass re-scores every candidate with target numerics).
@@ -123,10 +125,11 @@ class RuntimeConfig:
         projection (``None`` keeps FP weights — the baseline row).
     kv_bits:
         KV-cache quantization width for decode attention. ``None`` keeps
-        the cache in float (batched einsums over the gathered float
-        slabs); 2/4/8 quantize per the KIVI-style recipe and decode
-        through the LUT kernels over the pool's plan arenas. Both run
-        through :func:`~repro.runtime.paging.fused_paged_decode_attention`.
+        the cache in float (the float attention over the pool's float
+        slabs, read in place, as prefill); 2/4/8 quantize per the
+        KIVI-style recipe and decode through the LUT kernels over the
+        pool's plan arenas. Both run through
+        :func:`~repro.runtime.paging.fused_paged_decode_attention`.
     lut_k:
         LUT activation group length (paper: 4).
     backend:
@@ -177,8 +180,8 @@ class RuntimeConfig:
         that many prompt tokens per step, interleaved with decode
         steps, so one long prompt no longer stalls every active
         decode. Token streams are bit-identical either way on the LUT
-        backends: chunked prefill computes the same rows (the causal
-        softmax denominators depend only on a row's absolute position,
+        backends: chunked prefill computes the same rows (a row's
+        attention depends only on its absolute position and its keys,
         never on the chunk split).
     speculative:
         Draft-model speculative decoding (:class:`SpeculativeConfig`);
@@ -237,25 +240,6 @@ class RuntimeConfig:
             raise ServingError(
                 "swap_threshold_tokens must be >= 1 or None"
             )
-
-
-def _causal_softmax(scores: np.ndarray, past: int) -> np.ndarray:
-    """Row softmax over ``(heads, t, past + t)`` causal prefill scores
-    whose denominators sum each row's true causal width.
-
-    Masked (future) entries underflow to exactly ``0.0``, but summing
-    them anyway would fold a *chunk-split-dependent* number of exact
-    zeros into numpy's pairwise reduction tree and move the last ulp.
-    Summing exactly row i's ``past + i + 1`` leading entries makes
-    every prefill row a function of its absolute position only — the
-    invariant that pins chunked prefill bit-identical to a monolithic
-    one on the LUT backends (the fused decode side maintains the same
-    invariant via ``_grouped_softmax``). Delegates to
-    :func:`repro.numerics.masked_width_softmax`, the shared exact-width
-    implementation, with per-row causal widths broadcast across heads.
-    """
-    widths = int(past) + np.arange(scores.shape[1]) + 1
-    return masked_width_softmax(scores, widths)
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -542,12 +526,19 @@ class DecoderModel:
 
         Attention runs in float over the (past + chunk) context — the
         standard serving split where prefill stays high-precision and KV
-        quantization applies to decode. When prefix sharing is enabled,
-        *caches* are empty and *share* is true, leading tokens matching
-        the pool's prefix index are adopted instead of computed; the
-        output then covers only the suffix from the first divergent
-        token (bit-identical rows to an unshared prefill — the parity
-        tests pin this). Pass ``share=False`` to force full computation
+        quantization applies to decode — through
+        :func:`~repro.runtime.paging.paged_float_attention`: the pool's
+        float slabs read in place through the block table, each row over
+        its own ``past + i + 1`` causal keys and nothing else, so a row
+        depends on its position, never on the chunk split (and on a
+        float-KV pool equals the decode step there).
+
+        When prefix sharing is enabled, *caches* are empty and *share*
+        is true, leading tokens matching the pool's prefix index are
+        adopted instead of computed; the output then covers only the
+        suffix from the first divergent token (bit-identical rows to an
+        unshared prefill — the parity tests pin this). Pass
+        ``share=False`` to force full computation
         (the parity reference path). Only the computed rows whose index
         in *tokens* is >= *logits_from* are returned (``0`` all, ``-1``
         the row that feeds the first sampled token, ``len(tokens)`` or
@@ -578,40 +569,19 @@ class DecoderModel:
             )
         d, hd = cfg.hidden, cfg.head_dim
         rep = cfg.heads // cfg.kv_heads
-        positions = past + np.arange(t)
-        x = self.tok_emb[tokens] + self.pos_emb[positions]
-
-        # Causal mask over the full context: new token i attends to
-        # absolute positions 0..past+i.
-        total = past + t
-        mask = np.where(
-            np.arange(total)[None, :] > positions[:, None], MASKED_SCORE, 0.0
-        )
+        x = self.tok_emb[tokens] + self.pos_emb[past + np.arange(t)]
 
         def append(cache, k, v):
             shape = (t, cfg.kv_heads, hd)
             cache.append(k.reshape(shape), v.reshape(shape), token_ids=tokens)
 
         def attend(cache, q):
-            # q holds the trailing rows the layer kept: the mask rows
-            # and causal widths start at the first kept row's position.
+            # q holds the trailing rows the layer kept: row i of them sits
+            # at position past + t - len(q) + i and sees that many keys + 1.
             rows = len(q)
-            # Grouped-query attention over the raw (kv_heads, total,
-            # hd) views: q regrouped per KV head — einsum's
-            # per-element reductions match the np.repeat form bit for
-            # bit without materializing (heads, total, hd) copies.
-            scores = (
-                np.einsum(
-                    "tkrd,kTd->krtT",
-                    q.reshape(rows, cfg.kv_heads, rep, hd),
-                    cache.k_view(),
-                ) / np.sqrt(hd)
-            ).reshape(cfg.heads, rows, total) + mask[None, t - rows:]
-            probs = _causal_softmax(scores, past + t - rows)
-            return np.einsum(
-                "krtT,kTd->tkrd",
-                probs.reshape(cfg.kv_heads, rep, rows, total),
-                cache.v_view(),
+            return paged_float_attention(
+                q.reshape(1, rows, cfg.heads, hd), [cache],
+                [past + t - rows], rep,
             ).reshape(rows, d)
 
         logits = self._run_layers(x, caches, append, attend, max(first, 0))

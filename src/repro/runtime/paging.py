@@ -60,8 +60,20 @@ whole context (vLLM-style paging):
   segments in block order equal one full-context matmul bit for bit;
   the context accumulates per-block partials in ascending block order
   — the block structure *is* the numeric recipe, pinned against a
-  from-scratch dense recomputation. A pool built with ``bits=None``
-  runs the same body's float-KV branch: one batched einsum per side.
+  from-scratch dense recomputation.
+- **One float attention, read in place**: prefill (on every pool: an
+  int4 pool keeps its float ``_k`` / ``_v`` slabs) and decode / verify
+  on a pool built with ``bits=None`` run
+  :func:`paged_float_attention`. It reads the float slabs through the
+  block tables and visits each row's causal keys only, under one
+  numeric definition — ascending-d scores scaled once, ``np.exp`` of
+  their shift by the row max, ascending-key denominator and context —
+  so a row depends on its query and its own keys alone: a prefill row
+  equals the decode step at its position, a verify row the sequential
+  decodes, byte for byte. Where ``kernels/lut_block.c`` loaded, its
+  ``attn_scores`` / ``attn_context`` make the two passes around
+  ``np.exp``, gathering and padding nothing; the numpy body computes the
+  same bytes.
 
 **Copy-on-write prefix sharing.** On top of the pool sits a *prefix
 index*: every block written through a layer-tracking cache is
@@ -107,6 +119,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from array import array
 from typing import Callable, Hashable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
@@ -121,6 +134,7 @@ from repro.kernels import (
     rowwise_dequant_execute,
     shared_rows,
 )
+from repro.kernels.backends import sum_groups_leading
 from repro.kernels.plan import flat_lookup, fold_offsets, lookup_indices
 from repro.lut.attention import MASKED_SCORE
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
@@ -132,6 +146,11 @@ from repro.quant.weight import affine_quantize, code_dtype
 #: KIVI-style context group length for V quantization (and for K rows
 #: when the head dimension allows).
 KV_GROUP = 16
+
+#: Elements of one row chunk's scores in the numpy body of the float
+#: attention (its context terms get four times as many): small enough for
+#: a core's L2, large enough that a decode step is one chunk.
+FLOAT_CHUNK = 1 << 15
 
 #: Default tokens per KV block. A multiple of both the LUT group length
 #: (so per-block contexts stay mpGEMM-alignable) and :data:`KV_GROUP`
@@ -408,6 +427,9 @@ class BlockAllocator:
     #: :meth:`_land_rows` or the lookup-column V arenas of
     #: :meth:`refresh_v_arenas`.
     last_kv_body: str | None = None
+    #: Which body of :func:`paged_float_attention` last read this pool,
+    #: ``"compiled"`` or ``"numpy"`` (None before the first call).
+    last_attn_body: str | None = None
 
     def _block_layout(self) -> dict[str, tuple[tuple[int, ...], np.dtype, float]]:
         """``name -> (per-block shape, dtype, scrubbed value)``: the one
@@ -786,12 +808,14 @@ class BlockAllocator:
         block's own token ids (the KV head group is the whole block —
         blocks hold all KV heads). Equal keys imply equal full leading
         histories by induction, so per-append index maintenance hashes
-        only one block's tokens instead of the whole context."""
-        digest = hashlib.sha256()
-        digest.update(np.int64(layer).tobytes())
-        digest.update(prev_key)
-        digest.update(np.asarray(tokens, dtype=np.int64).tobytes())
-        return digest.digest()
+        only one block's tokens instead of the whole context. The bytes
+        hashed are the native int64 layer, the predecessor key and the
+        native int64 token ids; ``array('q')`` packs them without a numpy
+        round trip."""
+        return hashlib.sha256(
+            array("q", (layer,)).tobytes() + prev_key
+            + array("q", tokens).tobytes()
+        ).digest()
 
     def _unregister(self, block_id: int) -> None:
         key = self._block_key.pop(block_id, None)
@@ -805,11 +829,11 @@ class BlockAllocator:
         """(Re-)index a block under its chained content digest.
 
         *key* is the :meth:`prefix_key` of the block's position in its
-        chain and *block_tokens* the block's own token ids (stored for
-        exact verification on match — a hash collision cannot cause
-        false sharing of the block itself). A block holds exactly one
-        index entry; a partial trailing block's entry is replaced every
-        time it grows. If another block already owns the key (identical
+        chain and *block_tokens* the block's own token ids as Python ints
+        (stored as a tuple for exact verification on match — a hash
+        collision cannot cause false sharing of the block itself). A
+        block holds exactly one index entry; a partial trailing block's
+        entry is replaced every time it grows. If another block already owns the key (identical
         content computed twice), the newcomer becomes canonical and the
         displaced block's registration is dropped.
         """
@@ -830,7 +854,7 @@ class BlockAllocator:
                 self.stats["evicted"] += 1
         self._prefix_index[key] = block_id
         self._block_key[block_id] = key
-        self._block_tokens[block_id] = tuple(int(t) for t in block_tokens)
+        self._block_tokens[block_id] = tuple(block_tokens)
 
     def match_prefix(self, layer: int, tokens) -> list[tuple[int, int]]:
         """Longest indexed block chain covering a leading run of *tokens*.
@@ -1811,6 +1835,173 @@ def fused_paged_decode_attention(
     )[:, 0]
 
 
+def _batch_table(queries, caches, base_lengths, repeat):
+    """Check one batched attention call; return ``(pool, queries, base,
+    ids, nblocks)``: the shared pool, the float64 ``(B, T, heads,
+    head_dim)`` queries, the base lengths as Python ints, and the padded
+    ``(B, max_blocks)`` int64 block table (pads name block 0) with each
+    sequence's block count."""
+    if not caches:
+        raise ServingError("attention needs at least one sequence")
+    pool = caches[0].pool
+    if any(c.pool is not pool for c in caches):
+        raise ServingError("all fused caches must share one block pool")
+    heads, hd = pool.kv_heads * repeat, pool.head_dim
+    b = len(caches)
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 4 or queries.shape[0] != b or queries.shape[2:] != (
+        heads, hd
+    ):
+        raise LutError(
+            f"queries must be ({b}, T, {heads}, {hd}), got {queries.shape}"
+        )
+    t = queries.shape[1]
+    base = np.asarray(base_lengths, dtype=np.int64)
+    if base.shape != (b,) or min(base.tolist()) < 0:
+        raise ServingError(
+            f"base_lengths must be {b} non-negative lengths"
+        )
+    base = base.tolist()
+    for i, (cache, n0) in enumerate(zip(caches, base)):
+        if cache.length != n0 + t:
+            raise ServingError(
+                f"cache {i} holds {cache.length} rows; attention over {t} "
+                f"rows past base {n0} requires {n0 + t}"
+            )
+    nblocks = np.array([len(c.block_ids) for c in caches], dtype=np.int64)
+    ids = np.zeros((b, int(nblocks.max())), dtype=np.int64)
+    for i, cache in enumerate(caches):
+        ids[i, :nblocks[i]] = cache.block_ids
+    return pool, queries, base, ids, nblocks
+
+
+def paged_float_attention(
+    queries: np.ndarray,
+    caches: list[PagedLayerCache],
+    base_lengths,
+    repeat: int = 1,
+) -> np.ndarray:
+    """Float attention of T query rows per sequence over the pool's float
+    K / V slabs, read in place through the block tables: row ``(b, j)``
+    sees the ``base_lengths[b] + j + 1`` leading keys of sequence *b*,
+    whose rows are already appended (``cache.length == base_lengths[b] +
+    T``). *queries* is ``(B, T, kv_heads * repeat, head_dim)``; returns
+    the same shape. Prefill (B = 1, T rows past the cached prefix) on any
+    pool, and decode / verify on a float-KV pool
+    (:func:`fused_paged_verify_attention`), run this one body.
+
+    **One definition.** Per row and query head, over its KV head's keys
+    ``n < f``: ``s_n = (Σ_d q_d·k_nd, ascending d, every product rounded)
+    · c`` with ``c = 1/√head_dim``; ``e_n = np.exp(s_n − max s)``; ``z =
+    Σ e_n`` ascending; ``out = 0.0 + Σ (e_n / z)·v_n`` ascending. A row's
+    output depends on its queries, its own ``f`` keys and nothing else:
+    not the batch, T, the chunk split, the padding or the host's SIMD
+    width — so a prefill row equals the decode step at its position and a
+    verify row the sequential decodes, byte for byte.
+
+    **Two bodies, one result.** Where ``kernels/lut_block.c`` loaded —
+    whatever the backend — ``attn_scores`` writes the ``s_n − max s`` of
+    every row's causal keys, packed, ``np.exp`` runs in place on them, and
+    ``attn_context`` sums the denominators and the context; neither
+    gathers or pads. The numpy body (:func:`_float_attention_numpy`)
+    computes the same sequence over the gathered, padded block table.
+    Both assume finite K / V (a non-finite one makes its rows NaN on
+    both, not necessarily with the same bits).
+    ``BlockAllocator.last_attn_body`` says which ran. A block id outside
+    the pool raises :class:`IndexError` from either, and the compiled
+    body also refuses a negative one.
+    """
+    pool, queries, base, ids, _ = _batch_table(
+        queries, caches, base_lengths, repeat
+    )
+    return _float_attention(pool, queries, base, ids)
+
+
+def _float_attention(pool, queries, base, ids) -> np.ndarray:
+    """:func:`paged_float_attention` on checked operands."""
+    b, t, heads, hd = queries.shape
+    c = float(1.0 / np.sqrt(hd))
+    scores, context = native.attn_scores(), native.attn_context()
+    if scores is None or context is None:
+        pool.last_attn_body = "numpy"
+        return _float_attention_numpy(pool, queries, base, ids, c)
+    pool.last_attn_body = "compiled"
+    geo = np.array((
+        pool.capacity, pool.kv_heads, pool.block_size, hd, b, ids.shape[1],
+        t, heads // pool.kv_heads, *base,
+    ), dtype=np.int64)
+    queries = np.ascontiguousarray(queries)
+    out = np.empty_like(queries)
+    # The packed x_n, then the lane vectors of a query's head_dim and of a
+    # lane block's scores (aligned in C).
+    size = heads * sum(t * n0 + t * (t + 1) // 2 for n0 in base)
+    work = np.empty(size + (hd + max(base) + t) * 8 + 8)
+    geo_p, ids_p, x_p = geo.ctypes.data, ids.ctypes.data, work.ctypes.data
+    scratch_p = x_p + 8 * size
+    if scores(
+        pool._k.ctypes.data, geo_p, ids_p, queries.ctypes.data, c, x_p,
+        scratch_p,
+    ):
+        raise IndexError(
+            f"block ids {ids.min()}..{ids.max()} for {pool.capacity} blocks "
+            f"or lengths {base} + {t} past the {ids.shape[1]}-block table"
+        )
+    x = work[:size]
+    np.exp(x, out=x)
+    context(pool._v.ctypes.data, geo_p, ids_p, x_p, out.ctypes.data, scratch_p)
+    return out
+
+
+def _float_attention_numpy(pool, queries, base, ids, c) -> np.ndarray:
+    """The numpy body of :func:`paged_float_attention`, over the gathered
+    blocks in chunks of rows whose work fits :data:`FLOAT_CHUNK`
+    elements, each chunk over the keys its widest row sees: scores one
+    ascending-d multiply-add per channel, keys past a row's width at
+    ``-inf`` (``np.exp`` makes them +0.0; it is elementwise, so an entry's
+    bytes do not depend on where in a contiguous array it sits), the
+    denominators ``np.cumsum`` read at ``f − 1`` (no per-width loop), and
+    the context's ascending keys added slice after slice by a leading-axis
+    reduce (:func:`~repro.kernels.backends.sum_groups_leading`) onto a sum
+    that starts at +0.0 — to which the exact-zero products of keys past a
+    row's width add nothing."""
+    b, t, heads, hd = queries.shape
+    kv = pool.kv_heads
+    repeat, top = heads // kv, max(base)
+    widths = np.array(base)[:, None] + np.arange(1, t + 1)
+    q = queries.reshape(b, t, kv, repeat, 1, hd)
+    # Keys (b, kv, d, n) and values (n, b, 1, kv, 1, d): one gather each.
+    k = pool._k[ids].transpose(0, 2, 4, 1, 3).reshape(b, kv, hd, -1)
+    v = pool._v[ids].transpose(1, 3, 0, 2, 4).reshape(-1, b, 1, kv, 1, hd)
+    out = np.zeros((b, t, kv, repeat, hd))
+    step = max(1, FLOAT_CHUNK // (b * heads * (top + t)))
+    for j0 in range(0, t, step):
+        j1 = min(j0 + step, t)
+        n = top + j1
+        s = q[:, j0:j1, ..., 0] * k[:, None, :, None, 0, :n]
+        part = np.empty_like(s)
+        for d in range(1, hd):
+            s += np.multiply(
+                q[:, j0:j1, ..., d], k[:, None, :, None, d, :n], out=part
+            )
+        s *= c
+        f = widths[:, j0:j1, None, None, None]
+        np.copyto(s, -np.inf, where=np.arange(n) >= f)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= np.take_along_axis(np.cumsum(s, axis=-1), f - 1, axis=-1)
+        p = np.moveaxis(s, -1, 0)[..., None]
+        rows = out[:, j0:j1]
+        keys = max(1, 4 * FLOAT_CHUNK // rows[0].size // b)
+        for n0 in range(0, n, keys):
+            n1 = min(n0 + keys, n)
+            j = max(0, n0 - top - j0)  # rows before j are past these keys
+            terms = np.empty((n1 - n0 + 1,) + rows[:, j:].shape)
+            terms[0] = rows[:, j:]
+            np.multiply(p[n0:n1, :, j:], v[n0:n1], out=terms[1:])
+            rows[:, j:] = sum_groups_leading(terms)
+    return out.reshape(b, t, heads, hd)
+
+
 def fused_paged_verify_attention(
     queries: np.ndarray,
     caches: list[PagedLayerCache],
@@ -1828,11 +2019,15 @@ def fused_paged_verify_attention(
     consecutive positions whose K/V rows have **already been appended**
     (``cache.length == base_lengths[b] + T``). Row ``(b, j)`` attends
     causally over exactly ``base_lengths[b] + j + 1`` keys — the context
-    a decode step at that position sees. The block tables form one
-    padded ``(B, max_blocks)`` id table (pads name block 0, whose finite
-    garbage is masked); the batch runs as **one** score and **one**
-    context dispatch, R = ``B · kv_heads`` K rows each shared by M =
-    ``T · repeat`` query rows. Returns ``(B, T, heads, head_dim)``.
+    a decode step at that position sees. A pool built with ``bits=None``
+    runs :func:`paged_float_attention` on them (the float-KV branch:
+    every row a function of its own keys only, so a verify row equals
+    the sequential decodes byte for byte). A quantized pool runs the LUT
+    branch: the block tables form one padded ``(B, max_blocks)`` id
+    table (pads name block 0, whose finite garbage is masked); the batch
+    runs as **one** score and **one** context dispatch, R = ``B ·
+    kv_heads`` K rows each shared by M = ``T · repeat`` query rows.
+    Returns ``(B, T, heads, head_dim)``.
 
     **K is column-local.** Per-token K scales and per-column arena
     entries never look at later rows, and every score column depends
@@ -1858,51 +2053,20 @@ def fused_paged_verify_attention(
     from-scratch recomputation over its time-``j`` float history
     (quantize it, one plan per block and KV head, block-ordered context
     partials), whatever the batch and T; the ``reference`` backend's
-    batched BLAS/einsum reductions differ in the last ulp: 1e-9. A pool
-    built with ``bits=None`` takes the **float-KV branch**: gathered
-    padded float slabs, one batched einsum per side (query heads share
-    their KV head's slab by reshape) and :func:`_grouped_softmax` over
-    each row's *exact* causal width, as the per-sequence float path
-    softmaxes an unpadded vector. einsum reduces per output element, so
-    it is batch-composition invariant bitwise and matches
+    batched BLAS/einsum reductions differ in the last ulp: 1e-9. The
+    float-KV branch matches
     :func:`~repro.lut.attention.float_decode_attention` at 1e-9 (its
-    per-head BLAS gemv associates differently).
+    per-head BLAS gemv and pairwise softmax sum associate differently).
     """
-    if not caches:
-        raise ServingError("attention needs at least one sequence")
-    pool = caches[0].pool
-    if any(c.pool is not pool for c in caches):
-        raise ServingError("all fused caches must share one block pool")
-    kv, hd, block_size = pool.kv_heads, pool.head_dim, pool.block_size
-    heads = kv * repeat
-    b = len(caches)
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 4 or queries.shape[0] != b or queries.shape[2:] != (
-        heads, hd
-    ):
-        raise LutError(
-            f"queries must be ({b}, T, {heads}, {hd}), got {queries.shape}"
-        )
-    t = queries.shape[1]
-    base = np.asarray(base_lengths, dtype=np.int64)
-    if base.shape != (b,) or min(base.tolist()) < 0:
-        raise ServingError(
-            f"base_lengths must be {b} non-negative lengths"
-        )
-    base = base.tolist()
-    for i, (cache, n0) in enumerate(zip(caches, base)):
-        if cache.length != n0 + t:
-            raise ServingError(
-                f"cache {i} holds {cache.length} rows; attention over {t} "
-                f"rows past base {n0} requires {n0 + t}"
-            )
-    bt = b * t
-    nblocks = np.array([len(c.block_ids) for c in caches], dtype=np.int64)
-    maxb = int(nblocks.max())
+    pool, queries, base, ids, nblocks = _batch_table(
+        queries, caches, base_lengths, repeat
+    )
+    if pool.bits is None:
+        return _float_attention(pool, queries, base, ids)
+    b, t, heads, hd = queries.shape
+    block_size = pool.block_size
+    bt, maxb = b * t, ids.shape[1]
     n = maxb * block_size
-    ids = np.zeros((b, maxb), dtype=np.int64)
-    for i, cache in enumerate(caches):
-        ids[i, :nblocks[i]] = cache.block_ids
     # Per-row causal geometry: row (b, j) sees f = base_b + j + 1 keys
     # (Python ints: at decode's B rows cheaper than array arithmetic).
     f_list = [n0 + j + 1 for n0 in base for j in range(t)]
@@ -1910,21 +2074,6 @@ def fused_paged_verify_attention(
     nb_rows = np.array([-(-f // block_size) for f in f_list], dtype=np.int64)
     key_valid = np.arange(n)[None, :] < f_rows[:, None]
     inv_sqrt_d = 1.0 / np.sqrt(hd)
-    if pool.bits is None:
-        kg = pool._k[ids].transpose(0, 2, 1, 3, 4).reshape(b, kv, n, hd)
-        q5 = queries.reshape(b, t, kv, repeat, hd)
-        scores = np.einsum("btkrd,bknd->btkrn", q5, kg).reshape(
-            bt, heads, n
-        )
-        scores = np.where(
-            key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
-        )
-        probs = _grouped_softmax(scores, f_rows)
-        vg = pool._v[ids].transpose(0, 2, 1, 3, 4).reshape(b, kv, n, hd)
-        out = np.einsum(
-            "btkrn,bknd->btkrd", probs.reshape(b, t, kv, repeat, n), vg
-        )
-        return out.reshape(b, t, heads, hd)
     config, kernel = _lut_dispatch(pool.lut_k, act_dtype, table_dtype, backend)
     # One stacked refresh of the batch's stale V arenas — in steady
     # state each sequence's trailing block; full blocks refresh once.
@@ -1991,5 +2140,6 @@ __all__ = [
     "fused_paged_decode_attention",
     "fused_paged_verify_attention",
     "get_prefix_eviction_policy",
+    "paged_float_attention",
     "spill_nbytes",
 ]

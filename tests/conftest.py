@@ -8,13 +8,15 @@ from repro.kernels import native
 LUT_BODIES = ("compiled", "numpy")
 
 #: Test classes and modules that run once per body of the compiled
-#: routines (weight loop, paged attention executor and the int4-KV pool's
-#: writer alike): the kernel equivalence class and the runtime parity,
-#: speculation, arena and pool-state suites.
+#: routines (weight loop, paged attention executor, the int4-KV pool's
+#: writer and the float attention alike): the kernel equivalence class and
+#: the runtime parity, speculation, arena, pool-state and float-attention
+#: suites.
 BOTH_BODIES = {
     "TestCrossBackendEquivalence",
     "test_batched_append",
     "test_decode_parity",
+    "test_float_attention",
     "test_fused_parity",
     "test_kv_state_bodies",
     "test_linear",

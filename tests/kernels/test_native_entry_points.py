@@ -1,8 +1,9 @@
-"""One object, four entry points, one fallback.
+"""One object, six entry points, one fallback.
 
 ``lut_block.c`` exports the weight loop (``lut_block``), the paged
-attention executor (``lut_rows_paged``) and the int4-KV pool's writer
-(``kv_append``, ``kv_refresh``). ``native.status()`` names what the
+attention executor (``lut_rows_paged``), the int4-KV pool's writer
+(``kv_append``, ``kv_refresh``) and the float attention's two passes
+(``attn_scores``, ``attn_context``). ``native.status()`` names what the
 loaded object exports, an object that lacks any of them is not used at
 all — all routines or none — and ``native.unloaded()`` sends *every*
 caller to its numpy body: it is how the tests and ``bench_backends`` get
@@ -20,19 +21,27 @@ from repro.kernels import get_backend, native, paged_lut_execute
 from repro.kernels.plan import build_weight_plan
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.quant.weight import quantize_weights
-from repro.runtime.paging import BlockAllocator
+from repro.runtime.paging import (
+    BlockAllocator,
+    PagedLayerCache,
+    paged_float_attention,
+)
 
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
 )
-ALL = ("lut_block", "lut_rows_paged", "kv_append", "kv_refresh")
+ALL = (
+    "lut_block", "lut_rows_paged", "kv_append", "kv_refresh", "attn_scores",
+    "attn_context",
+)
 
 
 def _dispatch_all():
     """One weight mpGEMM and one paged dispatch through ``lut-blocked``,
-    one K/V append and one V-arena refresh on an int4 pool: ``(last_body,
-    last_paged_body, the pool's last_kv_body after the append, and after
-    the refresh)``."""
+    one K/V append and one V-arena refresh on an int4 pool, one float
+    attention over it: ``(last_body, last_paged_body, the pool's
+    last_kv_body after the append, and after the refresh, its
+    last_attn_body)``."""
     rng = np.random.default_rng(0)
     config = LutMpGemmConfig(backend="lut-blocked")
     plan = build_weight_plan(
@@ -54,7 +63,13 @@ def _dispatch_all():
     pool.append_rows(bids, *rng.normal(size=(2, 2, 2, 8)))
     appended = pool.last_kv_body
     pool.refresh_v_arenas(bids)
-    return backend.last_body, backend.last_paged_body, appended, pool.last_kv_body
+    cache = PagedLayerCache(pool)
+    cache.append(*rng.normal(size=(2, 3, 2, 8)))
+    paged_float_attention(rng.normal(size=(1, 3, 2, 8)), [cache], [0])
+    return (
+        backend.last_body, backend.last_paged_body, appended,
+        pool.last_kv_body, pool.last_attn_body,
+    )
 
 
 @needs_cc
@@ -64,7 +79,7 @@ def test_status_names_every_entry_point():
     assert status["entry_points"] == ALL == tuple(native.ENTRY_POINTS)
     for name in ALL:
         assert getattr(native, name)() is not None, name
-    assert _dispatch_all() == ("compiled",) * 4
+    assert _dispatch_all() == ("compiled",) * 5
 
 
 def test_unloaded_reaches_the_numpy_body_of_every_routine():
@@ -72,7 +87,7 @@ def test_unloaded_reaches_the_numpy_body_of_every_routine():
         status = native.status()
         assert (status["loaded"], status["entry_points"]) == (False, ())
         assert all(getattr(native, name)() is None for name in ALL)
-        assert _dispatch_all() == ("numpy",) * 4
+        assert _dispatch_all() == ("numpy",) * 5
     assert native.status()["entry_points"] == (
         ALL if native.status()["loaded"] else ()
     )
@@ -101,7 +116,7 @@ def test_object_without_an_entry_point_is_not_used(
     monkeypatch.setattr(native, "_state", None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _dispatch_all() == ("numpy",) * 4
+        assert _dispatch_all() == ("numpy",) * 5
     assert [w.category for w in caught] == [RuntimeWarning]
     status = native.status()
     assert status["loaded"] is False and status["entry_points"] == ()

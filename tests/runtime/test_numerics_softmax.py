@@ -1,12 +1,16 @@
 """Regression pins for the shared exact-width softmax helper.
 
-PR 6/7 grew two copies of the same idea — ``paging._grouped_softmax``
-(per-sequence padded context widths) and ``model._causal_softmax``
-(per-row causal widths) — both summing each row's denominator over its
-exact valid width to keep numpy's pairwise reduction tree stable. They
-now delegate to :func:`repro.numerics.masked_width_softmax`; these tests
-pin the shared helper bit-identical to verbatim copies of both former
-implementations, so the dedupe is provably a pure refactor.
+Two copies of the same idea once lived in the runtime —
+``paging._grouped_softmax`` (per-sequence padded context widths) and
+``model._causal_softmax`` (per-row causal widths) — both summing each
+row's denominator over its exact valid width to keep numpy's pairwise
+reduction tree stable. Both delegated to
+:func:`repro.numerics.masked_width_softmax`; these tests pin the shared
+helper bit-identical to verbatim copies of both former implementations.
+The int4-KV attention still softmaxes through ``_grouped_softmax``; the
+float attention, prefill's included, now has its own one-definition
+softmax (``paging.paged_float_attention``), so the causal case pins the
+helper itself at per-row causal widths.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.numerics import masked_width_softmax, softmax
-from repro.runtime.model import _causal_softmax
 from repro.runtime.paging import _grouped_softmax
 
 MASKED = -1e30
@@ -82,10 +85,6 @@ class TestMaskedWidthSoftmax:
             expect = _legacy_causal_softmax(scores, past)
             got = masked_width_softmax(scores, widths)
             np.testing.assert_array_equal(got, expect)
-            # The live model wrapper takes ``past`` directly.
-            np.testing.assert_array_equal(
-                _causal_softmax(scores, past), expect
-            )
 
     def test_full_width_matches_plain_softmax_rowwise(self):
         # With every row at full width there is no padding and each row

@@ -92,6 +92,31 @@ class TestRefcounts:
 
 
 class TestPrefixIndex:
+    def test_key_bytes_are_the_numpy_formula(self):
+        """``prefix_key`` hashes ``array('q')`` bytes; every key the index
+        ever held was the sha256 of the numpy int64 bytes of the layer, the
+        predecessor key and the segment. Same bytes, so the same keys —
+        over random layers, predecessors (empty or a 32-byte key) and
+        segments of 0 to 16 ids up to the int64 range, from tuples, lists
+        and int64 arrays."""
+        import hashlib
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            layer = int(rng.integers(0, 64))
+            prev = b"" if rng.random() < 0.3 else rng.bytes(32)
+            ids = rng.integers(0, 2**63 - 1, size=int(rng.integers(0, 17)))
+            if rng.random() < 0.5:
+                ids %= 50_000
+            old = hashlib.sha256()
+            old.update(np.int64(layer).tobytes())
+            old.update(prev)
+            old.update(np.asarray(ids, dtype=np.int64).tobytes())
+            for segment in (tuple(int(t) for t in ids), list(ids), ids):
+                assert BlockAllocator.prefix_key(layer, prev, segment) == (
+                    old.digest()
+                )
+
     def test_full_block_chain_then_partial_tail(self):
         pool = BlockAllocator(2, 8, block_size=4, bits=4)
         cache = PagedLayerCache(pool, layer=0)
