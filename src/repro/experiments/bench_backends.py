@@ -34,8 +34,9 @@ step's shapes — B = 8 sequences of 5 blocks, 4 KV heads of 2 query heads:
 scores (R = 32 weight rows, N = 80), context (R = 160, N = 16) and a
 verify's scores (T = 5, so M = 10). The numpy body gathers the column
 arrays through the block table and runs ``rowwise_lut_execute``; the
-compiled one (``lut_rows_paged``) reads them in place. Equal bytes after
-``+ 0.0`` (the executor's zero-point rule) or the experiment raises.
+compiled one (``lut_block``, the pass the ``body-m*`` rows time as a
+linear) reads them in place. Equal bytes after ``+ 0.0`` (the
+executor's zero-point rule) or the experiment raises.
 
 The ``kv-*`` rows time the two bodies of the int4-KV pool's writer at the
 same step: ``kv-append`` lands B = 8 K/V rows in 8 blocks (float slabs,
@@ -320,10 +321,11 @@ def _paged_rows(rng, label: str, t: int, context: bool) -> list[BackendBenchRow]
     """Time the two bodies of ``paged_lut_execute`` at one decode-step
     shape: K arenas under T-position queries, or V arenas under per-block
     probability segments."""
-    g, width = ROWS_DIM // LUT_K, 1 << LUT_K  # groups, signed table [T, -T]
+    g, width = ROWS_DIM // LUT_K, 1 << LUT_K  # groups, K-bit indices
     columns = (
-        rng.integers(0, width, (ROWS_POOL, ROWS_KV, WEIGHT_BITS, g, ROWS_DIM))
-        + (np.arange(g) * width)[:, None],
+        rng.integers(
+            0, width, (ROWS_POOL, ROWS_KV, WEIGHT_BITS, g, ROWS_DIM), np.uint8
+        ),
         rng.normal(size=(ROWS_POOL, ROWS_KV, g, ROWS_DIM)),
         rng.normal(size=(ROWS_POOL, ROWS_KV, g, ROWS_DIM)),
     )

@@ -32,6 +32,8 @@ bit for bit, which the cross-backend tests assert with strict equality.
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -221,8 +223,9 @@ class LutBlockedBackend:
     That is nine numpy passes over every block. When
     :func:`repro.kernels.native.lut_block` loaded (a C compiler on
     ``PATH``), ``execute`` hands the operands it can take to that routine
-    instead: the same per-element sequence in one pass, rows as SIMD
-    lanes, reading the plan's one-byte indices directly. Nothing else
+    instead (:func:`compiled_lut`, as a paged dispatch of one weight row):
+    the same per-element sequence in one pass, rows as SIMD lanes,
+    reading the plan's one-byte indices directly. Nothing else
     selects between the two bodies — no config field, flag or variable —
     and :attr:`last_body` says which one ran.
     """
@@ -238,20 +241,29 @@ class LutBlockedBackend:
     last_paged_body: str | None = None
 
     def execute(self, plan, config, activations, table):
-        fused = native.lut_block()
-        if fused is not None and _fused_handles(plan, config, table):
+        sums = zero = None
+        if plan.has_zero_point:
+            zero = plan.zero_gn
+            acts = effective_activations(activations, config)
+            sums = np.ascontiguousarray(group_sums(plan, acts), np.float64)
+        out = compiled_lut(
+            table, sums, ONE_BLOCK,
+            (plan.indices[None, None], plan.scale_gn[None, None],
+             None if zero is None else zero[None, None]),
+            1, None, plan.k, bool(config.symmetric_table),
+        )
+        if out is not None:
             self.last_body = "compiled"
-            return _execute_fused(fused, plan, config, activations, table)
+            return out.reshape(len(table), plan.n)
         self.last_body = "numpy"
         m, _, entries = table.shape
         bits, ngroups, n = plan.bits, plan.ngroups, plan.n
         flat = plan.flat_lookup_indices(entries, config.symmetric_table)
         shifts = plan.shifts[1:, None, None]
         scale = plan.scale_gn[:, :, None]
-        zero = plan.zero_gn[:, :, None] if plan.has_zero_point else None
         if zero is not None:
-            acts = effective_activations(activations, config)
-            sums = group_sums(plan, acts).T[:, None, :]  # (G, 1, M)
+            zero = zero[:, :, None]
+            sums = sums.T[:, None, :]  # (G, 1, M)
         out = np.empty((m, n))
         for m0 in range(0, m, BLOCK_ROWS):
             block = table[m0 : m0 + BLOCK_ROWS]
@@ -276,56 +288,120 @@ class LutBlockedBackend:
         return out
 
 
-def _fused_handles(plan, config, table) -> bool:
-    """Whether ``lut_block.c`` takes this dispatch: a float64 table of the
-    plan's geometry, one-byte (k <= 8) C-ordered indices, float64 ``(G,
-    N)`` affine parameters. The routine trusts every size it is handed,
-    so nothing else may reach it."""
-    gn = (plan.ngroups, plan.n)
-    entries = (1 << plan.k) >> bool(config.symmetric_table)
-    return (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.float64
-        and table.shape[1:] == (plan.ngroups, entries)  # so 3-D
-        and plan.indices.dtype == np.uint8
-        and plan.indices.flags.c_contiguous
-        and plan.indices.shape == (plan.bits, *gn)
-        and plan.scale_gn.shape == gn == plan.zero_gn.shape
-        and plan.scale_gn.dtype == plan.zero_gn.dtype == np.float64
-    )
+#: The block table of a linear on the compiled pass: its plan's arrays are
+#: a one-block arena with one weight row (passed to C as NULL).
+ONE_BLOCK = np.zeros((1, 1), np.int64)
 
 
-def _execute_fused(fused, plan, config, activations, table) -> np.ndarray:
-    """One ``lut_block`` call for the whole ``(M, N)`` product: the numpy
-    body's scalar sequence per output element, read from the plan's own
-    uint8 indices (no flat-index cache is built) and from strided views
-    (a non-contiguous table, stride-0 affine parameters) as they are."""
-    m, ngroups, entries = table.shape
-    symmetric = bool(config.symmetric_table)
-    fold = fold_offsets(plan.k, entries, symmetric)
-    scale = plan.scale_gn
-    zero = (None, 0, 0)
-    sums = None
-    if plan.has_zero_point:
-        zero = (plan.zero_gn.ctypes.data, *plan.zero_gn.strides)
-        acts = effective_activations(activations, config)
-        sums = np.ascontiguousarray(group_sums(plan, acts), dtype=np.float64)
-        if sums.shape != (m, ngroups):
-            raise ValueError(
-                f"{len(acts)} activation rows for a table of {m} rows"
-            )
-    out = np.empty((m, plan.n))
+@lru_cache(maxsize=None)
+def _fold_address(k: int, entries: int, symmetric: bool) -> int:
+    """Where :func:`fold_offsets`' cached table lives (it never moves)."""
+    return fold_offsets(k, entries, symmetric).ctypes.data
+
+
+def compiled_lut(table, sums, ids, columns, repeat, counts, k, symmetric):
+    """The paged operand convention of
+    :func:`~repro.kernels.fused.paged_lut_execute` (*columns* ``(idx,
+    scale, zero)``, *zero* None without a zero-point) on the compiled LUT
+    pass, ``lut_block`` in ``lut_block.c``: the output, or None where the
+    routine did not load or does not take these operands
+    (:func:`_compiled_takes`) and the caller runs its numpy body. The one
+    call site of the routine: a linear is a dispatch of one weight row
+    (``kv == 1``, *repeat* 1) through :data:`ONE_BLOCK`, its M activation
+    rows the T positions; the int4-KV attention reads the pool's arenas
+    through its block table."""
+    fn = native.lut_block()
+    if fn is None or not _compiled_takes(
+        table, sums, ids, columns, repeat, counts, k, symmetric
+    ):
+        return None
+    rows, maxb = ids.shape
+    idx, scale, zero = columns
+    kv, bits, ngroups, n = idx.shape[1:]
+    entries, heads = table.shape[-1], kv * repeat
+    if counts is None:
+        t, width = len(table) // (rows * heads), maxb * n
+        out = np.empty((rows, t, heads, width))
+        a = (t * heads, repeat, heads, 1, 0)
+        o = (t * heads * width, repeat * width, heads * width, width)
+    else:
+        t = 1
+        out = np.empty((rows, heads, n))
+        a = (heads * maxb, repeat * maxb, 0, maxb, 1)
+        o = (heads * n, repeat * n, 0, n)
+    # lut_block.c's LB_GEO sizes, then the lane and output addressing and
+    # the byte strides of the table and the three column arrays (an
+    # ``array``: its address costs a tenth of an ndarray's).
+    geometry = array("q", (
+        t, repeat, ngroups, entries, symmetric, rows, maxb, kv, len(idx),
+        1 << k, bits, n, *a, *o, *table.strides, *idx.strides,
+        *scale.strides, *(scale.strides if zero is None else zero.strides),
+    ))
     # (G, width) table block + (G,) sums at 8 lanes, + 64-byte alignment.
     scratch = np.empty(ngroups * ((entries << symmetric) + 1) * 8 + 8)
-    fused(
-        table.ctypes.data, *table.strides, m, ngroups, entries, symmetric,
-        plan.indices.ctypes.data, fold.ctypes.data, fold.size,
-        plan.bits, plan.n,
-        scale.ctypes.data, *scale.strides, *zero,
-        None if sums is None else sums.ctypes.data,
-        out.ctypes.data, scratch.ctypes.data,
-    )
+    if fn(
+        table.ctypes.data, None if zero is None else sums.ctypes.data,
+        None if ids is ONE_BLOCK else ids.ctypes.data,
+        None if counts is None else counts.ctypes.data,
+        idx.ctypes.data, _fold_address(k, entries, symmetric),
+        scale.ctypes.data, None if zero is None else zero.ctypes.data,
+        geometry.buffer_info()[0], out.ctypes.data, scratch.ctypes.data,
+    ):
+        raise IndexError(
+            f"block ids {ids.min()}..{ids.max()} for {len(idx)} blocks or "
+            f"counts {None if counts is None else counts.tolist()} for {maxb}"
+        )
     return out
+
+
+def _compiled_takes(table, sums, ids, columns, repeat, counts, k, symmetric):
+    """Whether ``lut_block`` takes this dispatch: float64 tables of ``2**k``
+    (``2**(k-1)`` symmetric) entries, one-byte indices (k <= 8) and float64
+    affine parameters at the shapes of the paged operand convention,
+    nothing on the weight side empty, sums C-contiguous (read only with a
+    zero-point), the block table and counts C-contiguous int64 (everything
+    else goes by its strides). The routine checks the ids, counts and fold
+    it follows and trusts every shape it is handed, so nothing else may
+    reach it."""
+    idx, scale, zero = columns
+    if not (
+        isinstance(table, np.ndarray) and isinstance(ids, np.ndarray)
+        and isinstance(idx, np.ndarray) and isinstance(scale, np.ndarray)
+        and (zero is None or (
+            isinstance(zero, np.ndarray) and isinstance(sums, np.ndarray)
+        ))
+        and (counts is None or isinstance(counts, np.ndarray))
+        and table.ndim == 3 and ids.ndim == 2 and idx.ndim == 5
+        and ids.size and idx.size and repeat >= 1 and 1 <= k <= 8
+    ):
+        return False
+    rows, maxb = ids.shape
+    _, kv, _, ngroups, n = idx.shape
+    shared, spare = divmod(
+        len(table), rows * kv * repeat * (1 if counts is None else maxb)
+    )
+    gn = (len(idx), kv, ngroups, n)
+    return (
+        table.dtype == scale.dtype == np.float64
+        and idx.dtype == np.uint8
+        and ids.dtype == np.int64
+        and table.shape[1:] == (ngroups, (1 << k) >> symmetric)
+        and scale.shape == gn
+        and ids.flags.c_contiguous
+        and not spare
+        and (zero is None or (
+            zero.dtype == sums.dtype == np.float64
+            and zero.shape == gn
+            and sums.shape == table.shape[:2]
+            and sums.flags.c_contiguous
+        ))
+        and (counts is None or (
+            shared == 1
+            and counts.dtype == np.int64
+            and counts.shape == (rows,)
+            and counts.flags.c_contiguous
+        ))
+    )
 
 
 def gather_grouped_blocked(

@@ -8,10 +8,10 @@ dispatch: every *row* (one KV head of one sequence, or one block of
 one) carries its own lookup indices and per-group affine parameters,
 which live in the :class:`~repro.runtime.paging.BlockAllocator` arenas.
 :func:`paged_lut_execute` is the entry point: its compiled body
-(``lut_rows_paged`` in ``lut_block.c``) reads the arenas in place
-through the block table; its numpy body gathers them into contiguous
-arrays and runs the entire batch through one ``np.take``
-(:func:`rowwise_lut_execute`).
+(``lut_block`` in ``lut_block.c``, the pass the weight linears run too)
+reads the arenas in place through the block table; its numpy body
+gathers them into contiguous arrays and runs the entire batch through
+one ``np.take`` (:func:`rowwise_lut_execute`).
 
 **Row-shared layout.** A row's weight columns serve ``M`` activation
 rows at once — grouped-query attention's ``repeat`` query heads per KV
@@ -55,8 +55,8 @@ import math
 
 import numpy as np
 
-from repro.kernels import native
-from repro.kernels.backends import LutBlockedBackend
+from repro.kernels.backends import LutBlockedBackend, compiled_lut
+from repro.kernels.plan import flat_lookup
 
 __all__ = [
     "paged_lut_execute",
@@ -201,18 +201,21 @@ def paged_lut_execute(
     """:func:`rowwise_lut_execute` over a block table, the weight columns
     read where they live.
 
-    **The paged operand convention.** *columns* are ``(flat, scale,
+    **The paged operand convention.** *columns* are ``(idx, scale,
     zero)`` column arrays indexed by block id on axis 0 and weight row
-    (KV head) on axis 1 — ``(blocks, kv, bits, G, N)`` int64
-    :func:`~repro.kernels.plan.flat_lookup` indices into the signed
-    table ``[T, -T]`` and ``(blocks, kv, G, N)`` float64 affine
-    parameters, any strides: the pool's own arenas, or slabs a caller
-    gathered to rewrite some. *ids* is the int64 ``(rows, max_blocks)``
-    index table into axis 0; pad entries name any valid block. *table*
-    ``(A, G, E)`` and *sums* ``(A, G)`` are the half tables and group
-    sums of the ``A`` activation rows, of which ``M`` share each weight
-    row (*repeat* query heads per KV head, times ``T`` positions).
-    Bit-planes weigh ``2**i``, LSB first.
+    (KV head) on axis 1 — ``(blocks, kv, bits, G, N)`` plain K-bit
+    lookup indices, each weight row's
+    :attr:`~repro.kernels.WeightPlan.indices` at their ``code_dtype(k)``
+    width (one byte for k <= 8), and ``(blocks, kv, G, N)`` float64
+    affine parameters, any strides: the pool's own arenas, or slabs a
+    caller gathered to rewrite some. Both bodies fold an index into the
+    signed table ``[T, -T]`` as they read it
+    (:func:`~repro.kernels.plan.fold_offsets`). *ids* is the int64
+    ``(rows, max_blocks)`` index table into axis 0; pad entries name any
+    valid block. *table* ``(A, G, E)`` and *sums* ``(A, G)`` are the half
+    tables and group sums of the ``A`` activation rows, of which ``M``
+    share each weight row (*repeat* query heads per KV head, times ``T``
+    positions). Bit-planes weigh ``2**i``, LSB first.
 
     - ``counts is None`` (scores): activation rows ordered ``(rows, T,
       kv, repeat)``; every block of a row is dispatched and block ``j``'s
@@ -225,121 +228,45 @@ def paged_lut_execute(
       count — a per-sequence running sum's order. Returns ``(rows, kv ·
       repeat, N)``.
 
-    **Two bodies, one result.** The numpy body gathers ``column[ids]``
-    and runs :func:`rowwise_lut_execute`. When *kernel* is
-    ``lut-blocked`` and :func:`repro.kernels.native.lut_rows_paged`
-    loaded, operands :func:`_paged_handles` accepts go to that routine
-    instead: the same scalar sequence per output element, nothing
-    gathered. Nothing else selects between them;
+    **Two bodies, one result.** The numpy body gathers ``column[ids]``,
+    sends the gathered indices through
+    :func:`~repro.kernels.plan.flat_lookup` and runs
+    :func:`rowwise_lut_execute`. When *kernel* is ``lut-blocked`` and
+    :func:`repro.kernels.native.lut_block` loaded, operands it takes go to
+    that routine instead (:func:`~repro.kernels.backends.compiled_lut`, the
+    linears' call site too): the same scalar sequence per output element,
+    nothing gathered. Nothing else selects between them;
     :attr:`LutBlockedBackend.last_paged_body` says which ran.
 
     **The zero-point rule.** The numpy body applies ``− z·Σa`` to the
-    whole dispatch when *any* gathered ``z`` is nonzero; the compiled
-    one decides per column, ``z != 0.0``. Where they disagree ``z`` is
-    exactly zero and the correction could only have flipped the sign of
-    a zero (the tolerance :func:`rowwise_lut_execute` already
-    documents): the bodies are equal after ``+ 0.0`` always, and byte
-    for byte wherever every zero-point visited is nonzero.
+    whole dispatch when *any* gathered ``z`` is nonzero; the compiled one
+    to every column. Where they disagree every ``z`` visited is exactly
+    zero and the correction could only have flipped the sign of a zero
+    (the tolerance :func:`rowwise_lut_execute` already documents): the
+    bodies are equal after ``+ 0.0`` always, and byte for byte wherever
+    some zero-point visited is nonzero.
 
     **The bounds rule.** A block id ``>= blocks`` raises
     :class:`IndexError` from either body and nothing is returned. The
-    compiled body checks every index it follows, the block ids and
-    counts before anything is read through them: it also refuses a
-    negative id (numpy wraps it; the pool never produces one), a count
-    outside ``[1, max_blocks]`` and a flat index outside the ``G · 2E``
-    table (``flat_lookup`` constructs none).
+    compiled body checks the block ids and counts before anything is
+    read through them: it also refuses a negative id (numpy wraps it; the
+    pool never produces one) and a count outside ``[1, max_blocks]``.
+    No index byte can take it outside its table: each goes through a
+    256-entry offset table whose entries past ``2**k`` read entry 0. The
+    pool's own arenas hold only indices below ``2**k``: its writers
+    produce no other, and ``BlockAllocator.accepts`` refuses a swap
+    payload that holds one.
     """
-    compiled = None
     if isinstance(kernel, LutBlockedBackend):
-        compiled = native.lut_rows_paged()
-        if compiled is not None and not _paged_handles(
-            table, sums, ids, columns, repeat, counts
-        ):
-            compiled = None
-        kernel.last_paged_body = "numpy" if compiled is None else "compiled"
-    if compiled is None:
-        return _paged_numpy(table, sums, ids, columns, repeat, counts)
-    return _paged_compiled(compiled, table, sums, ids, columns, repeat, counts)
-
-
-def _paged_compiled(fn, table, sums, ids, columns, repeat, counts):
-    """One ``lut_rows_paged`` call (``lut_block.c``) on operands
-    :func:`_paged_handles` accepted: the two activation-row orders and
-    output layouts of :func:`paged_lut_execute` as element strides of
-    (row, head, position, query head, block), everything else as it
-    is."""
-    rows, maxb = ids.shape
-    flat, scale, zero = columns
-    kv, bits, ngroups, n = flat.shape[1:]
-    entries, heads = table.shape[-1], kv * repeat
-    if counts is None:
-        t, width = len(table) // (rows * heads), maxb * n
-        out = np.empty((rows, t, heads, width))
-        a = (t * heads, repeat, heads, 1, 0)
-        o = (t * heads * width, repeat * width, heads * width, width)
-    else:
-        t = 1
-        out = np.empty((rows, heads, n))
-        a = (heads * maxb, repeat * maxb, 0, maxb, 1)
-        o = (heads * n, repeat * n, 0, n)
-    geometry = np.array(
-        (*a, *o, *table.strides, *flat.strides, *scale.strides,
-         *zero.strides), np.intp
-    )
-    # (G, 2E) table block + (G,) sums at 8 lanes, + 64-byte alignment.
-    scratch = np.empty(ngroups * (2 * entries + 1) * 8 + 8)
-    if fn(
-        table.ctypes.data, sums.ctypes.data, t, repeat, ngroups, entries,
-        ids.ctypes.data, None if counts is None else counts.ctypes.data,
-        rows, maxb, kv, len(flat),
-        flat.ctypes.data, scale.ctypes.data, zero.ctypes.data,
-        bits, n, geometry.ctypes.data, out.ctypes.data, scratch.ctypes.data,
-    ):
-        raise IndexError(
-            f"block ids {ids.min()}..{ids.max()} for {len(flat)} blocks, "
-            f"counts {None if counts is None else counts.tolist()} for "
-            f"{maxb}, or a flat index outside the {ngroups}x{2 * entries} "
-            "table"
+        kernel.last_paged_body = "compiled"  # also when it raises
+        out = compiled_lut(
+            table, sums, ids, columns, repeat, counts,
+            table.shape[-1].bit_length(), True,
         )
-    return out
-
-
-def _paged_handles(table, sums, ids, columns, repeat, counts) -> bool:
-    """Whether ``lut_rows_paged`` takes this dispatch: float64 / int64
-    arrays at the shapes of the paged operand convention, nothing empty,
-    the activation side, index table and counts C-contiguous (column
-    arrays go by their strides). The routine trusts every shape it is
-    handed — it checks only the indices it follows — so nothing else
-    may reach it."""
-    flat, scale, zero = columns
-    arrays = (table, sums, ids, flat, scale, zero) + (
-        () if counts is None else (counts,)
-    )
-    if not (
-        all(isinstance(a, np.ndarray) and a.size for a in arrays)
-        and (table.ndim, ids.ndim, flat.ndim) == (3, 2, 5)
-        and repeat >= 1
-    ):
-        return False
-    (rows, maxb), (kv, _, ngroups, _) = ids.shape, flat.shape[1:]
-    shared, spare = divmod(
-        len(table), rows * kv * repeat * (1 if counts is None else maxb)
-    )
-    return (
-        table.dtype == sums.dtype == scale.dtype == zero.dtype == np.float64
-        and ids.dtype == flat.dtype == np.int64
-        and sums.flags.c_contiguous
-        and ids.flags.c_contiguous
-        and scale.shape == zero.shape == flat.shape[:2] + flat.shape[3:]
-        and table.shape[:2] == sums.shape == (len(table), ngroups)
-        and spare == 0
-        and (shared == 1 if counts is not None else shared >= 1)
-        and (counts is None or (
-            counts.dtype == np.int64
-            and counts.shape == (rows,)
-            and counts.flags.c_contiguous
-        ))
-    )
+        if out is not None:
+            return out
+        kernel.last_paged_body = "numpy"
+    return _paged_numpy(table, sums, ids, columns, repeat, counts)
 
 
 def _paged_numpy(table, sums, ids, columns, repeat, counts) -> np.ndarray:
@@ -347,12 +274,13 @@ def _paged_numpy(table, sums, ids, columns, repeat, counts) -> np.ndarray:
     :func:`rowwise_lut_execute`, scatter (and reduce)."""
     rows, maxb = ids.shape
     kv, bits, _, n = columns[0].shape[1:]
+    entries = table.shape[-1]
     signed = np.concatenate([table, -table], axis=-1)
     gathered = (column[ids] for column in columns)
     if counts is None:
         t = len(table) // (rows * kv * repeat)
         lead, shared = (rows, t, kv, repeat), (1, 3)
-        fl, sc, zr = (
+        ix, sc, zr = (
             # (rows, maxb, kv, ..., G, N) -> (rows * kv, ..., G, maxb * N)
             np.moveaxis(g, 1, -2).reshape(
                 (rows * kv,) + g.shape[3:-1] + (maxb * n,)
@@ -361,13 +289,14 @@ def _paged_numpy(table, sums, ids, columns, repeat, counts) -> np.ndarray:
         )
     else:
         lead, shared = (rows, kv, repeat, maxb), (2,)
-        fl, sc, zr = (
+        ix, sc, zr = (
             # (rows, maxb, kv, ...) -> (rows * kv * maxb, ...)
             g.swapaxes(1, 2).reshape((-1,) + g.shape[3:]) for g in gathered
         )
     raw = rowwise_lut_execute(
-        shared_rows(signed, lead, shared), fl, sc, zr,
-        shared_rows(sums, lead, shared),
+        shared_rows(signed, lead, shared),
+        flat_lookup(ix, entries.bit_length(), entries, True, group_axis=-2),
+        sc, zr, shared_rows(sums, lead, shared),
         (1 << np.arange(bits)).astype(np.float64),
         bool((zr != 0.0).any()),
     )

@@ -1,22 +1,25 @@
-/* The lut-blocked inner loop as one fused pass (ARCHITECTURE section 6).
+/* The LUT mpGEMM of lut-blocked as one fused pass: the weight linears and
+ * the int4-KV attention alike (ARCHITECTURE sections 6 and 8). Per output
+ * element, the scalar sequence of the numpy bodies
+ * (LutBlockedBackend.execute, rowwise_lut_execute):
  *
- * Per block of up to LANES activation rows and per output column, every
- * row gets exactly the scalar sequence of the numpy body of
- * LutBlockedBackend.execute:
- *
- *     acc  = +-T[idx_0]                  plane 0, sign from the fold
- *     acc += (+-T[idx_i]) * 2**i         i = 1 .. bits-1, LSB first
- *     acc -= z * sum_a                   only with a zero-point
+ *     acc  = T[f(x_0)]                   plane 0, x_i its one-byte index
+ *     acc += T[f(x_i)] * 2**i            i = 1 .. bits-1, LSB first
+ *     acc -= z * sum_a                   only with a zero-point array
  *     acc *= s
  *     tot  = acc (g == 0);  tot += acc   groups in ascending g
  *
- * The rows of a block are the SIMD lanes: the table block is transposed to
- * rows-innermost, one lookup loads a lane vector, and each statement above
- * is one element-wise vector operation. Lanes never mix, so vectorising
- * reorders nothing. Negation and the 2**i scale are exact; z * sum_a and
- * acc * s round, so the build must neither contract a multiply into the
- * add after it (-ffp-contract=off) nor evaluate wider than double (checked
- * below; -std=c11 makes gcc report it for double). Never -ffast-math. */
+ * T is one group's table as the blocked kernels hold it, the signed
+ * extension [half, -half] of a symmetric half table (f, the Eq. 5/6 fold,
+ * sends an index with the MSB set to its negated entry) or the full table
+ * (f the identity). The activation rows that share a weight row are the
+ * SIMD lanes: the table block is transposed to lanes-innermost, one lookup
+ * loads a lane vector, and each statement above is one element-wise vector
+ * operation. Lanes never mix, so vectorising reorders nothing. Negation and
+ * the 2**i scale are exact; z * sum_a and acc * s round, so the build must
+ * neither contract a multiply into the add after it (-ffp-contract=off) nor
+ * evaluate wider than double (checked below; -std=c11 makes gcc report it
+ * for double). Never -ffast-math. */
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
@@ -53,136 +56,93 @@ static inline double at(const double *base, ptrdiff_t offset)
     return *(const double *)((const char *)base + offset);
 }
 
-/* One group's bit-serial accumulate for one column, LSB plane first: `ix`
- * walks the column's plane indices, `off` maps an index to the byte offset
- * of its lane vector in the group's table `tg`. A literal `bits` unrolls. */
-static inline __attribute__((always_inline)) lanes_t bit_serial(
-    const char *tg, const int32_t *off, const uint8_t *ix,
-    const int64_t plane, const int64_t bits)
-{
-    lanes_t acc = *(const lanes_t *)(tg + off[ix[0]]);
-    double shift = 1.0;
-    for (int64_t i = 1; i < bits; i++) {
-        shift *= 2.0;
-        acc += *(const lanes_t *)(tg + off[ix[i * plane]]) * splat(shift);
-    }
-    return acc;
-}
-
-/* out (M, N) C-contiguous; table (M, G, entries) any strides; indices
- * (bits, G, N) C-contiguous uint8; fold maps each of the nfold = 2**k
- * index values to an entry of a group's `width`-entry signed table,
- * width = entries * (1 + symmetric); scale and zero (G, N) any strides,
- * zero NULL without a zero-point; sums (M, G) C-contiguous, read only
- * with a zero-point; scratch holds G * (width + 1) + 1 lane vectors.
- * The caller validates every size. */
-void lut_block(
-    const double *table, ptrdiff_t t_m, ptrdiff_t t_g, ptrdiff_t t_e,
-    int64_t m, int64_t ngroups, int64_t entries, int symmetric,
-    const uint8_t *indices, const int64_t *fold, int64_t nfold,
-    int64_t bits, int64_t n,
-    const double *scale, ptrdiff_t s_g, ptrdiff_t s_n,
-    const double *zero, ptrdiff_t z_g, ptrdiff_t z_n,
-    const double *sums, double *out, void *scratch)
-{
-    const int64_t width = symmetric ? 2 * entries : entries;
-    const int64_t plane = ngroups * n;
-    lanes_t *tt = (lanes_t *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
-    lanes_t *st = tt + ngroups * width; /* (G,) activation sums */
-    int32_t off[256];
-    for (int i = 0; i < 256; i++) /* a uint8 index can never leave it */
-        off[i] = i < nfold ? (int32_t)(fold[i] * sizeof(lanes_t)) : 0;
-    for (int64_t m0 = 0; m0 < m; m0 += LANES) {
-        /* Lanes past the last row carry zeros and are never stored. */
-        const int64_t rows = m - m0 < LANES ? m - m0 : LANES;
-        for (int64_t g = 0; g < ngroups; g++) {
-            for (int64_t e = 0; e < entries; e++) {
-                lanes_t v = splat(0.0);
-                for (int64_t l = 0; l < rows; l++)
-                    v[l] = at(table, (m0 + l) * t_m + g * t_g + e * t_e);
-                tt[g * width + e] = v;
-                if (symmetric)
-                    tt[g * width + entries + e] = -v;
-            }
-            if (zero) {
-                lanes_t v = splat(0.0);
-                for (int64_t l = 0; l < rows; l++)
-                    v[l] = sums[(m0 + l) * ngroups + g];
-                st[g] = v;
-            }
-        }
-        for (int64_t col = 0; col < n; col++) {
-            lanes_t tot = splat(0.0);
-            for (int64_t g = 0; g < ngroups; g++) {
-                const char *tg = (const char *)(tt + g * width);
-                const uint8_t *ix = indices + g * n + col;
-                lanes_t acc = bits == 4 ? bit_serial(tg, off, ix, plane, 4)
-                    : bits == 2 ? bit_serial(tg, off, ix, plane, 2)
-                    : bit_serial(tg, off, ix, plane, bits);
-                if (zero)
-                    acc -= splat(at(zero, g * z_g + col * z_n)) * st[g];
-                acc *= splat(at(scale, g * s_g + col * s_n));
-                tot = g ? tot + acc : acc;
-            }
-            for (int64_t l = 0; l < rows; l++)
-                out[(m0 + l) * n + col] = tot[l];
-        }
-    }
-}
-
-/* The int4-KV attention's row-wise executor, paged (ARCHITECTURE section
- * 8): rowwise_lut_execute's scalar sequence per output element,
+/* The table block of W lanes, lanes-innermost: `tt` (G, width, W), lane l
+ * holding activation row ra[l] of table (A, G, entries), byte strides ts,
+ * and its negation in the upper half when symmetric; `st` (G, W) the
+ * rows' sums (A, G), C-contiguous, when given. Lanes past `live` carry
+ * zeros and are never stored.
  *
- *     acc  = T[f_0];  acc += T[f_i] * 2**i    LSB first, T = [half, -half]
- *     acc -= z * sum_a                        only where z != 0.0
- *     acc *= s
- *     tot  = acc (g == 0);  tot += acc        groups in ascending g
- *
- * The M activation rows that share a weight row are the lanes, at most LANES
- * at a time in the narrowest of 2, 4 or 8 lanes that holds them (GQA's M = 2
- * pays for two): one column sweep per width, the lane count a compile-time
- * constant as `bits` is in bit_serial, and as there lanes never mix. `tt` is
- * the (G * 2E, W) signed table and `st` the (G, W) activation sums of the
- * lanes; fb, sb and zb point at one (block, head)'s flat indices, scales and
- * zeros, strides in cs (below); lane l's N results go to op[l], added to
- * what is there when `add`. Returns 1 at a flat index outside the table,
- * through which nothing is read. No vector is passed or returned, so a
- * sweep wider than the target (compiled, never called) is no ABI matter. */
+ * Then one column sweep of W lanes over that block, the lane count a
+ * compile-time constant as `bits` is where the caller passes a literal: off
+ * maps a one-byte index to the byte offset of its lane vector in a group's
+ * table (gstep bytes apart); ib, sb and zb point at one weight row's
+ * indices, scales and zeros (zb NULL: no zero-point), strides in cs
+ * (below); lane l's N results go to op[l], added to what is there when
+ * `add`. No vector is passed or returned, so a width beyond the target's
+ * (compiled, never called) is no ABI matter. */
 #define SPLAT2(x) {x, x}
 #define SPLAT4(x) {x, x, x, x}
 #define SPLAT8(x) {x, x, x, x, x, x, x, x}
-#define DEFINE_PAGED_SWEEP(W)                                                \
+#define DEFINE_LANES(W)                                                      \
     typedef double v##W __attribute__((vector_size(W * sizeof(double))));    \
-    static inline __attribute__((always_inline)) int paged_sweep##W(         \
-        const double *tt, const double *st, const uint64_t size,             \
-        const int64_t ngroups, const int64_t bits, const int64_t n,          \
-        const char *fb, const double *sb, const double *zb,                  \
-        const ptrdiff_t *cs, double *const *op, const int64_t live,          \
-        const int add)                                                       \
+    static inline __attribute__((always_inline)) void build##W(              \
+        double *tt, double *st, const double *table, const ptrdiff_t *ts,    \
+        const double *sums, const int64_t *ra, const int64_t live,           \
+        const int64_t ngroups, const int64_t entries, const int symmetric)   \
     {                                                                        \
+        /* Each lane's own row pointers, a dead lane aimed at lane 0's: */   \
+        /* every lane index below is a constant, so no vector is built */   \
+        /* in memory. */                                                     \
+        const char *rp[W];                                                   \
+        const double *sp[W];                                                 \
+        for (int64_t l = 0; l < W; l++) {                                    \
+            const int64_t r = ra[l < live ? l : 0];                          \
+            rp[l] = (const char *)table + r * ts[0];                         \
+            sp[l] = sums ? sums + r * ngroups : sums;                        \
+        }                                                                    \
+        v##W *tv = (v##W *)tt;                                               \
+        for (int64_t g = 0; g < ngroups; g++) {                              \
+            for (int64_t e = 0; e < entries; e++) {                          \
+                const ptrdiff_t ge = g * ts[1] + e * ts[2];                  \
+                v##W v;                                                      \
+                for (int64_t l = 0; l < W; l++)                              \
+                    v[l] = l < live ? *(const double *)(rp[l] + ge) : 0.0;   \
+                *tv++ = v;                                                   \
+                if (symmetric)                                               \
+                    tv[entries - 1] = -v;                                    \
+            }                                                                \
+            tv += symmetric ? entries : 0;                                   \
+            if (sums) {                                                      \
+                v##W v;                                                      \
+                for (int64_t l = 0; l < W; l++)                              \
+                    v[l] = l < live ? sp[l][g] : 0.0;                        \
+                ((v##W *)st)[g] = v;                                         \
+            }                                                                \
+        }                                                                    \
+    }                                                                        \
+    static inline __attribute__((always_inline)) void sweep##W(              \
+        const char *tt, const double *st, const int32_t *off,                \
+        const ptrdiff_t gstep, const int64_t ngroups, const int64_t bits,    \
+        const int64_t n, const uint8_t *ib, const double *sb,                \
+        const double *zb, const ptrdiff_t *cs, double *const *op,            \
+        const int64_t live, const int add)                                   \
+    {                                                                        \
+        const ptrdiff_t ip = cs[2], ig = cs[3], sg = cs[7], zg = cs[11];     \
         for (int64_t col = 0; col < n; col++) {                              \
+            const uint8_t *ix = ib + col * cs[4];                            \
+            const char *s_at = (const char *)sb + col * cs[8];               \
+            const char *z_at = zb ? (const char *)zb + col * cs[12] : NULL;  \
+            const char *tg = tt;                                             \
             v##W tot = (v##W)SPLAT##W(0.0);                                  \
             for (int64_t g = 0; g < ngroups; g++) {                          \
-                const char *ix = fb + g * cs[3] + col * cs[4];               \
-                uint64_t f = *(const uint64_t *)ix;                          \
-                if (f >= size)                                               \
-                    return 1;                                                \
-                v##W acc = *(const v##W *)(tt + f * W);                      \
+                v##W acc = *(const v##W *)(tg + off[ix[0]]);                 \
                 double shift = 1.0;                                          \
                 for (int64_t i = 1; i < bits; i++) {                         \
-                    f = *(const uint64_t *)(ix + i * cs[2]);                 \
-                    if (f >= size)                                           \
-                        return 1;                                            \
                     shift *= 2.0;                                            \
-                    const v##W plane = *(const v##W *)(tt + f * W);          \
+                    const v##W plane =                                       \
+                        *(const v##W *)(tg + off[ix[i * ip]]);               \
                     acc += plane * (v##W)SPLAT##W(shift);                    \
                 }                                                            \
-                const double z = at(zb, g * cs[11] + col * cs[12]);          \
-                const double s = at(sb, g * cs[7] + col * cs[8]);            \
-                if (z != 0.0)                                                \
-                    acc -= (v##W)SPLAT##W(z) * *(const v##W *)(st + g * W);  \
-                acc *= (v##W)SPLAT##W(s);                                    \
+                if (z_at) {                                                  \
+                    acc -= (v##W)SPLAT##W(*(const double *)z_at)             \
+                           * *(const v##W *)(st + g * W);                    \
+                    z_at += zg;                                              \
+                }                                                            \
+                acc *= (v##W)SPLAT##W(*(const double *)s_at);                \
                 tot = g ? tot + acc : acc;                                   \
+                ix += ig;                                                    \
+                s_at += sg;                                                  \
+                tg += gstep;                                                 \
             }                                                                \
             for (int64_t l = 0; l < live; l++) {                             \
                 if (add)                                                     \
@@ -191,58 +151,80 @@ void lut_block(
                     op[l][col] = tot[l];                                     \
             }                                                                \
         }                                                                    \
-        return 0;                                                            \
     }
-DEFINE_PAGED_SWEEP(2)
-DEFINE_PAGED_SWEEP(4)
-DEFINE_PAGED_SWEEP(8)
-#define PAGED_SWEEP(W, BITS)                                                 \
-    paged_sweep##W(tt, st, size, ngroups, BITS, n, fb, sb, zb, cs, op, live, \
-                   add)
-#define PAGED_SWEEP_BITS(W) \
-    (bits == 4 ? PAGED_SWEEP(W, 4) : PAGED_SWEEP(W, bits))
+DEFINE_LANES(2)
+DEFINE_LANES(4)
+DEFINE_LANES(8)
+#define BUILD(W)                                                             \
+    build##W(tt, st, table, ts, zero ? sums : NULL, ra, live, ngroups,       \
+             entries, symmetric)
+#define SWEEP(W, BITS)                                                       \
+    sweep##W((const char *)tt, st, off, gstep, ngroups, BITS, n, ib, sb, zb, \
+             cs, op, live, add)
+#define SWEEP_BITS(W)                                                        \
+    (bits == 4 ? SWEEP(W, 4) : bits == 2 ? SWEEP(W, 2) : SWEEP(W, bits))
 
 /* The weight columns are read in place, through index (rows, maxb), from
- * column arrays indexed by block id: flat (nblk, heads, bits, G, N) int64,
- * scale and zero (nblk, heads, G, N), any strides. Lane (ti, ri) of the m =
- * t * rep that share weight row (row, head) reads activation row `row * a[0]
- * + head * a[1] + ti * a[2] + ri * a[3]` (+ j * a[4] with counts) of table
- * (A, G, entries), byte strides ts, and of sums (A, G), C-contiguous, and
- * writes from `row * o[0] + head * o[1] + ti * o[2] + ri * o[3]` on.
- * counts NULL: one table serves all maxb blocks of a weight row and block
- * j's columns land n * j further on. Otherwise every block has its own
- * table and the first counts[row] blocks reduce in ascending j, out =
- * part_0, out += part_j. geometry = a[5], o[4], ts[3] and the byte strides
- * cs[5 + 4 + 4] of flat, scale and zero; scratch holds G * (2 * entries +
- * 1) * 8 + 8 doubles. The caller validates shapes and types; every index
- * followed is checked here, block ids and counts before anything is read
- * through them: returns 0, or 1 with `out` undefined. */
-int lut_rows_paged(
-    const double *table, const double *sums,
-    int64_t t, int64_t rep, int64_t ngroups, int64_t entries,
-    const int64_t *index, const int64_t *counts,
-    int64_t rows, int64_t maxb, int64_t heads, int64_t nblk,
-    const int64_t *flat, const double *scale, const double *zero,
-    int64_t bits, int64_t n, const ptrdiff_t *geometry,
-    double *out, void *scratch)
+ * column arrays indexed by block id: idx (nblk, heads, bits, G, N) uint8,
+ * scale and zero (nblk, heads, G, N), any strides; zero NULL without a
+ * zero-point, else applied to every column. index NULL is the one-entry
+ * table of a linear, whose plan is one block with one weight row. fold
+ * maps each of the nfold <= 256 index values to an entry of a group's
+ * width-entry table, width = entries * (1 + symmetric); a byte past nfold
+ * reads entry 0, so no index byte can leave the table. Lane (ti, ri) of
+ * the m = t * rep that share weight row (row, head) reads activation row
+ * `row * a[0] + head * a[1] + ti * a[2] + ri * a[3]` (+ j * a[4] with
+ * counts) of table (A, G, entries), byte strides ts, and of sums (A, G),
+ * C-contiguous, read only with a zero-point, and writes from `row * o[0] +
+ * head * o[1] + ti * o[2] + ri * o[3]` on. counts NULL: one table serves
+ * all maxb blocks of a weight row and block j's columns land n * j further
+ * on. Otherwise every block has its own table and the first counts[row]
+ * blocks reduce in ascending j, out = part_0, out += part_j. The activation
+ * rows that share a weight row go LANES at a time, each lane block in the
+ * narrowest of 2, 4 or 8 lanes that holds it (GQA's M = 2 pays for two).
+ * geometry holds the sizes in LB_GEO order, then a[5], o[4], ts[3] and the
+ * byte strides cs[5 + 4 + 4] of idx, scale and zero; scratch holds G *
+ * (width + 1) * 8 + 8 doubles. The caller validates shapes and types;
+ * every block id, count and fold entry is checked here before anything is
+ * read through it: returns 0, or 1 with `out` untouched. */
+enum { LB_T, LB_REP, LB_GROUPS, LB_ENTRIES, LB_SYMMETRIC, LB_ROWS, LB_MAXB,
+       LB_HEADS, LB_BLOCKS, LB_FOLD, LB_BITS, LB_N, LB_GEO };
+int lut_block(const double *table, const double *sums, const int64_t *index,
+              const int64_t *counts, const uint8_t *idx, const int64_t *fold,
+              const double *scale, const double *zero,
+              const ptrdiff_t *geometry, double *out, void *scratch)
 {
-    const ptrdiff_t *a = geometry, *o = a + 5, *ts = o + 4, *cs = ts + 3;
-    const int64_t m = t * rep, width = 2 * entries;
-    const uint64_t size = ngroups * width;
+    const int64_t t = geometry[LB_T], rep = geometry[LB_REP];
+    const int64_t ngroups = geometry[LB_GROUPS];
+    const int64_t entries = geometry[LB_ENTRIES];
+    const int symmetric = geometry[LB_SYMMETRIC] != 0;
+    const int64_t rows = geometry[LB_ROWS], maxb = geometry[LB_MAXB];
+    const int64_t heads = geometry[LB_HEADS], nblk = geometry[LB_BLOCKS];
+    const int64_t nfold = geometry[LB_FOLD], bits = geometry[LB_BITS];
+    const int64_t n = geometry[LB_N];
+    const ptrdiff_t *a = geometry + LB_GEO, *o = a + 5, *ts = o + 4,
+                    *cs = ts + 3;
+    const int64_t m = t * rep, width = symmetric ? 2 * entries : entries;
     double *tt = (double *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
-    for (int64_t i = 0; i < rows * maxb; i++)
+    int32_t off[256];
+    for (int64_t i = 0; index && i < rows * maxb; i++)
         if ((uint64_t)index[i] >= (uint64_t)nblk)
             return 1;
     for (int64_t row = 0; counts && row < rows; row++)
         if (counts[row] < 1 || counts[row] > maxb)
             return 1;
+    if (nfold > 256)
+        return 1;
+    for (int64_t i = 0; i < nfold; i++)
+        if ((uint64_t)fold[i] >= (uint64_t)width)
+            return 1;
     for (int64_t m0 = 0; m0 < m; m0 += LANES) {
         const int64_t live = m - m0 < LANES ? m - m0 : LANES;
         const int64_t w = live <= 2 ? 2 : live <= 4 ? 4 : 8;
-        double *st = tt + size * w;
-        /* Lanes past the last row carry zeros and are never stored. */
-        for (uint64_t i = 0; i < (size + ngroups) * w; i++)
-            tt[i] = 0.0;
+        const ptrdiff_t gstep = width * w * sizeof(double);
+        double *st = tt + ngroups * width * w;
+        for (int64_t i = 0; i < 256; i++)
+            off[i] = i < nfold ? (int32_t)(fold[i] * w * sizeof(double)) : 0;
         for (int64_t row = 0; row < rows; row++)
         for (int64_t head = 0; head < heads; head++) {
             int64_t al[LANES];
@@ -254,30 +236,30 @@ int lut_rows_paged(
             }
             const int64_t nb = counts ? counts[row] : maxb;
             for (int64_t j = 0; j < nb; j++) {
-                for (int64_t l = 0; l < live && (j == 0 || counts); l++) {
-                    const int64_t row_a = al[l] + j * a[4];
-                    for (int64_t g = 0; g < ngroups; g++) {
-                        double *tg = tt + g * width * w + l;
-                        st[g * w + l] = sums[row_a * ngroups + g];
-                        for (int64_t e = 0; e < entries; e++) {
-                            const double x = at(
-                                table, row_a * ts[0] + g * ts[1] + e * ts[2]);
-                            tg[e * w] = x;
-                            tg[(entries + e) * w] = -x;
-                        }
-                    }
+                if (j == 0 || counts) {
+                    int64_t ra[LANES];
+                    for (int64_t l = 0; l < live; l++)
+                        ra[l] = al[l] + j * a[4];
+                    if (w == 2)
+                        BUILD(2);
+                    else if (w == 4)
+                        BUILD(4);
+                    else
+                        BUILD(8);
                 }
-                const int64_t blk = index[row * maxb + j];
-                const char *fb =
-                    (const char *)flat + blk * cs[0] + head * cs[1];
+                const int64_t blk = index ? index[row * maxb + j] : 0;
+                const uint8_t *ib = idx + blk * cs[0] + head * cs[1];
                 const double *sb = (const double *)(
                     (const char *)scale + blk * cs[5] + head * cs[6]);
-                const double *zb = (const double *)(
-                    (const char *)zero + blk * cs[9] + head * cs[10]);
+                const double *zb = zero ? (const double *)(
+                    (const char *)zero + blk * cs[9] + head * cs[10]) : NULL;
                 const int add = counts && j;
-                if (w == 2 ? PAGED_SWEEP_BITS(2)
-                    : w == 4 ? PAGED_SWEEP_BITS(4) : PAGED_SWEEP_BITS(8))
-                    return 1;
+                if (w == 2)
+                    SWEEP_BITS(2);
+                else if (w == 4)
+                    SWEEP_BITS(4);
+                else
+                    SWEEP_BITS(8);
                 for (int64_t l = 0; l < live && !counts; l++)
                     op[l] += n;
             }
@@ -297,8 +279,8 @@ int lut_rows_paged(
  *                                          zero min() kept; affine_quantize
  *                                          does the same)
  *     code   = clip(nearbyint(w / scale + zp), 0, qmax)
- *     flat   = fold[sum_j bit_i(code_j) << j] + g * 2**k   per plane i
- *     affine = (scale / 2, 2 * zp + 1 - 2**bits)           per lookup group
+ *     idx    = sum_j bit_i(code_j) << j   per plane i, over a lookup group
+ *     affine = (scale / 2, 2 * zp + 1 - 2**bits)       per lookup group
  *
  * `code` rounds w / scale, then + zp, then to an integer: the division
  * must stay a division (never -ffast-math's reciprocal multiply) and the
@@ -306,12 +288,12 @@ int lut_rows_paged(
  * rounding mode is round-half-to-even, as np.round (np.rint) is. Up to
  * ROWS weight rows go through in lockstep, rows innermost: a V slab's rows
  * are its head_dim channels, adjacent in memory, so every step above but
- * the fold lookup is one vector operation across them. Rows never mix. The
- * pool arrays are the C-contiguous arenas of BlockAllocator._block_layout;
- * their base pointers come in `pool`, in KV_ARRAYS order, and the pool
- * geometry in `geo`, in KV_GEO order. */
-enum { KV_K, KV_V, KV_K_CODES, KV_K_SCALE, KV_K_ZP, KV_KA_FLAT, KV_KA_SCALE,
-       KV_KA_ZERO, KV_VA_FLAT, KV_VA_SCALE, KV_VA_ZERO, KV_FOLD, KV_ARRAYS };
+ * the spread lookup is one vector operation across them. Rows never mix.
+ * The pool arrays are the C-contiguous arenas of
+ * BlockAllocator._block_layout; their base pointers come in `pool`, in
+ * KV_ARRAYS order, and the pool geometry in `geo`, in KV_GEO order. */
+enum { KV_K, KV_V, KV_K_CODES, KV_K_SCALE, KV_K_ZP, KV_KA_IDX, KV_KA_SCALE,
+       KV_KA_ZERO, KV_VA_IDX, KV_VA_SCALE, KV_VA_ZERO, KV_ARRAYS };
 enum { GEO_BLOCKS, GEO_KV, GEO_BLOCK, GEO_DIM, GEO_BITS, GEO_LUT_K,
        GEO_K_GROUP, GEO_V_GROUP, KV_GEO };
 #define ROWS 64
@@ -319,14 +301,13 @@ enum { GEO_BLOCKS, GEO_KV, GEO_BLOCK, GEO_DIM, GEO_BITS, GEO_LUT_K,
 /* Where quantize_rows writes row l's results, in elements: codes (NULL:
  * not stored) at codes[l * code_row + j], one scale / zero-point per
  * quantization group q (NULL likewise) at qs[l * q_row + q], plane i of
- * lookup group g at flat[l * flat_row + i * flat_plane + g * flat_group],
+ * lookup group g at idx[l * idx_row + i * idx_plane + g * idx_group],
  * the affine at as[l * a_row + g * a_group] and az likewise. */
 typedef struct {
     uint8_t *codes;
     double *qs, *qz, *as, *az;
-    int64_t *flat;
-    ptrdiff_t code_row, q_row, flat_row, flat_plane, flat_group, a_row,
-        a_group;
+    uint8_t *idx;
+    ptrdiff_t code_row, q_row, idx_row, idx_plane, idx_group, a_row, a_group;
 } kv_out;
 
 /* scale and zero-point of `rows` rows' group of `group` values, row l's
@@ -392,7 +373,7 @@ static int rows_replayable(const double *w, ptrdiff_t rs, ptrdiff_t es,
  * in bits i * k .. i * k + k - 1 (lanes k wide: nothing carries). */
 static __attribute__((noinline)) void quantize_rows(
     const double *w, ptrdiff_t rs, ptrdiff_t es, int64_t m, int64_t n,
-    int64_t group, const int64_t *geo, const int64_t *fold, kv_out o)
+    int64_t group, const int64_t *geo, kv_out o)
 {
     const int64_t bits = geo[GEO_BITS], k = geo[GEO_LUT_K];
     const double qmax = (double)((1 << bits) - 1), top = (double)(1 << bits);
@@ -427,11 +408,11 @@ static __attribute__((noinline)) void quantize_rows(
                                 (uint8_t)code;
                         packed[l] += spread[code] << j;
                     }
-                int64_t *flat = o.flat + l0 * o.flat_row + g * o.flat_group;
+                uint8_t *idx = o.idx + l0 * o.idx_row + g * o.idx_group;
                 for (int64_t i = 0; i < bits; i++)
                     for (int64_t l = 0; l < rows; l++)
-                        flat[l * o.flat_row + i * o.flat_plane] =
-                            fold[packed[l] >> (i * k) & lane] + (g << k);
+                        idx[l * o.idx_row + i * o.idx_plane] =
+                            (uint8_t)(packed[l] >> (i * k) & lane);
                 const ptrdiff_t a = l0 * o.a_row + g * o.a_group;
                 for (int64_t l = 0; l < rows; l++) {
                     o.as[a + l * o.a_row] = scale[l] / 2.0;
@@ -479,14 +460,13 @@ int kv_append(void *const *pool, const int64_t *geo, const double *k_rows,
             .qz = (double *)pool[KV_K_ZP] + slot * groups,
             .as = (double *)pool[KV_KA_SCALE] + col,
             .az = (double *)pool[KV_KA_ZERO] + col,
-            .flat = (int64_t *)pool[KV_KA_FLAT] + bids[i] * kv * bits * gk * bs
+            .idx = (uint8_t *)pool[KV_KA_IDX] + bids[i] * kv * bits * gk * bs
                 + offs[i],
             .code_row = bs * hd, .q_row = bs * groups,
-            .flat_row = bits * gk * bs, .flat_plane = gk * bs,
-            .flat_group = bs, .a_row = gk * bs, .a_group = bs,
+            .idx_row = bits * gk * bs, .idx_plane = gk * bs,
+            .idx_group = bs, .a_row = gk * bs, .a_group = bs,
         };
-        quantize_rows(k_rows + i * kv * hd, hd, 1, kv, hd, group, geo,
-                      (const int64_t *)pool[KV_FOLD], o);
+        quantize_rows(k_rows + i * kv * hd, hd, 1, kv, hd, group, geo, o);
     }
     return 0;
 }
@@ -518,12 +498,11 @@ int kv_refresh(void *const *pool, const int64_t *geo, const int64_t *bids,
             const kv_out o = {
                 .as = (double *)pool[KV_VA_SCALE] + col,
                 .az = (double *)pool[KV_VA_ZERO] + col,
-                .flat = (int64_t *)pool[KV_VA_FLAT] + col * bits,
-                .flat_row = 1, .flat_plane = gv * hd, .flat_group = hd,
+                .idx = (uint8_t *)pool[KV_VA_IDX] + col * bits,
+                .idx_row = 1, .idx_plane = gv * hd, .idx_group = hd,
                 .a_row = 1, .a_group = hd,
             };
-            quantize_rows(v + slab * bs * hd, 1, hd, hd, bs, group, geo,
-                          (const int64_t *)pool[KV_FOLD], o);
+            quantize_rows(v + slab * bs * hd, 1, hd, hd, bs, group, geo, o);
         }
     return 0;
 }

@@ -1,11 +1,13 @@
 """Build, cache and load ``lut_block.c``, the compiled ``lut-blocked`` loops.
 
-One object, six entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
-weight mpGEMM pass, ``lut_rows_paged``, the paged attention executor,
-``kv_append`` / ``kv_refresh``, the int4-KV pool's quantized-state writer,
-and ``attn_scores`` / ``attn_context``, the two passes of the float
-attention (``np.exp`` runs between them, in numpy). An object that lacks
-any of them is not used at all. The first call of a
+One object, five entry points (:data:`ENTRY_POINTS`): ``lut_block``, the
+one LUT mpGEMM pass, which runs both the weight linears (one weight row,
+a one-entry block table) and the int4-KV attention (the pool's index
+arenas through the block table); ``kv_append`` / ``kv_refresh``, the
+int4-KV pool's quantized-state writer; and ``attn_scores`` /
+``attn_context``, the two passes of the float attention (``np.exp`` runs
+between them, in numpy). An object that lacks any of them is not used at
+all. The first call of a
 process to one of the accessors below or to :func:`status` finds ``cc``
 on ``PATH``, builds the source next to this file into a private per-user
 cache directory and loads it with :mod:`ctypes`. An object's name carries a
@@ -45,16 +47,7 @@ _PTR, _STEP, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int64
 #: ``name -> (restype, argtypes)``, lut_block.c's parameter lists line by
 #: line.
 ENTRY_POINTS = {
-    "lut_block": (None, (
-        [_PTR, _STEP, _STEP, _STEP] + [_SIZE, _SIZE, _SIZE, ctypes.c_int]
-        + [_PTR, _PTR, _SIZE] + [_SIZE, _SIZE]
-        + [_PTR, _STEP, _STEP] * 2 + [_PTR, _PTR, _PTR]
-    )),
-    "lut_rows_paged": (ctypes.c_int, (
-        [_PTR, _PTR] + [_SIZE, _SIZE, _SIZE, _SIZE] + [_PTR, _PTR]
-        + [_SIZE, _SIZE, _SIZE, _SIZE] + [_PTR, _PTR, _PTR]
-        + [_SIZE, _SIZE, _PTR] + [_PTR, _PTR]
-    )),
+    "lut_block": (ctypes.c_int, [_PTR] * 11),
     "kv_append": (ctypes.c_int, (
         [_PTR, _PTR] + [_PTR, _PTR] + [_PTR, _PTR, _SIZE]
     )),
@@ -173,13 +166,9 @@ def status() -> dict:
 
 
 def lut_block():
-    """The loaded routine, or None when this process runs the numpy body."""
+    """The loaded LUT mpGEMM pass, or None when this process runs the numpy
+    bodies."""
     return _ensure()["fns"].get("lut_block")
-
-
-def lut_rows_paged():
-    """The loaded paged attention executor, or None likewise."""
-    return _ensure()["fns"].get("lut_rows_paged")
 
 
 def kv_append():

@@ -33,14 +33,13 @@ whole context (vLLM-style paging):
   weight for one quantize + column build. V scales belong to one weight
   row and every lookup column is per output column, so each stacked
   column is bit-identical to a per-block, per-head build.
-- **Direct column build**: the arena columns (flat symmetric-table
-  gather indices, per-group scale and zero) are written straight from
-  the codes — the quantize core
-  :func:`~repro.quant.weight.quantize_weights` ends in, the index and
-  fold cores :class:`~repro.kernels.WeightPlan` is built on
-  (:func:`~repro.kernels.plan.lookup_indices`,
-  :func:`~repro.kernels.plan.flat_lookup`), the Eq. 2 parameters — with
-  no weight or plan object per step. Same operations on the same
+- **Direct column build**: the arena columns (plain K-bit lookup
+  indices at :attr:`~repro.kernels.WeightPlan.indices`' one-byte width,
+  per-group scale and zero) are written straight from the codes — the
+  quantize core :func:`~repro.quant.weight.quantize_weights` ends in,
+  the index core :class:`~repro.kernels.WeightPlan` is built on
+  (:func:`~repro.kernels.plan.lookup_indices`), the Eq. 2 parameters —
+  with no weight or plan object per step. Same operations on the same
   values as the ``quantize_weights`` → ``build_weight_plan`` chain,
   hence the same bits. Where ``kernels/lut_block.c`` loaded, its
   ``kv_append`` / ``kv_refresh`` replay that sequence element by element
@@ -135,7 +134,7 @@ from repro.kernels import (
     shared_rows,
 )
 from repro.kernels.backends import sum_groups_leading
-from repro.kernels.plan import flat_lookup, fold_offsets, lookup_indices
+from repro.kernels.plan import lookup_indices
 from repro.lut.attention import MASKED_SCORE
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.lut.table import DEFAULT_K
@@ -395,15 +394,16 @@ class BlockAllocator:
     # ------------------------------------------------------------------
     #: A block's content (block id indexes axis 0 of each array): what
     #: :meth:`cow_clone` and the spill payload carry. Each fact is stored
-    #: once at its own width (:meth:`_block_layout`); int64 only where
-    #: ``np.take`` gathers with it, ``_ka_flat`` / ``_va_flat`` — numpy
-    #: casts a narrower index array to ``intp`` on every call (+8 %).
+    #: once at its own width (:meth:`_block_layout`); none is int64.
     _FLOAT_ARRAYS = ("_k", "_v")
     _QUANT_ARRAYS = (
         "_k_codes", "_k_scale", "_k_zp",
-        "_ka_flat", "_ka_scale", "_ka_zero",
-        "_va_fill", "_va_flat", "_va_scale", "_va_zero",
+        "_ka_idx", "_ka_scale", "_ka_zero",
+        "_va_fill", "_va_idx", "_va_scale", "_va_zero",
     )
+    #: The lookup-index arenas: a value must be below ``2**lut_k``
+    #: (:meth:`accepts`).
+    _INDEX_ARRAYS = ("_ka_idx", "_va_idx")
     #: The dequantized V arena and its stamp: read by table-less backends
     #: only, so resident from the first such :meth:`refresh_v_arenas`.
     #: Derived from ``_v`` — never carried; a stamp of -1 rebuilds it.
@@ -411,16 +411,16 @@ class BlockAllocator:
     #: The V arenas a backend reads, by ``not needs_table``: the lookup
     #: columns a table backend gathers, or the dequantized block.
     _V_ARENAS = {
-        False: ("_va_flat", "_va_scale", "_va_zero"),
+        False: ("_va_idx", "_va_scale", "_va_zero"),
         True: ("_va_deq",),
     }
     #: What the compiled writer (``kv_append`` / ``kv_refresh`` in
     #: ``kernels/lut_block.c``) reads and writes, in its ``KV_ARRAYS``
-    #: order; the fold table follows them there.
+    #: order.
     _KV_WRITER_ARRAYS = (
         "_k", "_v", "_k_codes", "_k_scale", "_k_zp",
-        "_ka_flat", "_ka_scale", "_ka_zero",
-        "_va_flat", "_va_scale", "_va_zero",
+        "_ka_idx", "_ka_scale", "_ka_zero",
+        "_va_idx", "_va_scale", "_va_zero",
     )
     #: Which body last wrote the quantized KV state, ``"compiled"`` or
     #: ``"numpy"`` (None before the first write): the K rows of
@@ -445,6 +445,7 @@ class BlockAllocator:
             return layout
         groups = hd // (self._k_group or hd)
         gk, gv = hd // self.lut_k, bs // self.lut_k
+        ix = code_dtype(self.lut_k)
         layout.update(
             _k_codes=((kv, bs, hd), code_dtype(self.bits), 0),
             _k_scale=((kv, bs, groups), f8, 1.0),
@@ -452,11 +453,11 @@ class BlockAllocator:
             # Plan arenas: the per-block WeightPlan state in slab layout,
             # read in place by one dispatch per layer across every active
             # sequence's blocks. K side (score mpGEMM, one output column
-            # per cached token): flat symmetric-table gather
-            # indices, per-group affine. Written incrementally by
+            # per cached token): a plan's plain K-bit lookup indices at
+            # its width, per-group affine. Written incrementally by
             # :meth:`write_rows` — column values are per-token, so the
             # slab always equals what a from-scratch plan would hold.
-            _ka_flat=((kv, self.bits, gk, bs), i8, 0),
+            _ka_idx=((kv, self.bits, gk, bs), ix, 0),
             _ka_scale=((kv, gk, bs), f8, 1.0),
             _ka_zero=((kv, gk, bs), f8, 0.0),
             # V side (context mpGEMM, the block consumed as a
@@ -467,7 +468,7 @@ class BlockAllocator:
             # ``_va_deq`` carries its own stamp: whichever kind of backend
             # dispatches maintains its own arenas only.
             _va_fill=((), i4, -1),
-            _va_flat=((kv, self.bits, gv, hd), i8, 0),
+            _va_idx=((kv, self.bits, gv, hd), ix, 0),
             _va_scale=((kv, gv, hd), f8, 1.0),
             _va_zero=((kv, gv, hd), f8, 0.0),
             _va_deq_fill=((), i4, -1),
@@ -498,8 +499,7 @@ class BlockAllocator:
         body raises :class:`LutError` there), or an array that is not
         C-contiguous at the layout's shape and dtype (the routine trusts
         all of these). *owned* holds every buffer whose address goes to
-        C: the Eq. 5/6 fold table, the int64 base addresses of
-        :attr:`_KV_WRITER_ARRAYS` and the fold table, and the pool
+        C: the base addresses of :attr:`_KV_WRITER_ARRAYS` and the pool
         geometry, in ``lut_block.c``'s ``KV_ARRAYS`` / ``KV_GEO`` order.
         Re-made by every :meth:`_alloc`, so the writer never sees storage
         :meth:`_grow` replaced."""
@@ -520,16 +520,13 @@ class BlockAllocator:
             for name, a in zip(self._KV_WRITER_ARRAYS, arrays)
         ):
             return None
-        fold = fold_offsets(self.lut_k, 1 << (self.lut_k - 1), True)
-        pointers = np.array(
-            [a.ctypes.data for a in arrays + [fold]], dtype=np.uint64
-        )
+        pointers = np.array([a.ctypes.data for a in arrays], dtype=np.uint64)
         geometry = np.array((
             self.capacity, self.kv_heads, self.block_size, self.head_dim,
             self.bits, self.lut_k, k_group, v_group,
         ), dtype=np.int64)
         return (
-            (fold, pointers, geometry),
+            (pointers, geometry),
             pointers.ctypes.data,
             geometry.ctypes.data,
         )
@@ -560,7 +557,10 @@ class BlockAllocator:
         """Whether a :meth:`PagedLayerCache.serialize` payload is in this
         pool's block format: the block count its length needs, every
         block at the fill its position implies, holding exactly
-        :attr:`_block_arrays` at the layout's shapes and dtypes."""
+        :attr:`_block_arrays` at the layout's shapes and dtypes, and
+        lookup indices (:attr:`_INDEX_ARRAYS`) below ``2**lut_k`` — the
+        only way an index the writers never produce could reach the
+        pool."""
         length, blocks = payload.get("length"), payload.get("blocks", ())
         if not (
             isinstance(length, int)
@@ -569,12 +569,17 @@ class BlockAllocator:
         ):
             return False
         fmt = {name: self._layout[name][:2] for name in self._block_arrays}
+        top = 1 << self.lut_k
         return all(
             bp.get("fill") == min(self.block_size, length - i * self.block_size)
             and fmt == {
                 name: (getattr(a, "shape", None), getattr(a, "dtype", None))
                 for name, a in bp.items() if name != "fill"
             }
+            and all(
+                bp[name].max(initial=0) < top
+                for name in self._INDEX_ARRAYS if name in bp
+            )
             for i, bp in enumerate(blocks)
         )
 
@@ -770,7 +775,7 @@ class BlockAllocator:
             self._k_codes[block_id][:, dead] = 0
             self._k_scale[block_id][:, dead] = 1.0
             self._k_zp[block_id][:, dead] = 0.0
-            self._ka_flat[block_id][:, :, :, dead] = 0
+            self._ka_idx[block_id][:, :, :, dead] = 0
             self._ka_scale[block_id][:, :, dead] = 1.0
             self._ka_zero[block_id][:, :, dead] = 0.0
             self.stats["k_plan_cols"] -= (fill - new_fill) * self.kv_heads
@@ -963,20 +968,16 @@ class BlockAllocator:
 
     def _lookup_columns(self, codes, scale, zero_point):
         """Lookup columns of :meth:`_quantize_rows` output: what
-        ``build_weight_plan`` → ``flat_lookup_indices(…, True)`` /
-        ``scale_gn`` / ``zero_gn`` hold for the same weight, straight
-        from the codes and the Eq. 2 parameters. Returns ``(bits, n,
-        G)`` flat indices and ``(n, G)`` affine, ``G = K // lut_k``."""
+        ``build_weight_plan`` → ``indices`` / ``scale_gn`` / ``zero_gn``
+        hold for the same weight, straight from the codes and the Eq. 2
+        parameters. Returns ``(bits, n, G)`` plain K-bit indices and
+        ``(n, G)`` affine, ``G = K // lut_k``."""
         n, ngroups, gsize = codes.shape
         k = self.lut_k
         self._check_lookup_groups(gsize)
-        flat = flat_lookup(
-            lookup_indices(codes.reshape(n, -1), self.bits, k),
-            k, 1 << (k - 1), True,
-        )
         a_scale, a_zero = reinterpret_params(scale, zero_point, self.bits)
         return (
-            flat,
+            lookup_indices(codes.reshape(n, -1), self.bits, k),
             np.repeat(a_scale[..., 0], gsize // k, axis=1),
             np.repeat(a_zero[..., 0], gsize // k, axis=1),
         )
@@ -989,7 +990,7 @@ class BlockAllocator:
         scales are row-local and every lookup column is per output
         column, so each row's codes, scales and K-arena columns are
         bit-identical to quantizing it alone. Returns ``(codes, scale,
-        zero_point, arena flat indices, arena scale, arena zero)``, row
+        zero_point, arena indices, arena scale, arena zero)``, row
         axis leading, for :meth:`_land_rows` to scatter. The numpy
         body's half of the ``k_plan_s`` timer: quantize and column
         build.
@@ -999,9 +1000,7 @@ class BlockAllocator:
         codes, scale, zero_point = self._quantize_rows(
             k_rows.reshape(r * kv, self.head_dim), self._k_group
         )
-        flat_idx, a_scale, a_zero = self._lookup_columns(
-            codes, scale, zero_point
-        )
+        idx, a_scale, a_zero = self._lookup_columns(codes, scale, zero_point)
         shape = (r, kv, -1)
         # Returned scales: one per element when grouped, else one per row.
         per = codes.shape[2] if self._k_group else 1
@@ -1010,7 +1009,7 @@ class BlockAllocator:
             np.repeat(scale[..., 0], per, axis=1).reshape(shape),
             np.repeat(zero_point[..., 0], per, axis=1).reshape(shape),
             # (bits, R * kv_heads, gk) lookup columns, row axis first.
-            flat_idx.reshape(self.bits, r, kv, -1).transpose(1, 2, 0, 3),
+            idx.reshape(self.bits, r, kv, -1).transpose(1, 2, 0, 3),
             a_scale.reshape(shape),
             a_zero.reshape(shape),
         )
@@ -1053,7 +1052,7 @@ class BlockAllocator:
         self._v[bids, :, offs] = v_rows
         if self.bits is None:
             return
-        codes, scale, zero_point, ka_flat, ka_scale, ka_zero = (
+        codes, scale, zero_point, ka_idx, ka_scale, ka_zero = (
             self._k_columns(k_rows)
         )
         # Stored scales: one per quantization group.
@@ -1061,7 +1060,7 @@ class BlockAllocator:
         self._k_codes[bids, :, offs] = codes
         self._k_scale[bids, :, offs] = scale[..., ::per]
         self._k_zp[bids, :, offs] = zero_point[..., ::per]
-        self._ka_flat[bids, :, :, :, offs] = ka_flat
+        self._ka_idx[bids, :, :, :, offs] = ka_idx
         self._ka_scale[bids, :, :, offs] = ka_scale
         self._ka_zero[bids, :, :, offs] = ka_zero
         self.stats["k_plan_cols"] += len(offs) * self.kv_heads
@@ -1186,8 +1185,8 @@ class BlockAllocator:
         per output column, so the stacked columns are bit-identical to
         the per-block, per-head ``quantize_weights`` →
         ``build_weight_plan`` chain. Returns the
-        :attr:`_V_ARENAS` columns of *deq* — ``(flat indices, scale,
-        zero)``, or ``(dequantized,)``, all a table-less backend reads
+        :attr:`_V_ARENAS` columns of *deq* — ``(indices, scale, zero)``,
+        or ``(dequantized,)``, all a table-less backend reads
         — slab axis leading, in arena layout.
         Owns the ``v_quant_s`` timer — quantize and index build — and
         the ``v_quant_cols`` count.
@@ -1204,11 +1203,11 @@ class BlockAllocator:
                 .reshape(c, kv, hd, self.block_size),
             )
         else:
-            flat_idx, a_scale, a_zero = self._lookup_columns(
+            idx, a_scale, a_zero = self._lookup_columns(
                 codes, scale, zero_point
             )
             cols = (
-                flat_idx.reshape(self.bits, c, kv, hd, -1)
+                idx.reshape(self.bits, c, kv, hd, -1)
                 .transpose(1, 2, 0, 4, 3),
                 a_scale.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
                 a_zero.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
@@ -1234,7 +1233,7 @@ class BlockAllocator:
 
         **Two bodies, one result** for the lookup columns. Where
         ``lut_block.c`` loaded, ``kv_refresh`` rebuilds every stale
-        block's ``_va_flat`` / ``_va_scale`` / ``_va_zero`` in place in
+        block's ``_va_idx`` / ``_va_scale`` / ``_va_zero`` in place in
         one pass, each block's ``_v`` slab read transposed — every slot,
         the scrubbed ones past the fill included — replaying
         :meth:`_v_arena_columns` element by element. The numpy body (and
@@ -1764,7 +1763,7 @@ def _fused_scores(pool, kernel, config, queries, ids) -> np.ndarray:
         return paged_lut_execute(
             kernel, precompute_tables(q2, config),
             acts.reshape(-1, hd // k, k).sum(axis=-1), ids,
-            (pool._ka_flat, pool._ka_scale, pool._ka_zero), repeat,
+            (pool._ka_idx, pool._ka_scale, pool._ka_zero), repeat,
         )
     # One stored scale per quantization group, broadcast at the read.
     sc, zp = pool._k_scale[ids][..., None], pool._k_zp[ids][..., None]

@@ -1,7 +1,7 @@
-"""One object, six entry points, one fallback.
+"""One object, five entry points, one fallback.
 
-``lut_block.c`` exports the weight loop (``lut_block``), the paged
-attention executor (``lut_rows_paged``), the int4-KV pool's writer
+``lut_block.c`` exports the one LUT mpGEMM pass (``lut_block``: the weight
+linears and the paged int4-KV attention), the int4-KV pool's writer
 (``kv_append``, ``kv_refresh``) and the float attention's two passes
 (``attn_scores``, ``attn_context``). ``native.status()`` names what the
 loaded object exports, an object that lacks any of them is not used at
@@ -30,14 +30,12 @@ from repro.runtime.paging import (
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
 )
-ALL = (
-    "lut_block", "lut_rows_paged", "kv_append", "kv_refresh", "attn_scores",
-    "attn_context",
-)
+ALL = ("lut_block", "kv_append", "kv_refresh", "attn_scores", "attn_context")
 
 
 def _dispatch_all():
-    """One weight mpGEMM and one paged dispatch through ``lut-blocked``,
+    """One weight mpGEMM and one paged dispatch through ``lut-blocked`` --
+    the one LUT routine, as one weight row and through a block table --
     one K/V append and one V-arena refresh on an int4 pool, one float
     attention over it: ``(last_body, last_paged_body, the pool's
     last_kv_body after the append, and after the refresh, its
@@ -51,11 +49,11 @@ def _dispatch_all():
     table = precompute_tables(acts, config)
     backend = get_backend("lut-blocked")
     backend.execute(plan, config, acts, table)
-    flat = plan.flat_lookup_indices(table.shape[-1], True)[None, None]
     paged_lut_execute(
         backend, table, acts.reshape(2, 4, 4).sum(axis=-1),
         np.zeros((1, 1), np.int64),
-        (flat, plan.scale_gn[None, None].copy(), plan.zero_gn[None, None].copy()),
+        (plan.indices[None, None], plan.scale_gn[None, None].copy(),
+         plan.zero_gn[None, None].copy()),
         repeat=2,
     )
     pool = BlockAllocator(2, 8, 16, bits=4)

@@ -6,7 +6,7 @@ the stacked quantize + plan build, and prefix-index maintenance — land
 the pool and every cache in state *bit-identical* to the sequential
 ``cache.append`` loop. These tests pin the claim by replaying the same
 scripted histories through both paths and diffing the complete pool
-state: float slabs, quantized codes/scales, the flattened K-arena plan
+state: float slabs, quantized codes/scales, the K-arena lookup
 columns, fill counters, free list, refcounts, prefix index, and stats.
 """
 
@@ -27,7 +27,7 @@ KV_HEADS, HEAD_DIM, BLOCK = 2, 8, 8
 _POOL_ARRAYS = (
     "_k", "_v", "_fill", "_refcount",
     "_k_codes", "_k_scale", "_k_zp",
-    "_ka_flat", "_ka_scale", "_ka_zero",
+    "_ka_idx", "_ka_scale", "_ka_zero",
 )
 
 

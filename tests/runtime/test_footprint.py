@@ -2,9 +2,11 @@
 
 Every integer code is stored once per representation at the narrowest
 dtype that holds it; int64 survives only where ``np.take`` gathers with
-it — a plan's flat-index cache (built by the numpy body of
-``lut-blocked`` only), the pool's ``_ka_flat`` / ``_va_flat`` arenas. These are byte counts over live arrays (not RSS), so they hold
-on any host; ``bench/``'s ``peak_rss_mb`` is their end-to-end reading.
+it — a plan's flat-index cache, built by the numpy body of
+``lut-blocked`` only. The pool's index arenas hold a plan's one-byte
+indices, which both bodies of the paged attention read. These are byte
+counts over live arrays (not RSS), so they hold on any host;
+``bench/``'s ``peak_rss_mb`` is their end-to-end reading.
 """
 
 import numpy as np
@@ -96,21 +98,29 @@ class TestPoolBlockBytes:
         # bench-128's KV geometry: 4 KV heads of head_dim 16, 16-token blocks.
         return BlockAllocator(kv_heads=4, head_dim=16, block_size=16, **kwargs)
 
-    def test_int4_block_is_under_44_kib(self):
+    def test_int4_block_is_28_kib(self):
         """72 KiB before (int64 codes, one float64 scale and zero-point
-        per *element*, an always-resident dequantized V arena); the
-        packed K+V payload of the same block is 1 KiB."""
+        per *element*, an always-resident dequantized V arena), 42 KiB
+        with int64 flat indices in the arenas; the packed K+V payload of
+        the same block is 1 KiB. Of the 28 KiB, 16 are the float K / V
+        slabs prefill attends over and 8 the arenas' affine."""
         pool = self._pool(bits=4)
         per_block = {
             name: getattr(pool, name)[0].nbytes for name in pool._resident
         }
-        assert sum(per_block.values()) <= 44 * 1024
+        counters = ("_fill", "_refcount", "_va_fill")  # 20 B of stamps
+        assert sum(per_block.values()) == 28 * 1024 + sum(
+            per_block[name] for name in counters
+        )
         assert per_block["_k_codes"] == 4 * 16 * 16  # one byte a code
         assert per_block["_k_scale"] == per_block["_k_zp"] == 4 * 16 * 8
-        assert {
+        # (kv, bits, G, N) = 4 · 4 · 4 · 16 one-byte indices each.
+        assert per_block["_ka_idx"] == per_block["_va_idx"] == 1024
+        assert pool._ka_idx.dtype == pool._va_idx.dtype == np.uint8
+        assert not [
             name for name in pool._block_arrays
             if getattr(pool, name).dtype == np.int64
-        } == {"_ka_flat", "_va_flat"}
+        ]
 
     def test_scales_are_stored_per_group_and_read_back_per_element(self):
         """head_dim 32 is two K groups: two stored scales a row, which

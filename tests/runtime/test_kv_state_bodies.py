@@ -218,7 +218,7 @@ class TestLookupGroupsSplittingAScale:
         pool = BlockAllocator(1, 48, 48, bits=4, lut_k=4)
         bid = pool.allocate()
         pool.write_rows(bid, *rng.normal(size=(2, 3, 1, 48)))
-        (_, pointers, geometry), *_ = pool._kv_operands
+        (pointers, geometry), *_ = pool._kv_operands
         bad = geometry.copy()
         bad[5] = 3  # lut_k in lut_block.c's KV_GEO order
         before = _state(pool)

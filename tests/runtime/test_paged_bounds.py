@@ -2,18 +2,22 @@
 
 The numpy body of the paged attention executor gathers ``arena[ids]``,
 and numpy raises ``IndexError`` on an id past the pool's capacity; the
-compiled body (``lut_rows_paged``) follows the same ids through raw
+compiled body (``lut_block``) follows the same ids through raw
 pointers, so it checks them first. On both bodies (this module is in
 ``BOTH_BODIES``): a bad id raises ``IndexError``, no arena, block table
 or free list changes, and the process is still there to assert it. The
 pool's writer (``kv_append`` / ``kv_refresh``) writes through block ids
 and offsets the same way: the pool refuses a bad one before either body
 runs, and the compiled writer refuses it again before its first write.
+An index byte reaches the pool only from its writers or from a swap
+payload, and the pool refuses a payload holding one at or past
+``2**lut_k`` before it allocates.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import ServingError
 from repro.kernels import (
     effective_activations,
     get_backend,
@@ -73,7 +77,7 @@ def _score_operands(pool, queries, ids):
     ).sum(axis=-1)
     return (
         precompute_tables(q2, config), sums, ids,
-        (pool._ka_flat, pool._ka_scale, pool._ka_zero), REPEAT,
+        (pool._ka_idx, pool._ka_scale, pool._ka_zero), REPEAT,
     )
 
 
@@ -83,7 +87,7 @@ def _context_operands(pool, rng, ids, counts):
     sums = p2.reshape(-1, BLOCK // pool.lut_k, pool.lut_k).sum(axis=-1)
     return (
         precompute_tables(p2, config), sums, ids,
-        (pool._va_flat, pool._va_scale, pool._va_zero), REPEAT, counts,
+        (pool._va_idx, pool._va_scale, pool._va_zero), REPEAT, counts,
     )
 
 
@@ -118,8 +122,9 @@ class TestExecutorBounds:
         paged_lut_execute(BLOCKED, *_score_operands(pool, queries, ids))
 
     def test_compiled_body_refuses_what_numpy_wraps_or_ignores(self, served):
-        """A negative id (numpy indexes from the end), a count outside
-        ``[1, max_blocks]`` and a flat index outside the table."""
+        """A negative id (numpy indexes from the end) and a count outside
+        ``[1, max_blocks]``; an index byte past ``2**lut_k``, which the
+        numpy body's fold lookup raises on, reads inside the table."""
         if not native.status()["loaded"]:
             pytest.skip("the numpy body wraps a negative id silently")
         pool, caches, queries = served
@@ -139,21 +144,19 @@ class TestExecutorBounds:
                 )
         assert BLOCKED.last_paged_body == "compiled"
         _assert_untouched(pool, caches, before)
-        width = (HD // pool.lut_k) * (1 << pool.lut_k)  # G · 2E
-        for bad_flat in (width, -1):
-            flat = pool._ka_flat.copy()
-            flat[ids[2, 1], 1, 3, 0, 2] = bad_flat
-            operands = _score_operands(pool, queries, ids)
-            with pytest.raises(IndexError):
-                paged_lut_execute(
-                    BLOCKED, *operands[:3], (flat, *operands[3][1:]), REPEAT
-                )
+        idx = pool._ka_idx.copy()
+        idx[ids[2, 1], 1, 3, 0, 2] = 255
+        operands = _score_operands(pool, queries, ids)
+        out = paged_lut_execute(
+            BLOCKED, *operands[:3], (idx, *operands[3][1:]), REPEAT
+        )
+        assert np.isfinite(out).all()
 
     def test_operands_the_routine_does_not_take_run_the_numpy_body(
         self, served
     ):
         """Anything but int64 C-contiguous ids (and the rest of
-        ``_paged_handles``) falls back; the result is the same."""
+        ``_compiled_takes``) falls back; the result is the same."""
         pool, caches, queries = served
         ids, counts = _block_table(caches)
         operands = _score_operands(pool, queries, ids)
@@ -168,6 +171,38 @@ class TestExecutorBounds:
         got = paged_lut_execute(naive, *operands)
         assert not hasattr(naive, "last_paged_body")
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+class TestRestoreBounds:
+    @pytest.mark.parametrize("name", ["_ka_idx", "_va_idx"])
+    def test_restore_refuses_an_index_past_the_table(
+        self, served, lut_body, name
+    ):
+        """Bytes at or past ``2**lut_k`` name no entry of a group's table;
+        the payload is refused before any block is allocated, and a
+        payload holding the largest legal index restores."""
+        pool, caches, queries = served
+        payload = caches[2].serialize()
+        top = 1 << pool.lut_k
+        for bad in (top, 255):
+            corrupt = {
+                **payload,
+                "blocks": [dict(bp) for bp in payload["blocks"]],
+            }
+            arena = payload["blocks"][1][name].copy()
+            arena[1, 2, 0, 3] = bad
+            corrupt["blocks"][1][name] = arena
+            assert not pool.accepts(corrupt)
+            before = _snapshot(pool, caches)
+            with pytest.raises(ServingError, match="block format"):
+                PagedLayerCache.restore(pool, corrupt)
+            _assert_untouched(pool, caches, before)
+        payload["blocks"][1][name][1, 2, 0, 3] = top - 1
+        restored = PagedLayerCache.restore(pool, payload)
+        fused_paged_decode_attention(
+            queries[:1], [restored], repeat=REPEAT, backend="lut-blocked"
+        )
+        assert BLOCKED.last_paged_body == (lut_body or "compiled")
 
 
 class TestAttentionBounds:

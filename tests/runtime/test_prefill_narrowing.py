@@ -42,7 +42,7 @@ GQA = ModelConfig(
 #: K codes and K-arena columns on a quantized pool).
 _POOL_ARRAYS = (
     "_k", "_v", "_fill",
-    "_k_codes", "_k_scale", "_k_zp", "_ka_flat", "_ka_scale", "_ka_zero",
+    "_k_codes", "_k_scale", "_k_zp", "_ka_idx", "_ka_scale", "_ka_zero",
 )
 
 

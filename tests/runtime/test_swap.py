@@ -343,8 +343,9 @@ class TestBlockSerde:
     @pytest.mark.parametrize(
         "damage",
         [
-            "int64-codes", "per-element-scale", "missing-array",
-            "unknown-array", "not-an-array", "truncated", "extra-block",
+            "int64-codes", "int64-indices", "per-element-scale",
+            "missing-array", "unknown-array", "not-an-array", "truncated",
+            "extra-block",
             "wrong-fill", "no-length", "no-tokens",
         ],
     )
@@ -358,10 +359,12 @@ class TestBlockSerde:
         blocks = payload["blocks"]
         if damage == "int64-codes":  # the format before codes narrowed
             blocks[1]["_k_codes"] = blocks[1]["_k_codes"].astype(np.int64)
+        elif damage == "int64-indices":  # the arena width before uint8
+            blocks[1]["_va_idx"] = blocks[1]["_va_idx"].astype(np.int64)
         elif damage == "per-element-scale":
             blocks[0]["_k_scale"] = np.repeat(blocks[0]["_k_scale"], 8, axis=-1)
         elif damage == "missing-array":
-            del blocks[2]["_ka_flat"]
+            del blocks[2]["_ka_idx"]
         elif damage == "unknown-array":
             blocks[0]["_va_deq"] = np.zeros((2, 8, 4))
         elif damage == "not-an-array":

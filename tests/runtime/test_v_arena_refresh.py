@@ -58,7 +58,6 @@ def _assert_arena_matches_per_head_plans(pool, bid, deq):
     """Block *bid*'s arena slabs of one kind equal its per-head plans,
     built from the float slab alone, one head at a time, through
     ``quantize_weights`` → ``build_weight_plan``."""
-    entries = 1 << (pool.lut_k - 1)
     assert getattr(pool, _V_ARENAS[deq][0])[bid] == pool._fill[bid]
     for h in range(pool.kv_heads):
         _, plan = _plan_of(
@@ -70,7 +69,7 @@ def _assert_arena_matches_per_head_plans(pool, bid, deq):
             )
             continue
         np.testing.assert_array_equal(
-            pool._va_flat[bid, h], plan.flat_lookup_indices(entries, True)
+            pool._va_idx[bid, h], plan.indices, strict=True
         )
         np.testing.assert_array_equal(pool._va_scale[bid, h], plan.scale_gn)
         np.testing.assert_array_equal(pool._va_zero[bid, h], plan.zero_gn)
@@ -219,8 +218,8 @@ def _plan_of(weight, bits, group, lut_k):
 
 class TestDirectColumns:
     """The pool's direct column build against ``quantize_weights`` →
-    ``build_weight_plan`` → ``flat_lookup_indices(…, True)`` /
-    ``scale_gn`` / ``zero_gn`` / ``dequantized``, one head at a time."""
+    ``build_weight_plan`` → ``indices`` / ``scale_gn`` / ``zero_gn`` /
+    ``dequantized``, one head at a time."""
 
     @given(_column_cases(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -235,10 +234,9 @@ class TestDirectColumns:
         constant = data.draw(st.lists(st.integers(0, rows - 1), max_size=2))
         for r in constant:
             k_rows[r, 0] = rng.normal()  # span 0 -> scale 1.0
-        codes, scale, zero_point, flat, a_scale, a_zero = pool._k_columns(
+        codes, scale, zero_point, idx, a_scale, a_zero = pool._k_columns(
             k_rows
         )
-        entries = 1 << (lut_k - 1)
         for r in range(rows):
             for h in range(kv_heads):
                 qw, plan = _plan_of(
@@ -251,8 +249,7 @@ class TestDirectColumns:
                     zero_point[r, h], qw.zero_point[0], at
                 )
                 np.testing.assert_array_equal(
-                    flat[r, h],
-                    plan.flat_lookup_indices(entries, True)[..., 0], at,
+                    idx[r, h], plan.indices[..., 0], at
                 )
                 np.testing.assert_array_equal(
                     a_scale[r, h], plan.scale_gn[:, 0], at
@@ -277,15 +274,14 @@ class TestDirectColumns:
             v[c, :, data.draw(st.integers(1, block_size)):] = 0.0
         if data.draw(st.booleans()):
             v[0, 0, :, 0] = rng.normal()  # constant weight row
-        flat, a_scale, a_zero = pool._v_arena_columns(v)
+        idx, a_scale, a_zero = pool._v_arena_columns(v)
         (deq,) = pool._v_arena_columns(v, deq=True)
-        entries = 1 << (lut_k - 1)
         for c in range(slabs):
             for h in range(kv_heads):
                 _, plan = _plan_of(v[c, h].T, bits, pool._v_group, lut_k)
                 at = f"slab {c} head {h}"
                 np.testing.assert_array_equal(
-                    flat[c, h], plan.flat_lookup_indices(entries, True), at
+                    idx[c, h], plan.indices, at
                 )
                 np.testing.assert_array_equal(a_scale[c, h], plan.scale_gn, at)
                 np.testing.assert_array_equal(a_zero[c, h], plan.zero_gn, at)
@@ -520,7 +516,7 @@ class TestContextReadsTheArenasInPlace:
     def _assert_in_place(self, pool, gather_calls):
         score, context = gather_calls.columns
         assert self._reads_the_pool(
-            score, pool, ("_ka_flat", "_ka_scale", "_ka_zero")
+            score, pool, ("_ka_idx", "_ka_scale", "_ka_zero")
         )
         assert self._reads_the_pool(
             context, pool, BlockAllocator._V_ARENAS[False]
