@@ -13,13 +13,6 @@ match to float noise), and — for the LUT backends — the tracemalloc
 peak of one matmul, which is what proves the blocked path never
 materializes the naive path's ``(M, bits, G, N)`` intermediate.
 
-Two more rows time the fused int4-KV attention executor
-(:func:`~repro.kernels.rowwise_lut_execute`) at the bench-128 decode
-step's two dispatch shapes, once with the M = 2 query heads of each KV
-head sharing one gathered weight row and once as the two M = 1
-dispatches a per-head gather would make: same values, half the gather
-indices.
-
 The ``body-m*`` rows time the two bodies of ``lut-blocked`` against each
 other at the decode shape, M = 1 / 2 / 8 / 64: the compiled fused pass
 (``kernels/lut_block.c``; rows present only where it loaded) and the
@@ -32,11 +25,10 @@ The ``rows-*`` rows do the same for the paged attention executor
 (:func:`~repro.kernels.paged_lut_execute`) at the ``decode-int4kv``
 step's shapes — B = 8 sequences of 5 blocks, 4 KV heads of 2 query heads:
 scores (R = 32 weight rows, N = 80), context (R = 160, N = 16) and a
-verify's scores (T = 5, so M = 10). The numpy body gathers the column
-arrays through the block table and runs ``rowwise_lut_execute``; the
-compiled one (``lut_block``, the pass the ``body-m*`` rows time as a
-linear) reads them in place. Equal bytes after ``+ 0.0`` (the
-executor's zero-point rule) or the experiment raises.
+verify's scores (T = 5, so M = 10). Both bodies are the ones the
+``body-m*`` rows time as a linear: the numpy one gathers the column
+arrays through the block table, the compiled one (``lut_block``) reads
+them in place. Equal bytes or the experiment raises.
 
 The ``kv-*`` rows time the two bodies of the int4-KV pool's writer at the
 same step: ``kv-append`` lands B = 8 K/V rows in 8 blocks (float slabs,
@@ -71,12 +63,7 @@ import numpy as np
 
 from repro.errors import LutError
 from repro.experiments.meta import ExperimentMeta
-from repro.kernels import (
-    get_backend,
-    native,
-    paged_lut_execute,
-    rowwise_lut_execute,
-)
+from repro.kernels import get_backend, native, paged_lut_execute
 from repro.lut.mpgemm import (
     LutMpGemmConfig,
     LutMpGemmEngine,
@@ -97,16 +84,8 @@ SHAPES: tuple[tuple[str, int, int, int], ...] = (
     ("decode-wide", 8, 1024, 1024),
     ("prefill", 64, 1024, 1024),
 )
-#: (label, R, G, N) of the fused decode attention at B = 8, kv_heads =
-#: 4, head_dim = block_size = 16: scores over 4 blocks of cached tokens
-#: (one row per sequence and KV head), context per block.
-ATTN_SHAPES: tuple[tuple[str, int, int, int], ...] = (
-    ("attn-score", 32, 4, 64),
-    ("attn-context", 128, 4, 16),
-)
-#: Query heads per KV head (the executor's shared-row axis M).
+#: Query heads per KV head (the paged executor's shared-row axis M).
 ATTN_M = 2
-ATTN_BACKENDS = ("rowwise-per-head", "rowwise-shared")
 #: Row counts of the compiled-vs-numpy body rows (N = K = 128): solo
 #: decode, the trace-burst batch mean, the decode batch, a prefill chunk.
 BODY_MS = (1, 2, 8, 64)
@@ -157,7 +136,6 @@ META = ExperimentMeta(
         "weight_bits": WEIGHT_BITS,
         "lut_k": LUT_K,
         "backends": BACKENDS,
-        "attn_shapes": ATTN_SHAPES,
         "attn_m": ATTN_M,
         "body_ms": BODY_MS,
         "rows_shapes": ROWS_SHAPES,
@@ -171,11 +149,7 @@ META = ExperimentMeta(
 class BackendBenchRow:
     """One (shape, backend) timing cell.
 
-    On the ``attn-*`` rows the "backends" are the two ways to dispatch
-    :data:`ATTN_M` activation rows per weight row, ``speedup_vs_naive``
-    is over the per-head one and ``max_abs_err`` the difference between
-    the two (they are bit-identical: 0). On the ``body-m*`` rows they
-    are the two bodies of ``lut-blocked``, the speedup is over the numpy
+    On the ``body-m*`` rows the "backends" are the two bodies of ``lut-blocked``, the speedup is over the numpy
     one and ``max_abs_err`` is 0 because the bytes were checked equal;
     the ``rows-*`` rows are the same for the paged attention executor
     (``m`` shared activation rows, ``n`` columns per weight row).
@@ -228,61 +202,6 @@ def _traced_peak(engine: LutMpGemmEngine, acts: np.ndarray) -> int:
         if started_here:
             tracemalloc.stop()
     return max(0, peak - baseline)
-
-
-def _attention_rows(rng, label, r, g, n) -> list[BackendBenchRow]:
-    """Time one ``M = ATTN_M`` dispatch against ``ATTN_M`` ``M = 1`` ones."""
-    width = 1 << LUT_K  # signed half-table extension [T, -T]
-    args = dict(
-        table=rng.normal(size=(r, g, width, ATTN_M)),
-        flat_idx=rng.integers(0, width, size=(r, WEIGHT_BITS, g, n))
-        + (np.arange(g) * width)[:, None],
-        scale=rng.normal(size=(r, g, n)),
-        zero=rng.normal(size=(r, g, n)),
-        sums=rng.normal(size=(r, g, ATTN_M)),
-        shifts=(1 << np.arange(WEIGHT_BITS)).astype(np.float64),
-        apply_zero=True,
-    )
-
-    singles = [
-        {
-            **args,
-            "table": np.ascontiguousarray(args["table"][..., m:m + 1]),
-            "sums": args["sums"][..., m:m + 1],
-        }
-        for m in range(ATTN_M)
-    ]
-
-    def shared():
-        return rowwise_lut_execute(**args)
-
-    def per_head():
-        return [rowwise_lut_execute(**single) for single in singles]
-
-    err = float(
-        np.abs(shared() - np.concatenate(per_head(), axis=-1)).max()
-    )
-    times = dict.fromkeys(ATTN_BACKENDS, np.inf)
-    for _ in range(MAX_REPS):  # interleaved, min of each
-        for name, fn in zip(ATTN_BACKENDS, (per_head, shared)):
-            started = time.perf_counter()
-            fn()
-            times[name] = min(times[name], time.perf_counter() - started)
-    return [
-        BackendBenchRow(
-            shape_label=label,
-            backend=name,
-            m=ATTN_M,
-            n=n,
-            kdim=g * LUT_K,
-            bits=WEIGHT_BITS,
-            time_s=times[name],
-            speedup_vs_naive=times[ATTN_BACKENDS[0]] / times[name],
-            max_abs_err=err,
-            peak_traced_bytes=None,
-        )
-        for name in ATTN_BACKENDS
-    ]
 
 
 def _body_rows(rng, m: int) -> list[BackendBenchRow]:
@@ -352,7 +271,7 @@ def _paged_rows(rng, label: str, t: int, context: bool) -> list[BackendBenchRow]
         want = paged_lut_execute(*args)
         times = {ROWS_BACKENDS[0]: best()}
     if native.status()["loaded"]:
-        if (paged_lut_execute(*args) + 0.0).tobytes() != (want + 0.0).tobytes():
+        if paged_lut_execute(*args).tobytes() != want.tobytes():
             raise LutError(f"compiled and numpy paged bodies differ: {label}")
         times[ROWS_BACKENDS[1]] = best()
     return [
@@ -492,7 +411,6 @@ def _float_rows(rng, label: str, b: int, past: int, t: int):
 
 def run(
     shapes: tuple[tuple[str, int, int, int], ...] = SHAPES,
-    attn_shapes: tuple[tuple[str, int, int, int], ...] = ATTN_SHAPES,
     body_ms: tuple[int, ...] = BODY_MS,
     rows_shapes: tuple[tuple[str, int, bool], ...] = ROWS_SHAPES,
 ) -> list[BackendBenchRow]:
@@ -536,8 +454,6 @@ def run(
                     peak_traced_bytes=peak,
                 )
             )
-    for label, r, g, n in attn_shapes:
-        rows.extend(_attention_rows(rng, label, r, g, n))
     for m in body_ms:
         rows.extend(_body_rows(rng, m))
     for label, t, context in rows_shapes:
@@ -553,7 +469,7 @@ def format_result(rows: list[BackendBenchRow]) -> str:
     status = native.status()
     lines = [
         "Kernel backends: W4A-FP64, k=4 (times in ms; speedup vs lut-naive,"
-        " attn-* rows vs rowwise-per-head, body-*, rows-*, kv-* and"
+        " body-*, rows-*, kv-* and"
         " attn-float-* rows vs the numpy body)",
         "lut-blocked bodies: " + (
             f"compiled {', '.join(status['entry_points'])} ({status['flags']})"

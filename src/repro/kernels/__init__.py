@@ -9,9 +9,9 @@ implementations, all fed by one shared offline :class:`WeightPlan`:
   (materializes a ``(M, bits, G, N)`` intermediate);
 - ``lut-blocked`` — the default: the paper's elongated tile. A block of
   ``BLOCK_ROWS`` (8) activation rows keeps one signed, plane-scaled
-  table resident with rows innermost, and the weight columns sweep it
-  in blocks of at most ``BLOCK_ELEMS`` (2**15) gathered values; peak
-  memory is a few such blocks, whatever M, N and the weight width. With
+  table resident, and the weight columns sweep it in blocks of at most
+  ``BLOCK_ELEMS`` (2**15) gathered values; peak memory is a few such
+  blocks, whatever M, N and the weight width. With
   a C compiler on ``PATH`` the loop runs compiled as one fused pass
   (``lut_block.c``, built and loaded by :mod:`repro.kernels.native`,
   whose ``status()`` says whether and why not); without one, the numpy
@@ -38,7 +38,6 @@ from repro.kernels.fused import (
     paged_lut_execute,
     reduce_blocks,
     rowwise_dequant_execute,
-    rowwise_lut_execute,
     shared_rows,
 )
 from repro.kernels.plan import WeightPlan, build_weight_plan
@@ -66,7 +65,6 @@ __all__ = [
     "paged_lut_execute",
     "reduce_blocks",
     "rowwise_dequant_execute",
-    "rowwise_lut_execute",
     "shared_rows",
     "sum_groups",
     "DEFAULT_BACKEND",

@@ -11,8 +11,8 @@ Three implementations of the same contract (:class:`MpGemmBackend`):
   the legacy/debugging path and as the perf baseline.
 - ``lut-blocked`` — the default, and the software image of the paper's
   elongated M-small × N-long tile: a block of :data:`BLOCK_ROWS`
-  activation rows keeps one signed, plane-scaled table resident, rows
-  innermost, while every weight column sweeps it in column blocks. Peak
+  activation rows keeps one signed, plane-scaled table resident while
+  every weight column sweeps it in column blocks. Peak
   intermediate memory is a few :data:`BLOCK_ELEMS` buffers plus one
   ``bits·G·W·BLOCK_ROWS`` table, whatever M, N and the weight width.
   Where a C compiler was found its loop runs compiled, as one fused pass
@@ -111,17 +111,22 @@ def sum_groups(per_group: np.ndarray) -> np.ndarray:
     return out
 
 
-def sum_groups_leading(per_group: np.ndarray) -> np.ndarray:
-    """Reduce ``(G, ...)`` over its leading axis in ascending-g order.
+def sum_groups_leading(per_group: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Reduce ``(..., G, ...)`` over *axis* in ascending-g order, every
+    axis before it leading.
 
     numpy reduces an axis that is not the fastest-varying one by adding
-    whole g-slices one after another: :func:`sum_groups`' order without
-    its Python loop. Only a single-element slice collapses to numpy's
-    1-D pairwise loop, so that case takes the explicit one.
+    whole g-slices one after another, from ``initial``: :func:`sum_groups`'
+    order without its Python loop (``-0.0`` is the identity of ``+``, so
+    the first slice passes exactly). Only where nothing varies faster than
+    g does it collapse to numpy's 1-D pairwise loop, so that case takes
+    the explicit one.
     """
-    if per_group[0].size == 1:
-        return sum_groups(per_group[None])[0]
-    return np.add.reduce(per_group, axis=0)
+    lead = per_group.shape[:axis]
+    if per_group[(0,) * (axis + 1)].size == 1:
+        flat = per_group.reshape(-1, per_group.shape[axis], 1)
+        return sum_groups(flat).reshape(lead + per_group.shape[axis + 1:])
+    return np.add.reduce(per_group, axis=axis, initial=-0.0)
 
 
 def affine_reduce(
@@ -207,27 +212,25 @@ class LutNaiveBackend:
 
 
 class LutBlockedBackend:
-    """Rows-innermost, cache-blocked LUT path — the default backend.
+    """Cache-blocked LUT path — the default backend.
 
-    Per block of ``r <= BLOCK_ROWS`` activation rows the signed table
-    ``[T, -T]`` (just ``T`` for full tables) is transposed to
-    ``(G·W, r)`` and scaled once per bit-plane into ``(bits, G·W, r)``.
-    Each plane of the plan's :meth:`~WeightPlan.flat_lookup_indices` then
-    gathers along axis 0 — one index copies ``r`` contiguous doubles —
-    into a ``(G, tile, r)`` block, ``tile`` chosen so the block holds at
-    most :data:`BLOCK_ELEMS` values. Planes accumulate LSB first in
-    place, the ``(G, tile, 1)`` affine correction is applied in place,
-    and groups reduce in ascending-g order over the leading axis. See
-    the module docstring for why this equals ``lut-naive`` bit for bit.
-
-    That is nine numpy passes over every block. When
+    ``execute`` is a dispatch of one weight row (the plan, through
+    :data:`ONE_BLOCK`) shared by its M activation rows, in the operand
+    convention of the paged attention
+    (:func:`~repro.kernels.fused.paged_lut_execute`), and both go through
+    :meth:`dispatch` to one LUT body. Where
     :func:`repro.kernels.native.lut_block` loaded (a C compiler on
-    ``PATH``), ``execute`` hands the operands it can take to that routine
-    instead (:func:`compiled_lut`, as a paged dispatch of one weight row):
-    the same per-element sequence in one pass, rows as SIMD lanes,
-    reading the plan's one-byte indices directly. Nothing else
-    selects between the two bodies — no config field, flag or variable —
-    and :attr:`last_body` says which one ran.
+    ``PATH``) and takes the operands, it runs compiled
+    (:func:`compiled_lut`): one fused pass, rows as SIMD lanes, reading
+    the plan's one-byte indices directly. Otherwise :func:`numpy_lut`
+    runs the same per-element sequence in blocks: per ``r <= BLOCK_ROWS``
+    rows the signed table ``[T, -T]`` (just ``T`` for full tables) scaled
+    once per bit-plane, each plane gathered with the plan's cached
+    :meth:`~WeightPlan.flat_lookup_indices` into an ``(r, G, tile)``
+    block of at most :data:`BLOCK_ELEMS` values. See the module docstring
+    for why either equals ``lut-naive`` bit for bit. Nothing else selects
+    between the two — no config field, flag or variable — and
+    :attr:`last_body` / :attr:`last_paged_body` say which one ran.
     """
 
     name = "lut-blocked"
@@ -243,50 +246,35 @@ class LutBlockedBackend:
     def execute(self, plan, config, activations, table):
         sums = zero = None
         if plan.has_zero_point:
-            zero = plan.zero_gn
+            zero = plan.zero_gn[None, None]
             acts = effective_activations(activations, config)
             sums = np.ascontiguousarray(group_sums(plan, acts), np.float64)
-        out = compiled_lut(
-            table, sums, ONE_BLOCK,
-            (plan.indices[None, None], plan.scale_gn[None, None],
-             None if zero is None else zero[None, None]),
-            1, None, plan.k, bool(config.symmetric_table),
+        symmetric = bool(config.symmetric_table)
+        out = self.dispatch(
+            "last_body", table, sums, ONE_BLOCK,
+            (plan.indices[None, None], plan.scale_gn[None, None], zero),
+            1, None, plan.k, symmetric,
+            flat=lambda: plan.flat_lookup_indices(table.shape[-1], symmetric),
         )
-        if out is not None:
-            self.last_body = "compiled"
-            return out.reshape(len(table), plan.n)
-        self.last_body = "numpy"
-        m, _, entries = table.shape
-        bits, ngroups, n = plan.bits, plan.ngroups, plan.n
-        flat = plan.flat_lookup_indices(entries, config.symmetric_table)
-        shifts = plan.shifts[1:, None, None]
-        scale = plan.scale_gn[:, :, None]
-        if zero is not None:
-            zero = zero[:, :, None]
-            sums = sums.T[:, None, :]  # (G, 1, M)
-        out = np.empty((m, n))
-        for m0 in range(0, m, BLOCK_ROWS):
-            block = table[m0 : m0 + BLOCK_ROWS]
-            r = block.shape[0]
-            if config.symmetric_table:
-                # IEEE `-x` is exactly the naive path's `x·(-1.0)`; the
-                # sign itself lives in the plan's flat indices.
-                block = np.concatenate([block, -block], axis=-1)
-            planes = np.empty((bits, block[0].size, r))
-            planes[0] = block.reshape(r, -1).T
-            np.multiply(planes[0], shifts, out=planes[1:])
-            tile = max(1, BLOCK_ELEMS // (ngroups * r))
-            for n0 in range(0, n, tile):
-                cols = slice(n0, n0 + tile)
-                acc = np.take(planes[0], flat[0, :, cols], axis=0)
-                for i in range(1, bits):
-                    acc += np.take(planes[i], flat[i, :, cols], axis=0)
-                if zero is not None:
-                    acc -= zero[:, cols] * sums[:, :, m0 : m0 + r]
-                acc *= scale[:, cols]
-                out[m0 : m0 + r, cols] = sum_groups_leading(acc).T
+        return out.reshape(len(table), plan.n)
+
+    def dispatch(self, body, *operands, flat=None):
+        """One LUT mpGEMM in :func:`compiled_lut`'s operand convention, on
+        the compiled pass where it loaded and takes the operands, else on
+        :func:`numpy_lut` (*flat* as there): the one place either dispatch
+        of this backend picks its body, recorded in the attribute named
+        *body* (``"last_body"`` or ``"last_paged_body"``) before it runs."""
+        setattr(self, body, "compiled")
+        out = compiled_lut(*operands)
+        if out is None:
+            setattr(self, body, "numpy")
+            out = numpy_lut(*operands, flat=flat)
         return out
 
+
+#: Bit-plane weights ``2**i``, i >= 1 (plane i's table is plane 0's times
+#: ``2**i``, exactly).
+_SHIFTS = 2.0 ** np.arange(1, 64)
 
 #: The block table of a linear on the compiled pass: its plan's arrays are
 #: a one-block arena with one weight row (passed to C as NULL).
@@ -402,6 +390,118 @@ def _compiled_takes(table, sums, ids, columns, repeat, counts, k, symmetric):
             and counts.flags.c_contiguous
         ))
     )
+
+
+@lru_cache(maxsize=None)
+def _byte_fold(k: int, entries: int, symmetric: bool, dtype) -> np.ndarray:
+    """:func:`fold_offsets` at the index's own width, one entry per value
+    of *dtype* (256 for the one-byte indices): a value past ``2**k`` reads
+    entry 0, as ``lut_block``'s offset table does."""
+    fold = np.zeros(1 << 8 * np.dtype(dtype).itemsize, dtype)
+    fold[: 1 << k] = fold_offsets(k, entries, symmetric)
+    fold.flags.writeable = False
+    return fold
+
+
+def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
+              flat=None):
+    """``lut_block``'s numpy body: :func:`compiled_lut`'s operands and
+    output, and per output element its scalar sequence, so its bytes.
+
+    The weight rows are ``(rows, max_blocks, kv)``; each has ``m`` lanes,
+    the activation rows that share it, whose tables are a *table row*'s:
+    one KV head's ``T`` positions × *repeat* query heads for all of a
+    row's blocks (scores; a linear is one weight row and its ``M`` rows),
+    or one block's *repeat* (context). The index bytes are folded into the
+    signed table ``[T, −T]`` as bytes (:func:`_byte_fold`) and widened to
+    int64 once, where each group's and table row's offset is added. Per
+    block of :data:`BLOCK_ROWS` lanes the tables are scaled by ``2**i``
+    per bit-plane; per tile of at most :data:`BLOCK_ELEMS` gathered values
+    (weight rows × columns, or a wide row's columns) the planes are
+    gathered and added LSB first, ``− z·Σa`` is applied to every column
+    whenever *zero* is given, ``s`` is multiplied in, and the groups add
+    in ascending order from ``-0.0`` (the identity of ``+``, so the first
+    term passes exactly). The context's blocks then add in ascending
+    order, first block unconditional."""
+    rows, maxb = ids.shape
+    idx, scale, zero = columns
+    kv, bits, ngroups, n = idx.shape[1:]
+    entries = table.shape[-1]
+    width = entries << symmetric
+    if counts is None:  # activation rows (rows, T, kv, repeat)
+        t, tabs = len(table) // (rows * kv * repeat), 1
+        split, lanes, weight = (rows, t, kv, repeat), (1, 3), (0, 2)
+    else:  # activation rows (rows, kv, repeat, max_blocks)
+        t, tabs = 1, maxb
+        split, lanes, weight = (rows, kv, repeat, maxb), (2,), (0, 3, 1)
+    m = t * repeat
+    # (m, rows, tables a row, kv, G, entries): each weight row's m lanes.
+    tables = table.reshape(split + (ngroups, entries)).transpose(
+        lanes + weight + (4, 5)
+    ).reshape(m, rows, tabs, kv, ngroups, entries)
+
+    def gather(column):  # (blocks, kv, G, N) -> (G, rows, max_blocks, kv, N)
+        column = column[None, :1] if ids is ONE_BLOCK else column[ids]
+        return np.ascontiguousarray(column.transpose(3, 0, 1, 2, 4))
+
+    if flat is None:  # (bits, G, rows, max_blocks, kv, N) into the planes
+        offsets = np.arange(rows * tabs * kv * ngroups).reshape(
+            rows, tabs, kv, ngroups
+        ).transpose(3, 0, 1, 2)[..., None] * width
+        index = _byte_fold(k, entries, symmetric, idx.dtype).take(
+            idx[None, :1] if ids is ONE_BLOCK else idx[ids]
+        )
+        flat = np.empty((bits, ngroups, rows, maxb, kv, n), np.int64)
+        np.add(index.transpose(3, 4, 0, 1, 2, 5), offsets, out=flat)
+    else:  # a linear's, cached on its plan: (bits, G, N)
+        flat = flat()[:, :, None, None, None]
+    scale = gather(scale)
+    if zero is not None:  # and sums (m, G, rows, tables a row, kv, 1)
+        zero = gather(zero)
+        sums = sums.reshape(split + (ngroups,)).transpose(
+            lanes + (4,) + weight
+        ).reshape(m, ngroups, rows, tabs, kv, 1)
+    shifts = _SHIFTS[: bits - 1].reshape((-1,) + (1,) * 6)
+    out = np.empty((m, rows, maxb, kv, n))
+    for m0 in range(0, m, BLOCK_ROWS):
+        lanes = slice(m0, m0 + BLOCK_ROWS)
+        block = tables[lanes]
+        r = len(block)
+        planes = np.empty((bits, r, rows, tabs, kv, ngroups, width))
+        planes[0, ..., :entries] = block
+        if symmetric:  # IEEE `-x`: the naive path's `x·(-1.0)`, exactly
+            planes[0, ..., entries:] = -block
+        np.multiply(planes[0], shifts, out=planes[1:])
+        planes = planes.reshape(bits, r, -1)
+        # Whole weight rows per tile where one fits, else column tiles.
+        per_row = ngroups * maxb * kv * n * r
+        step = max(1, BLOCK_ELEMS // max(1, per_row))
+        cols = n if per_row <= BLOCK_ELEMS else max(
+            1, BLOCK_ELEMS // (ngroups * maxb * kv * r)
+        )
+        for r0 in range(0, rows, step):
+            for c0 in range(0, n, cols):
+                tile = (slice(r0, r0 + step), slice(None), slice(None),
+                        slice(c0, c0 + cols))
+                at = flat[(slice(None), slice(None), *tile)]
+                acc = planes[0].take(at[0], axis=1)
+                for i in range(1, bits):
+                    acc += planes[i].take(at[i], axis=1)
+                if zero is not None:
+                    acc -= zero[(slice(None), *tile)] * sums[lanes, :, tile[0]]
+                acc *= scale[(slice(None), *tile)]
+                out[(lanes, *tile)] = sum_groups_leading(acc, axis=1)
+    if counts is None:
+        # (T, repeat, rows, maxb, kv, N) -> (rows, T, kv·repeat, maxb·N)
+        out = out.reshape(t, repeat, rows, maxb, kv, n)
+        return out.transpose(2, 0, 4, 1, 3, 5).reshape(
+            rows, t, kv * repeat, maxb * n
+        )
+    total = out[:, :, 0].copy()  # (repeat, rows, kv, N)
+    for j in range(1, maxb):
+        live = counts > j
+        total[:, live] += out[:, live, j]
+    return total.transpose(1, 2, 0, 3).reshape(rows, kv * repeat, n)
 
 
 def gather_grouped_blocked(

@@ -7,19 +7,17 @@ per step. The fused path instead treats the whole running batch as one
 dispatch: every *row* (one KV head of one sequence, or one block of
 one) carries its own lookup indices and per-group affine parameters,
 which live in the :class:`~repro.runtime.paging.BlockAllocator` arenas.
-:func:`paged_lut_execute` is the entry point: its compiled body
-(``lut_block`` in ``lut_block.c``, the pass the weight linears run too)
-reads the arenas in place through the block table; its numpy body
-gathers them into contiguous arrays and runs the entire batch through
-one ``np.take`` (:func:`rowwise_lut_execute`).
+:func:`paged_lut_execute` is the entry point, on the LUT body the weight
+linears run too: compiled (``lut_block`` in ``lut_block.c``), it reads
+the arenas in place through the block table; in numpy
+(:func:`~repro.kernels.backends.numpy_lut`), it gathers them through it.
 
 **Row-shared layout.** A row's weight columns serve ``M`` activation
 rows at once — grouped-query attention's ``repeat`` query heads per KV
 head (times the ``T`` candidate positions of a speculative verify):
-GQA *is* M. The ``M`` tables sit innermost, ``(R, G, W, M)``, the
-blocked backend's rows-innermost table applied to attention: one gather
-index copies ``M`` contiguous values, and the arenas are gathered once
-per KV head instead of being repeated per query head.
+GQA *is* M. They are a linear's activation rows for that weight row —
+the compiled pass's SIMD lanes, one lookup a lane vector — so the
+arenas are read once per KV head instead of once per query head.
 
 Bit-exactness contract: for every output element the executor (either
 body) performs *the same scalar operations in the same order* as
@@ -32,12 +30,9 @@ bit-identical by construction):
 - bit-planes accumulate LSB-first (``plane 0 · 2⁰`` first, then
   ``+= 2ⁱ · plane i``);
 - the per-group affine correction is the element-wise
-  ``s·(acc − z·Σa)`` of :func:`~repro.kernels.backends.affine_reduce`
-  (the numpy body applies ``− z·Σa`` to a whole dispatch if any of its
-  ``z`` is nonzero, the compiled one per column where ``z != 0.0``;
-  either differs from a per-plan ``has_zero_point`` only where ``z`` is
-  exactly zero, i.e. in the sign of a zero — the zero-point rule in
-  :func:`paged_lut_execute`);
+  ``s·(acc − z·Σa)`` of :func:`~repro.kernels.backends.affine_reduce`,
+  ``− z·Σa`` applied to every column (a per-plan ``has_zero_point``
+  differs only where ``z`` is exactly zero, i.e. in the sign of a zero);
 - groups reduce in ascending-``g`` order exactly like
   :func:`~repro.kernels.sum_groups`.
 
@@ -55,91 +50,14 @@ import math
 
 import numpy as np
 
-from repro.kernels.backends import LutBlockedBackend, compiled_lut
-from repro.kernels.plan import flat_lookup
+from repro.kernels.backends import LutBlockedBackend, numpy_lut
 
 __all__ = [
     "paged_lut_execute",
     "reduce_blocks",
     "rowwise_dequant_execute",
-    "rowwise_lut_execute",
     "shared_rows",
 ]
-
-
-def rowwise_lut_execute(
-    table: np.ndarray,
-    flat_idx: np.ndarray,
-    scale: np.ndarray,
-    zero: np.ndarray,
-    sums: np.ndarray,
-    shifts: np.ndarray,
-    apply_zero: bool,
-) -> np.ndarray:
-    """One fused LUT mpGEMM where every row has its own weight columns,
-    shared by that row's ``M`` activation rows.
-
-    Parameters
-    ----------
-    table:
-        ``(R, G, W, M)`` activation tables, ``M`` innermost, already
-        extended to the signed ``[T, -T]`` layout (``W = 2·entries`` for
-        symmetric half-tables).
-    flat_idx:
-        ``(R, bits, G, N)`` int64 gather indices into each row's
-        flattened ``(G·W,)`` table — the
-        :func:`~repro.kernels.plan.flat_lookup` layout, with the group
-        offset already folded in.
-    scale, zero:
-        ``(R, G, N)`` per-row per-group affine parameters.
-    sums:
-        ``(R, G, M)`` per-group activation sums (zero-point correction
-        term).
-    shifts:
-        ``(bits,)`` float64 plane weights ``2**i``, LSB first.
-    apply_zero:
-        Whether to apply the zero-point correction. Callers pass the
-        batch-wide OR of the gathered plans' ``has_zero_point``; where
-        an individual plan's flag disagrees, its ``zero`` entries are
-        exactly ``0.0`` and the correction can only flip the sign of a
-        zero — invisible to ``softmax`` and to ``assert_array_equal``.
-
-    Returns
-    -------
-    ``(R, N, M)`` float64 — each of row r's activation rows times row
-    r's weight columns, bit-identical per element to a per-row backend
-    dispatch.
-    """
-    r, g, w, m = table.shape
-    bits = flat_idx.shape[1]
-    entries = np.ascontiguousarray(table).reshape(r * g * w, m)
-    row_offsets = (np.arange(r, dtype=np.int64) * (g * w)).reshape(
-        r, 1, 1, 1
-    )
-    gathered = entries.take(
-        (flat_idx + row_offsets).reshape(-1), axis=0
-    ).reshape(flat_idx.shape + (m,))
-    # Bit-serial accumulation, LSB first — the shared backend order.
-    per_group = gathered[:, 0] * shifts[0]
-    for i in range(1, bits):
-        per_group += shifts[i] * gathered[:, i]
-    # The affine correction runs in (R, G, M, N): the per-column
-    # parameters then broadcast along M with N contiguous innermost
-    # (M innermost, every op would run numpy's inner loop M values at a
-    # time). Element-wise, so the layout changes no scalar operation.
-    per_group = np.ascontiguousarray(per_group.transpose(0, 1, 3, 2))
-    scale = scale[:, :, None]
-    if apply_zero:
-        corrected = scale * (
-            per_group - zero[:, :, None] * sums[..., None]
-        )
-    else:
-        corrected = scale * per_group
-    # Ascending-g group reduction, exactly sum_groups.
-    out = corrected[:, 0].copy()
-    for gi in range(1, g):
-        out += corrected[:, gi]
-    return out.transpose(0, 2, 1)
 
 
 def rowwise_dequant_execute(
@@ -163,8 +81,8 @@ def shared_rows(x: np.ndarray, lead: tuple[int, ...], axes) -> np.ndarray:
     """Row-shared layout of per-activation-row data: *x* is ``(prod(lead),
     ...)``, rows ordered by the *lead* axes; those named in *axes* share
     a weight row (query heads of one KV head, verify positions) and
-    move innermost, merged — ``(R, ..., M)``, what the
-    ``rowwise_*_execute`` kernels take."""
+    move innermost, merged — ``(R, ..., M)``, what
+    :func:`rowwise_dequant_execute` takes."""
     tail = x.shape[1:]
     m = math.prod(lead[a] for a in axes)
     x = np.moveaxis(x.reshape(lead + tail), axes, range(-len(axes), 0))
@@ -198,8 +116,8 @@ def paged_lut_execute(
     repeat: int,
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`rowwise_lut_execute` over a block table, the weight columns
-    read where they live.
+    """One LUT mpGEMM over a block table, the weight columns read where
+    they live.
 
     **The paged operand convention.** *columns* are ``(idx, scale,
     zero)`` column arrays indexed by block id on axis 0 and weight row
@@ -210,7 +128,8 @@ def paged_lut_execute(
     affine parameters, any strides: the pool's own arenas, or slabs a
     caller gathered to rewrite some. Both bodies fold an index into the
     signed table ``[T, -T]`` as they read it
-    (:func:`~repro.kernels.plan.fold_offsets`). *ids* is the int64
+    (:func:`~repro.kernels.plan.fold_offsets`), and apply ``− z·Σa`` to
+    every column. *ids* is the int64
     ``(rows, max_blocks)`` index table into axis 0; pad entries name any
     valid block. *table* ``(A, G, E)`` and *sums* ``(A, G)`` are the half
     tables and group sums of the ``A`` activation rows, of which ``M``
@@ -228,81 +147,30 @@ def paged_lut_execute(
       count — a per-sequence running sum's order. Returns ``(rows, kv ·
       repeat, N)``.
 
-    **Two bodies, one result.** The numpy body gathers ``column[ids]``,
-    sends the gathered indices through
-    :func:`~repro.kernels.plan.flat_lookup` and runs
-    :func:`rowwise_lut_execute`. When *kernel* is ``lut-blocked`` and
-    :func:`repro.kernels.native.lut_block` loaded, operands it takes go to
-    that routine instead (:func:`~repro.kernels.backends.compiled_lut`, the
-    linears' call site too): the same scalar sequence per output element,
-    nothing gathered. Nothing else selects between them;
-    :attr:`LutBlockedBackend.last_paged_body` says which ran.
-
-    **The zero-point rule.** The numpy body applies ``− z·Σa`` to the
-    whole dispatch when *any* gathered ``z`` is nonzero; the compiled one
-    to every column. Where they disagree every ``z`` visited is exactly
-    zero and the correction could only have flipped the sign of a zero
-    (the tolerance :func:`rowwise_lut_execute` already documents): the
-    bodies are equal after ``+ 0.0`` always, and byte for byte wherever
-    some zero-point visited is nonzero.
+    **Two bodies, one result.** ``lut-blocked`` runs the dispatch where
+    its linears' run (:meth:`LutBlockedBackend.dispatch`): on the
+    compiled ``lut_block`` where it loaded and takes the operands
+    (:func:`~repro.kernels.backends.compiled_lut`), nothing gathered, else
+    on :func:`~repro.kernels.backends.numpy_lut`, which gathers
+    ``column[ids]``; any other *kernel* runs the numpy body. The two are
+    equal byte for byte; :attr:`LutBlockedBackend.last_paged_body` says
+    which ran.
 
     **The bounds rule.** A block id ``>= blocks`` raises
     :class:`IndexError` from either body and nothing is returned. The
     compiled body checks the block ids and counts before anything is
     read through them: it also refuses a negative id (numpy wraps it; the
     pool never produces one) and a count outside ``[1, max_blocks]``.
-    No index byte can take it outside its table: each goes through a
-    256-entry offset table whose entries past ``2**k`` read entry 0. The
-    pool's own arenas hold only indices below ``2**k``: its writers
+    No index byte can take either body outside its table: each goes
+    through a 256-entry fold table whose entries past ``2**k`` read entry
+    0. The pool's own arenas hold only indices below ``2**k``: its writers
     produce no other, and ``BlockAllocator.accepts`` refuses a swap
     payload that holds one.
     """
-    if isinstance(kernel, LutBlockedBackend):
-        kernel.last_paged_body = "compiled"  # also when it raises
-        out = compiled_lut(
-            table, sums, ids, columns, repeat, counts,
-            table.shape[-1].bit_length(), True,
-        )
-        if out is not None:
-            return out
-        kernel.last_paged_body = "numpy"
-    return _paged_numpy(table, sums, ids, columns, repeat, counts)
-
-
-def _paged_numpy(table, sums, ids, columns, repeat, counts) -> np.ndarray:
-    """The numpy body of :func:`paged_lut_execute`: gather, one
-    :func:`rowwise_lut_execute`, scatter (and reduce)."""
-    rows, maxb = ids.shape
-    kv, bits, _, n = columns[0].shape[1:]
-    entries = table.shape[-1]
-    signed = np.concatenate([table, -table], axis=-1)
-    gathered = (column[ids] for column in columns)
-    if counts is None:
-        t = len(table) // (rows * kv * repeat)
-        lead, shared = (rows, t, kv, repeat), (1, 3)
-        ix, sc, zr = (
-            # (rows, maxb, kv, ..., G, N) -> (rows * kv, ..., G, maxb * N)
-            np.moveaxis(g, 1, -2).reshape(
-                (rows * kv,) + g.shape[3:-1] + (maxb * n,)
-            )
-            for g in gathered
-        )
-    else:
-        lead, shared = (rows, kv, repeat, maxb), (2,)
-        ix, sc, zr = (
-            # (rows, maxb, kv, ...) -> (rows * kv * maxb, ...)
-            g.swapaxes(1, 2).reshape((-1,) + g.shape[3:]) for g in gathered
-        )
-    raw = rowwise_lut_execute(
-        shared_rows(signed, lead, shared),
-        flat_lookup(ix, entries.bit_length(), entries, True, group_axis=-2),
-        sc, zr, shared_rows(sums, lead, shared),
-        (1 << np.arange(bits)).astype(np.float64),
-        bool((zr != 0.0).any()),
+    operands = (
+        table, sums, ids, columns, repeat, counts,
+        table.shape[-1].bit_length(), True,
     )
-    if counts is None:
-        # (rows * kv, maxb * N, T * repeat) -> (rows, T, kv * repeat, maxb * N)
-        return raw.reshape(rows, kv, maxb * n, t, repeat).transpose(
-            0, 3, 1, 4, 2
-        ).reshape(rows, t, kv * repeat, maxb * n)
-    return reduce_blocks(raw, kv, counts)
+    if isinstance(kernel, LutBlockedBackend):
+        return kernel.dispatch("last_paged_body", *operands)
+    return numpy_lut(*operands)

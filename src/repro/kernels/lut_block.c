@@ -1,7 +1,6 @@
 /* The LUT mpGEMM of lut-blocked as one fused pass: the weight linears and
  * the int4-KV attention alike (ARCHITECTURE sections 6 and 8). Per output
- * element, the scalar sequence of the numpy bodies
- * (LutBlockedBackend.execute, rowwise_lut_execute):
+ * element, the scalar sequence of the numpy body (numpy_lut, backends.py):
  *
  *     acc  = T[f(x_0)]                   plane 0, x_i its one-byte index
  *     acc += T[f(x_i)] * 2**i            i = 1 .. bits-1, LSB first

@@ -14,6 +14,7 @@ LUT_BODIES = ("compiled", "numpy")
 #: suites.
 BOTH_BODIES = {
     "TestCrossBackendEquivalence",
+    "TestSharedLutRows",
     "test_batched_append",
     "test_decode_parity",
     "test_float_attention",

@@ -181,25 +181,30 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("r", [1, 3, 8])
     @pytest.mark.parametrize("tile", [1, 5, 1024])
     @pytest.mark.parametrize("g", [1, 2, 32, 256])
-    def test_leading_axis_reduce_is_the_ascending_loop(self, g, tile, r):
-        """What ``lut-blocked`` leans on, pinned without a second numpy:
-        on the ``(G, tile, r)`` blocks it produces — C-contiguous out of
-        ``np.take``, ``tile = BLOCK_ELEMS // (G·r)`` or the ragged last
-        one, ``r <= BLOCK_ROWS`` — ``np.add.reduce(x, axis=0)`` adds the
-        g-slices one after another, i.e. equals the explicit ascending-g
-        loop bit for bit; the one-element slice, where numpy would go
-        pairwise instead, is the case ``sum_groups_leading`` hands to the
-        loop itself."""
+    def test_group_axis_reduce_is_the_ascending_loop(self, g, tile, r):
+        """What ``lut-blocked``'s numpy body leans on, pinned without a
+        second numpy: on the ``(r, G, tile)`` blocks it produces —
+        C-contiguous out of ``np.take``, ``r <= BLOCK_ROWS`` lanes leading —
+        ``np.add.reduce(x, axis=1, initial=-0.0)`` adds the g-slices one
+        after another from ``-0.0``, i.e. equals the explicit ascending-g
+        loop from group 0 byte for byte, signed zeros included; the
+        one-element slice, where numpy would go pairwise instead, is the
+        case ``sum_groups_leading`` hands to the loop itself."""
         rng = np.random.default_rng(g * 131 + tile * 7 + r)
-        x = rng.normal(size=(g, tile, r)) * 10.0 ** rng.integers(
-            -6, 7, size=(g, tile, r)
+        x = rng.normal(size=(r, g, tile)) * 10.0 ** rng.integers(
+            -6, 7, size=(r, g, tile)
         )
-        ordered = x[0].copy()
+        x[:, :, ::3] = -0.0  # columns whose every term is -0.0
+        ordered = x[:, 0].copy()
         for gi in range(1, g):
-            ordered += x[gi]
-        np.testing.assert_array_equal(backends.sum_groups_leading(x), ordered)
-        if tile * r > 1:
-            np.testing.assert_array_equal(np.add.reduce(x, axis=0), ordered)
+            ordered += x[:, gi]
+        got = backends.sum_groups_leading(x, axis=1)
+        assert got.tobytes() == ordered.tobytes()
+        if tile > 1:
+            raw = np.add.reduce(x, axis=1, initial=-0.0)
+            assert raw.tobytes() == ordered.tobytes()
+        lead = backends.sum_groups_leading(np.ascontiguousarray(x[0]))
+        assert lead.tobytes() == ordered[0].tobytes()
 
     def test_dispatch_retains_only_the_flat_indices(self, lut_body):
         """After a blocked dispatch the only int64 array on the plan or
@@ -234,8 +239,6 @@ class TestCrossBackendEquivalence:
             "_indices": (np.uint8, bits * g * n),
             "_scale_gn": (np.float64, g * n * 8),
             "_zero_gn": (np.float64, g * n * 8),
-            **({} if lut_body == "compiled"
-               else {"shifts": (np.float64, bits * 8)}),
         }
         for view, own in (
             (plan._scale_gn, plan.reinterpreted.scale),

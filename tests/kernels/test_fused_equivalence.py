@@ -131,13 +131,9 @@ def test_three_bodies_agree_byte_for_byte(
             blocked = BLOCKED.execute(plan, config, acts, table)
             assert BLOCKED.last_body == "numpy"
             naive = NAIVE.execute(plan, config, acts, table)
-    assert plan._flat_cache and compiled.shape == (m, n)
+    assert compiled.shape == (m, n)
     assert compiled.tobytes() == naive.tobytes()
-    # The numpy body's leading-axis ``np.add.reduce`` starts from +0.0
-    # where the other two start from group 0's term, so a column whose
-    # every group term is -0.0 sums to +0.0 there: equal to the sign of
-    # a zero (``x + 0.0`` rewrites -0.0 and nothing else).
-    assert (blocked + 0.0).tobytes() == (naive + 0.0).tobytes()
+    assert blocked.tobytes() == naive.tobytes()
 
 
 # --- The paged row-wise executor (the same ``lut_block``) -------------------
@@ -281,12 +277,7 @@ def test_paged_bodies_agree_byte_for_byte(
                 )
 
     assert compiled.shape == numpy_body.shape
-    # The zero-point rule (fused.py): equal after ``+ 0.0`` always, byte
-    # for byte wherever a zero-point visited is nonzero.
-    assert (compiled + 0.0).tobytes() == (numpy_body + 0.0).tobytes()
-    visited = [(blk, head) for blk in ids.ravel() for head in range(kv)]
-    if any((zero[blk, head] != 0.0).any() for blk, head in visited):
-        assert compiled.tobytes() == numpy_body.tobytes()
+    assert compiled.tobytes() == numpy_body.tobytes()
     # Against the oracle only columns a plan filled are comparable: in a
     # reduction the columns past any visited block's fill, in a score
     # layout the pad blocks and the columns past each block's fill.
