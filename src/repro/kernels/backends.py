@@ -249,12 +249,11 @@ class LutBlockedBackend:
             zero = plan.zero_gn[None, None]
             acts = effective_activations(activations, config)
             sums = np.ascontiguousarray(group_sums(plan, acts), np.float64)
-        symmetric = bool(config.symmetric_table)
         out = self.dispatch(
             "last_body", table, sums, ONE_BLOCK,
             (plan.indices[None, None], plan.scale_gn[None, None], zero),
-            1, None, plan.k, symmetric,
-            flat=lambda: plan.flat_lookup_indices(table.shape[-1], symmetric),
+            1, None, plan.k, bool(config.symmetric_table),
+            flat=plan.flat_lookup_indices,
         )
         return out.reshape(len(table), plan.n)
 
@@ -422,7 +421,9 @@ def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
     whenever *zero* is given, ``s`` is multiplied in, and the groups add
     in ascending order from ``-0.0`` (the identity of ``+``, so the first
     term passes exactly). The context's blocks then add in ascending
-    order, first block unconditional."""
+    order, first block unconditional. A linear passes its plan's
+    :meth:`~WeightPlan.flat_lookup_indices` as *flat*: the same folded,
+    widened index, cached on the plan, in place of the per-call fold."""
     rows, maxb = ids.shape
     idx, scale, zero = columns
     kv, bits, ngroups, n = idx.shape[1:]
@@ -454,7 +455,7 @@ def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
         flat = np.empty((bits, ngroups, rows, maxb, kv, n), np.int64)
         np.add(index.transpose(3, 4, 0, 1, 2, 5), offsets, out=flat)
     else:  # a linear's, cached on its plan: (bits, G, N)
-        flat = flat()[:, :, None, None, None]
+        flat = flat(entries, symmetric)[:, :, None, None, None]
     scale = gather(scale)
     if zero is not None:  # and sums (m, G, rows, tables a row, kv, 1)
         zero = gather(zero)

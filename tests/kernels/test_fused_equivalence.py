@@ -189,6 +189,11 @@ def _column_layout(array, layout, rng):
     ngroups=3, n=5, zero_points="some", act_dtype=None, table_dtype=None,
     layout="contiguous", specials=False, seed=7,
 )
+@example(  # no zero-points, -0.0 table entries: `acc − 0·Σa` flips a sign
+    bits=1, k=1, m=2, t_first=0, reduce=False, rows=1, kv=1, maxb=1,
+    ngroups=1, n=2, zero_points="none", act_dtype=None, table_dtype=None,
+    layout="contiguous", specials=True, seed=0,
+)
 @settings(max_examples=150, deadline=None)
 def test_paged_bodies_agree_byte_for_byte(
     build, bits, k, m, t_first, reduce, rows, kv, maxb, ngroups, n,
