@@ -7,9 +7,12 @@ row block bounds the work set) and the wide prefill shape (M=64,
 N=K=1024, bits=4: the element budget cuts N into 16-column blocks) —
 while never materializing the naive path's ``(M, bits, G, N)``
 intermediate, and every LUT backend must agree with the dequantization
-reference to float noise in the lossless config. Where the compiled body of
-``lut-blocked`` loaded, it must be no slower than the numpy body at any
-row count — M = 1 and 2, where padding to full lanes could lose, included
+reference to float noise in the lossless config. The paged attention
+executor's row-shared layout is gated the same way on its numpy body: one
+dispatch whose query heads share each weight row must beat the per-head
+dispatches. Where the compiled body of ``lut-blocked`` loaded, it must be
+no slower than the numpy body at any row count — M = 1 and 2, where
+padding to full lanes could lose, included
 (the experiment itself has already required equal bytes). The same gate
 holds the paged attention executor's compiled body (``rows-*``: decode
 scores, decode context, a verify's M = 10 scores) and the int4-KV pool
@@ -26,6 +29,7 @@ from repro.experiments.bench_backends import (
     FLOAT_ROWS,
     KV_BACKENDS,
     KV_ROWS,
+    PER_HEAD_BACKEND,
     ROWS_BACKENDS,
     ROWS_SHAPES,
 )
@@ -67,10 +71,15 @@ def test_bench_backends(benchmark, show):
         else:
             assert (f"body-m{m}", BODY_BACKENDS[1]) not in rows
 
-    # The two bodies of the paged attention executor, gated the same way.
-    for label, _, _ in ROWS_SHAPES:
+    # The two bodies of the paged attention executor, gated the same way;
+    # on the numpy body, at both decode-step shapes, query heads that share
+    # a weight row beat one dispatch a head (a verify's M = 10 lanes, five
+    # a head, leave too thin a margin to gate).
+    for label, t, _ in ROWS_SHAPES:
         numpy_body = rows[(label, ROWS_BACKENDS[0])]
         assert numpy_body.max_abs_err == 0.0
+        if t == 1:
+            assert numpy_body.time_s < rows[(label, PER_HEAD_BACKEND)].time_s
         if native.status()["loaded"]:
             assert rows[(label, ROWS_BACKENDS[1])].time_s <= numpy_body.time_s
         else:

@@ -28,7 +28,11 @@ scores (R = 32 weight rows, N = 80), context (R = 160, N = 16) and a
 verify's scores (T = 5, so M = 10). Both bodies are the ones the
 ``body-m*`` rows time as a linear: the numpy one gathers the column
 arrays through the block table, the compiled one (``lut_block``) reads
-them in place. Equal bytes or the experiment raises.
+them in place. Equal bytes or the experiment raises. A third row per
+shape, ``per-head (numpy)``, runs the same work on the numpy body as
+:data:`ATTN_M` dispatches of one query head each — the gather and index
+fold a weight row shared by its query heads makes once, made per head;
+the concatenated heads must equal the shared dispatch byte for byte.
 
 The ``kv-*`` rows time the two bodies of the int4-KV pool's writer at the
 same step: ``kv-append`` lands B = 8 K/V rows in 8 blocks (float slabs,
@@ -99,6 +103,9 @@ ROWS_SHAPES: tuple[tuple[str, int, bool], ...] = (
 #: Sequences, blocks each, KV heads, head_dim = block_size, pool blocks.
 ROWS_B, ROWS_BLOCKS, ROWS_KV, ROWS_DIM, ROWS_POOL = 8, 5, 4, 16, 64
 ROWS_BACKENDS = ("paged (numpy)", "paged (compiled)")
+#: The same dispatch on the numpy body as ATTN_M calls of one query head
+#: each: what the rows-* rows' shared weight rows save.
+PER_HEAD_BACKEND = "per-head (numpy)"
 #: The int4-KV pool writer rows, at the rows-* step's geometry.
 KV_ROWS = ("kv-append", "kv-refresh")
 KV_BACKENDS = ("pool (numpy)", "pool (compiled)")
@@ -149,10 +156,12 @@ META = ExperimentMeta(
 class BackendBenchRow:
     """One (shape, backend) timing cell.
 
-    On the ``body-m*`` rows the "backends" are the two bodies of ``lut-blocked``, the speedup is over the numpy
-    one and ``max_abs_err`` is 0 because the bytes were checked equal;
-    the ``rows-*`` rows are the same for the paged attention executor
-    (``m`` shared activation rows, ``n`` columns per weight row).
+    On the ``body-m*`` rows the "backends" are the two bodies of
+    ``lut-blocked``, the speedup is over the numpy one and
+    ``max_abs_err`` is 0 because the bytes were checked equal; the
+    ``rows-*`` rows are the same for the paged attention executor (``m``
+    shared activation rows, ``n`` columns per weight row), plus its
+    ``per-head (numpy)`` dispatches.
     """
 
     shape_label: str
@@ -259,17 +268,40 @@ def _paged_rows(rng, label: str, t: int, context: bool) -> list[BackendBenchRow]
         ids, columns, ATTN_M, counts,
     )
 
-    def best() -> float:
+    # One query head's tables and sums per dispatch: (rows, T, kv, repeat)
+    # or (rows, kv, repeat, max_blocks) activation rows, head on axis 3 / 2.
+    head_axis = 2 if context else 3
+    split = (ROWS_B, ROWS_KV, ATTN_M, ROWS_BLOCKS) if context else (
+        ROWS_B, t, ROWS_KV, ATTN_M
+    )
+    singles = [
+        (args[0], *(
+            np.ascontiguousarray(
+                a.reshape(split + a.shape[1:]).take(h, axis=head_axis)
+            ).reshape((-1,) + a.shape[1:])
+            for a in args[1:3]
+        ), ids, columns, 1, counts)
+        for h in range(ATTN_M)
+    ]
+
+    def per_head():
+        return np.stack(
+            [paged_lut_execute(*single) for single in singles], axis=head_axis
+        ).reshape(want.shape)
+
+    def best(fn=lambda: paged_lut_execute(*args)) -> float:
         out = np.inf
         for _ in range(MAX_REPS):
             started = time.perf_counter()
-            paged_lut_execute(*args)
+            fn()
             out = min(out, time.perf_counter() - started)
         return out
 
     with native.unloaded():
         want = paged_lut_execute(*args)
-        times = {ROWS_BACKENDS[0]: best()}
+        if per_head().tobytes() != want.tobytes():
+            raise LutError(f"shared and per-head dispatches differ: {label}")
+        times = {ROWS_BACKENDS[0]: best(), PER_HEAD_BACKEND: best(per_head)}
     if native.status()["loaded"]:
         if paged_lut_execute(*args).tobytes() != want.tobytes():
             raise LutError(f"compiled and numpy paged bodies differ: {label}")

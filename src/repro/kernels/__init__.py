@@ -32,11 +32,11 @@ from repro.kernels.backends import (
     ReferenceBackend,
     effective_activations,
     gather_grouped_blocked,
+    reduce_blocks,
     sum_groups,
 )
 from repro.kernels.fused import (
     paged_lut_execute,
-    reduce_blocks,
     rowwise_dequant_execute,
     shared_rows,
 )

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.datatypes.float_codec import quantize_to_format
 from repro.kernels import native
-from repro.kernels.plan import WeightPlan, fold_offsets
+from repro.kernels.plan import WeightPlan, flat_lookup, fold_offsets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.lut.mpgemm import LutMpGemmConfig
@@ -225,9 +225,9 @@ class LutBlockedBackend:
     the plan's one-byte indices directly. Otherwise :func:`numpy_lut`
     runs the same per-element sequence in blocks: per ``r <= BLOCK_ROWS``
     rows the signed table ``[T, -T]`` (just ``T`` for full tables) scaled
-    once per bit-plane, each plane gathered with the plan's cached
-    :meth:`~WeightPlan.flat_lookup_indices` into an ``(r, G, tile)``
-    block of at most :data:`BLOCK_ELEMS` values. See the module docstring
+    once per bit-plane, rows innermost, each plane gathered with the
+    plan's cached :meth:`~WeightPlan.flat_lookup_indices` into a
+    ``(G, tile, r)`` block of at most :data:`BLOCK_ELEMS` values. See the module docstring
     for why either equals ``lut-naive`` bit for bit. Nothing else selects
     between the two — no config field, flag or variable — and
     :attr:`last_body` / :attr:`last_paged_body` say which one ran.
@@ -391,39 +391,33 @@ def _compiled_takes(table, sums, ids, columns, repeat, counts, k, symmetric):
     )
 
 
-@lru_cache(maxsize=None)
-def _byte_fold(k: int, entries: int, symmetric: bool, dtype) -> np.ndarray:
-    """:func:`fold_offsets` at the index's own width, one entry per value
-    of *dtype* (256 for the one-byte indices): a value past ``2**k`` reads
-    entry 0, as ``lut_block``'s offset table does."""
-    fold = np.zeros(1 << 8 * np.dtype(dtype).itemsize, dtype)
-    fold[: 1 << k] = fold_offsets(k, entries, symmetric)
-    fold.flags.writeable = False
-    return fold
-
-
 def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
               flat=None):
     """``lut_block``'s numpy body: :func:`compiled_lut`'s operands and
     output, and per output element its scalar sequence, so its bytes.
 
-    The weight rows are ``(rows, max_blocks, kv)``; each has ``m`` lanes,
+    The weight rows are ``(rows, max_blocks, kv)``, the column arrays
+    read in their own ``(rows, max_blocks, kv, ..., N)`` layout (a
+    linear's viewed, not copied); each weight row has ``m`` lanes,
     the activation rows that share it, whose tables are a *table row*'s:
     one KV head's ``T`` positions × *repeat* query heads for all of a
     row's blocks (scores; a linear is one weight row and its ``M`` rows),
     or one block's *repeat* (context). The index bytes are folded into the
-    signed table ``[T, −T]`` as bytes (:func:`_byte_fold`) and widened to
-    int64 once, where each group's and table row's offset is added. Per
-    block of :data:`BLOCK_ROWS` lanes the tables are scaled by ``2**i``
-    per bit-plane; per tile of at most :data:`BLOCK_ELEMS` gathered values
+    signed table ``[T, −T]`` and widened to int64 once, where each group's
+    and table row's offset is added
+    (:func:`~repro.kernels.plan.flat_lookup`). Per block of
+    :data:`BLOCK_ROWS` lanes the tables are scaled by ``2**i`` per
+    bit-plane, lanes innermost as in ``lut_block``, so one gathered index
+    copies a lane vector; per tile of at most :data:`BLOCK_ELEMS` gathered values
     (weight rows × columns, or a wide row's columns) the planes are
     gathered and added LSB first, ``− z·Σa`` is applied to every column
     whenever *zero* is given, ``s`` is multiplied in, and the groups add
     in ascending order from ``-0.0`` (the identity of ``+``, so the first
     term passes exactly). The context's blocks then add in ascending
-    order, first block unconditional. A linear passes its plan's
-    :meth:`~WeightPlan.flat_lookup_indices` as *flat*: the same folded,
-    widened index, cached on the plan, in place of the per-call fold."""
+    order, first block unconditional (:func:`reduce_blocks`). A linear
+    passes its plan's :meth:`~WeightPlan.flat_lookup_indices` as *flat*:
+    the same :func:`~repro.kernels.plan.flat_lookup` index, cached on the
+    plan, in place of the per-call fold."""
     rows, maxb = ids.shape
     idx, scale, zero = columns
     kv, bits, ngroups, n = idx.shape[1:]
@@ -436,44 +430,43 @@ def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
         t, tabs = 1, maxb
         split, lanes, weight = (rows, kv, repeat, maxb), (2,), (0, 3, 1)
     m = t * repeat
-    # (m, rows, tables a row, kv, G, entries): each weight row's m lanes.
+    # (rows, tables a row, kv, G, entries, m): each weight row's m lanes.
     tables = table.reshape(split + (ngroups, entries)).transpose(
-        lanes + weight + (4, 5)
-    ).reshape(m, rows, tabs, kv, ngroups, entries)
+        weight + (4, 5) + lanes
+    ).reshape(rows, tabs, kv, ngroups, entries, m)
 
-    def gather(column):  # (blocks, kv, G, N) -> (G, rows, max_blocks, kv, N)
-        column = column[None, :1] if ids is ONE_BLOCK else column[ids]
-        return np.ascontiguousarray(column.transpose(3, 0, 1, 2, 4))
+    # The column arrays in their own layout, (rows, max_blocks, kv, ...,
+    # N); a linear's are viewed, not copied.
+    def gather(column):
+        return column[None] if ids is ONE_BLOCK else column[ids]
 
-    if flat is None:  # (bits, G, rows, max_blocks, kv, N) into the planes
-        offsets = np.arange(rows * tabs * kv * ngroups).reshape(
-            rows, tabs, kv, ngroups
-        ).transpose(3, 0, 1, 2)[..., None] * width
-        index = _byte_fold(k, entries, symmetric, idx.dtype).take(
-            idx[None, :1] if ids is ONE_BLOCK else idx[ids]
+    if flat is None:  # (rows, max_blocks, kv, bits, G, N) into the planes
+        flat = flat_lookup(
+            gather(idx), k, entries, symmetric,
+            np.arange(rows * tabs * kv * ngroups).reshape(
+                rows, tabs, kv, 1, ngroups, 1
+            ),
         )
-        flat = np.empty((bits, ngroups, rows, maxb, kv, n), np.int64)
-        np.add(index.transpose(3, 4, 0, 1, 2, 5), offsets, out=flat)
     else:  # a linear's, cached on its plan: (bits, G, N)
-        flat = flat(entries, symmetric)[:, :, None, None, None]
-    scale = gather(scale)
-    if zero is not None:  # and sums (m, G, rows, tables a row, kv, 1)
-        zero = gather(zero)
+        flat = flat(entries, symmetric)[None, None, None]
+    scale = gather(scale)[..., None]
+    if zero is not None:  # and sums (rows, tables a row, kv, G, 1, m)
+        zero = gather(zero)[..., None]
         sums = sums.reshape(split + (ngroups,)).transpose(
-            lanes + (4,) + weight
-        ).reshape(m, ngroups, rows, tabs, kv, 1)
+            weight + (4,) + lanes
+        ).reshape(rows, tabs, kv, ngroups, 1, m)
     shifts = _SHIFTS[: bits - 1].reshape((-1,) + (1,) * 6)
-    out = np.empty((m, rows, maxb, kv, n))
+    out = np.empty((rows, maxb, kv, n, m))
     for m0 in range(0, m, BLOCK_ROWS):
         lanes = slice(m0, m0 + BLOCK_ROWS)
-        block = tables[lanes]
-        r = len(block)
-        planes = np.empty((bits, r, rows, tabs, kv, ngroups, width))
-        planes[0, ..., :entries] = block
+        block = tables[..., lanes]
+        r = block.shape[-1]
+        planes = np.empty((bits, rows, tabs, kv, ngroups, width, r))
+        planes[0, ..., :entries, :] = block
         if symmetric:  # IEEE `-x`: the naive path's `x·(-1.0)`, exactly
-            planes[0, ..., entries:] = -block
+            planes[0, ..., entries:, :] = -block
         np.multiply(planes[0], shifts, out=planes[1:])
-        planes = planes.reshape(bits, r, -1)
+        planes = planes.reshape(bits, -1, r)
         # Whole weight rows per tile where one fits, else column tiles.
         per_row = ngroups * maxb * kv * n * r
         step = max(1, BLOCK_ELEMS // max(1, per_row))
@@ -482,27 +475,40 @@ def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
         )
         for r0 in range(0, rows, step):
             for c0 in range(0, n, cols):
-                tile = (slice(r0, r0 + step), slice(None), slice(None),
-                        slice(c0, c0 + cols))
-                at = flat[(slice(None), slice(None), *tile)]
-                acc = planes[0].take(at[0], axis=1)
+                tile = (slice(r0, r0 + step), Ellipsis, slice(c0, c0 + cols))
+                at = flat[tile]
+                acc = planes[0].take(at[..., 0, :, :], axis=0)
                 for i in range(1, bits):
-                    acc += planes[i].take(at[i], axis=1)
+                    acc += planes[i].take(at[..., i, :, :], axis=0)
                 if zero is not None:
-                    acc -= zero[(slice(None), *tile)] * sums[lanes, :, tile[0]]
-                acc *= scale[(slice(None), *tile)]
-                out[(lanes, *tile)] = sum_groups_leading(acc, axis=1)
+                    acc -= zero[(*tile, slice(None))] * sums[
+                        tile[0], ..., lanes
+                    ]
+                acc *= scale[(*tile, slice(None))]
+                out[(tile[0], Ellipsis, tile[2], lanes)] = sum_groups_leading(
+                    acc, axis=3
+                )
     if counts is None:
-        # (T, repeat, rows, maxb, kv, N) -> (rows, T, kv·repeat, maxb·N)
-        out = out.reshape(t, repeat, rows, maxb, kv, n)
-        return out.transpose(2, 0, 4, 1, 3, 5).reshape(
+        # (rows, maxb, kv, N, T, repeat) -> (rows, T, kv·repeat, maxb·N)
+        out = out.reshape(rows, maxb, kv, n, t, repeat)
+        return out.transpose(0, 4, 2, 5, 1, 3).reshape(
             rows, t, kv * repeat, maxb * n
         )
-    total = out[:, :, 0].copy()  # (repeat, rows, kv, N)
-    for j in range(1, maxb):
+    # (rows, maxb, kv, N, repeat) -> (rows, kv, repeat, maxb, N)
+    total = reduce_blocks(out.transpose(0, 2, 4, 1, 3), counts)
+    return total.reshape(rows, kv * repeat, n)
+
+
+def reduce_blocks(parts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum ``(rows, ..., max_blocks, N)`` per-block partials over each
+    row's first ``counts[row]`` blocks, in ascending block order, first
+    block unconditional (a count is >= 1) — a per-sequence running sum's
+    order. Returns ``(rows, ..., N)``."""
+    total = parts[..., 0, :].copy()
+    for j in range(1, parts.shape[-2]):
         live = counts > j
-        total[:, live] += out[:, live, j]
-    return total.transpose(1, 2, 0, 3).reshape(rows, kv * repeat, n)
+        total[live] += parts[live, ..., j, :]
+    return total
 
 
 def gather_grouped_blocked(

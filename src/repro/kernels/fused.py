@@ -54,7 +54,6 @@ from repro.kernels.backends import LutBlockedBackend, numpy_lut
 
 __all__ = [
     "paged_lut_execute",
-    "reduce_blocks",
     "rowwise_dequant_execute",
     "shared_rows",
 ]
@@ -87,24 +86,6 @@ def shared_rows(x: np.ndarray, lead: tuple[int, ...], axes) -> np.ndarray:
     m = math.prod(lead[a] for a in axes)
     x = np.moveaxis(x.reshape(lead + tail), axes, range(-len(axes), 0))
     return x.reshape((-1,) + tail + (m,))
-
-
-def reduce_blocks(parts: np.ndarray, kv: int, counts) -> np.ndarray:
-    """Sum ``(rows · kv · max_blocks, N, repeat)`` per-block partials of a
-    row-wise executor over each row's first ``counts[row]`` blocks, in
-    ascending block order, first block unconditional (a count is >= 1)
-    — a per-sequence running sum's order. Returns ``(rows, kv ·
-    repeat, N)``."""
-    rows = len(counts)
-    (_, n, repeat), maxb = parts.shape, len(parts) // (rows * kv)
-    parts = parts.reshape(rows, kv, maxb, n, repeat).transpose(
-        0, 1, 4, 2, 3
-    ).reshape(rows, kv * repeat, maxb, n)
-    out = parts[:, :, 0].copy()
-    for j in range(1, maxb):
-        m = counts > j
-        out[m] += parts[m][:, :, j]
-    return out
 
 
 def paged_lut_execute(

@@ -144,25 +144,36 @@ def fold_offsets(k: int, entries: int, symmetric: bool) -> np.ndarray:
     return fold
 
 
+@lru_cache(maxsize=None)
+def _index_fold(k: int, entries: int, symmetric: bool, dtype) -> np.ndarray:
+    """:func:`fold_offsets` at an index array's own *dtype* (one byte for
+    k <= 8), ``max(256, 2**k)`` entries: every byte value has one, and a
+    value past ``2**k`` reads entry 0, as ``lut_block``'s offset table
+    does."""
+    fold = np.zeros(max(256, 1 << k), dtype)
+    fold[: 1 << k] = fold_offsets(k, entries, symmetric)
+    fold.flags.writeable = False
+    return fold
+
+
 def flat_lookup(
     indices: np.ndarray, k: int, entries: int, symmetric: bool,
-    group_axis: int = -1,
+    rows: np.ndarray,
 ) -> np.ndarray:
-    """Flat gather indices into a row-flattened ``(G·width,)`` table.
+    """Flat int64 gather indices into a row-flattened table of
+    ``width``-entry rows (``2·entries`` for the symmetric half table's
+    signed extension ``[T, -T]``, ``entries`` for the full one).
 
-    *indices* are plain K-bit indices with the group along *group_axis*,
-    each sent through :func:`fold_offsets` (``width`` is ``2·entries``
-    for the symmetric half table, ``entries`` for the full one). Group
-    *g*'s offset ``g·width`` is folded in too.
+    Each plain K-bit index goes through :func:`fold_offsets` at its own
+    width — a byte ``take`` for one-byte indices — and is widened to int64
+    once, where ``rows·width`` is added: *rows*, broadcast against
+    *indices*, numbers the table row each index reads (a plan's group
+    ``g``; a paged dispatch's group of one table row's weight row).
     """
-    width = entries
-    if symmetric:
-        indices = fold_offsets(k, entries, True)[indices]
-        width = 2 * entries
-    shape = [1] * indices.ndim
-    shape[group_axis] = -1
-    offsets = np.arange(indices.shape[group_axis], dtype=np.int64) * width
-    return indices + offsets.reshape(shape)
+    out = np.empty(np.broadcast_shapes(indices.shape, rows.shape), np.int64)
+    fold = _index_fold(k, entries, symmetric, indices.dtype)
+    np.add(fold.take(indices), rows * (entries << symmetric), out=out)
+    return out
 
 
 @dataclass
@@ -279,7 +290,8 @@ class WeightPlan:
         cached = self._flat_cache.get(key)
         if cached is None:
             cached = flat_lookup(
-                self.indices, self.k, entries, symmetric, group_axis=1
+                self.indices, self.k, entries, symmetric,
+                np.arange(self.ngroups)[:, None],
             )
             self._flat_cache[key] = cached
         return cached

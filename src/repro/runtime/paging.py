@@ -1806,7 +1806,10 @@ def _fused_context(pool, kernel, config, probs, ids, columns, nblocks):
         shared_rows(p2, (rows, kv, repeat, maxb), (2,)),
         columns[0][ids].swapaxes(1, 2).reshape(-1, hd, block_size),
     )
-    return reduce_blocks(parts, kv, nblocks)
+    # (rows · kv · max_blocks, head_dim, repeat) -> (rows, kv, repeat,
+    # max_blocks, head_dim)
+    parts = parts.reshape(rows, kv, maxb, hd, repeat).transpose(0, 1, 4, 2, 3)
+    return reduce_blocks(parts, nblocks).reshape(rows, heads, hd)
 
 
 def fused_paged_decode_attention(

@@ -183,28 +183,29 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("g", [1, 2, 32, 256])
     def test_group_axis_reduce_is_the_ascending_loop(self, g, tile, r):
         """What ``lut-blocked``'s numpy body leans on, pinned without a
-        second numpy: on the ``(r, G, tile)`` blocks it produces —
-        C-contiguous out of ``np.take``, ``r <= BLOCK_ROWS`` lanes leading —
-        ``np.add.reduce(x, axis=1, initial=-0.0)`` adds the g-slices one
-        after another from ``-0.0``, i.e. equals the explicit ascending-g
-        loop from group 0 byte for byte, signed zeros included; the
-        one-element slice, where numpy would go pairwise instead, is the
-        case ``sum_groups_leading`` hands to the loop itself."""
+        second numpy: on the ``(rows, max_blocks, kv, G, tile, r)`` blocks
+        it produces — C-contiguous out of ``np.take``, ``r <= BLOCK_ROWS``
+        lanes innermost — ``np.add.reduce(x, axis=3, initial=-0.0)`` adds
+        the g-slices one after another from ``-0.0``, i.e. equals the
+        explicit ascending-g loop from group 0 byte for byte, signed zeros
+        included; the one-element slice, where numpy would go pairwise
+        instead, is the case ``sum_groups_leading`` hands to the loop
+        itself."""
         rng = np.random.default_rng(g * 131 + tile * 7 + r)
-        x = rng.normal(size=(r, g, tile)) * 10.0 ** rng.integers(
-            -6, 7, size=(r, g, tile)
-        )
-        x[:, :, ::3] = -0.0  # columns whose every term is -0.0
-        ordered = x[:, 0].copy()
+        lead = (3, 1, 2) if g * tile * r <= backends.BLOCK_ELEMS else (1, 1, 1)
+        shape = lead + (g, tile, r)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+        x[..., ::3, :] = -0.0  # columns whose every term is -0.0
+        ordered = x[..., 0, :, :].copy()
         for gi in range(1, g):
-            ordered += x[:, gi]
-        got = backends.sum_groups_leading(x, axis=1)
+            ordered += x[..., gi, :, :]
+        got = backends.sum_groups_leading(x, axis=3)
         assert got.tobytes() == ordered.tobytes()
-        if tile > 1:
-            raw = np.add.reduce(x, axis=1, initial=-0.0)
+        if tile * r > 1:
+            raw = np.add.reduce(x, axis=3, initial=-0.0)
             assert raw.tobytes() == ordered.tobytes()
-        lead = backends.sum_groups_leading(np.ascontiguousarray(x[0]))
-        assert lead.tobytes() == ordered[0].tobytes()
+        first = backends.sum_groups_leading(np.ascontiguousarray(x[0, 0, 0]))
+        assert first.tobytes() == ordered[0, 0, 0].tobytes()
 
     def test_dispatch_retains_only_the_flat_indices(self, lut_body):
         """After a blocked dispatch the only int64 array on the plan or

@@ -171,15 +171,17 @@ class TestIndexCore:
         # the [T, -T] extension, group g offset by g·2·entries.
         entries = 1 << (k - 1)
         plain = np.stack([idx, idx[::-1]], axis=-1)  # (2**k, G=2)
-        np.testing.assert_array_equal(
-            flat_lookup(plain, k, entries, True),
-            want_low[plain] + entries * (want_sign[plain] < 0)
-            + np.array([0, 2 * entries]),
-        )
-        np.testing.assert_array_equal(
-            flat_lookup(plain, k, 1 << k, False),
-            plain + np.array([0, 1 << k]),
-        )
+        groups = np.arange(2)
+        for dtype in (np.uint8, np.int64):
+            np.testing.assert_array_equal(
+                flat_lookup(plain.astype(dtype), k, entries, True, groups),
+                want_low[plain] + entries * (want_sign[plain] < 0)
+                + np.array([0, 2 * entries]),
+            )
+            np.testing.assert_array_equal(
+                flat_lookup(plain.astype(dtype), k, 1 << k, False, groups),
+                plain + np.array([0, 1 << k]),
+            )
 
     def test_shared_tables_are_read_only(self):
         low, sign = fold_tables(4)
