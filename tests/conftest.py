@@ -19,6 +19,7 @@ BOTH_BODIES = {
     "test_decode_parity",
     "test_float_attention",
     "test_fused_parity",
+    "test_golden_digests",
     "test_kv_state_bodies",
     "test_linear",
     "test_paged_bounds",
