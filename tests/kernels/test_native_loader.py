@@ -4,7 +4,10 @@ Whatever goes wrong between "is there a compiler" and "the routine is
 loaded" — and whatever state an earlier process left in the cache — a
 dispatch returns the numpy body's bytes, the caller sees no exception and
 at most one warning says why. Each test gets a loader that has not tried
-yet and an empty private cache directory.
+yet and an empty private cache directory — or, where its property starts
+from a built object, one holding a copy of the object a loader built once
+this session (``seeded``): only the build itself, a rebuild after damage,
+a rebuild under another key and concurrent builds run the compiler.
 """
 
 import json
@@ -41,6 +44,29 @@ def cache(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(native, "_state", None)
     return tmp_path / "cache" / "repro-lut-kernels"
+
+
+@pytest.fixture(scope="session")
+def session_object(tmp_path_factory):
+    """The object an untried loader builds in a cache of its own, once per
+    session."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "XDG_CACHE_HOME", str(tmp_path_factory.mktemp("native") / "cache")
+        )
+        patch.setattr(native, "_state", None)
+        status = native.status()
+        assert status["loaded"], status["reason"]
+        return Path(status["object_path"])
+
+
+@pytest.fixture
+def seeded(cache, session_object):
+    """``cache`` as the loader that built :func:`session_object` left its
+    own: private, holding that one object."""
+    cache.mkdir(mode=0o700, parents=True)
+    shutil.copy2(session_object, cache / session_object.name)
+    return cache
 
 
 def dispatch():
@@ -137,10 +163,10 @@ def test_builds_once_then_loads_from_the_cache(cache, monkeypatch):
 
 @needs_cc
 @pytest.mark.parametrize("how", ["truncated", "garbage", "empty"])
-def test_damaged_cached_object_is_rebuilt_once(cache, monkeypatch, how):
+def test_damaged_cached_object_is_rebuilt_once(seeded, monkeypatch, how):
     """``dlopen`` on a truncated object kills the process (SIGBUS), so
     the loader must see the damage before it tries."""
-    built = assert_loaded(cache)
+    built = assert_loaded(seeded)
     whole = built.read_bytes()
     damage(built, {
         "truncated": whole[: len(whole) // 2],
@@ -148,14 +174,14 @@ def test_damaged_cached_object_is_rebuilt_once(cache, monkeypatch, how):
         "empty": b"",
     }[how])
     monkeypatch.setattr(native, "_state", None)
-    assert assert_loaded(cache).read_bytes() == whole
+    assert assert_loaded(seeded).read_bytes() == whole
 
 
 @needs_cc
 def test_damaged_object_and_failing_compiler_fall_back(
-    cache, monkeypatch, tmp_path
+    seeded, monkeypatch, tmp_path
 ):
-    built = assert_loaded(cache)
+    built = assert_loaded(seeded)
     damage(built, built.read_bytes()[:1000])
     # Same compiler identity, so the same key — but it no longer builds.
     version = subprocess.run(
@@ -172,21 +198,21 @@ def test_damaged_object_and_failing_compiler_fall_back(
 @needs_cc
 @pytest.mark.parametrize("flaw", ["group-writable", "world-writable", "owner"])
 def test_cache_directory_that_is_not_private_is_refused(
-    cache, monkeypatch, flaw
+    seeded, monkeypatch, flaw
 ):
     """Even a whole, correctly named object is not loaded out of it."""
-    assert_loaded(cache)
+    assert_loaded(seeded)
     if flaw == "owner":
-        monkeypatch.setattr(os, "getuid", lambda: cache.stat().st_uid + 1)
+        monkeypatch.setattr(os, "getuid", lambda: seeded.stat().st_uid + 1)
     else:
-        cache.chmod(0o770 if flaw == "group-writable" else 0o707)
+        seeded.chmod(0o770 if flaw == "group-writable" else 0o707)
     monkeypatch.setattr(native, "_state", None)
     assert_fell_back("is not private to this user")
 
 
 @needs_cc
-def test_object_is_not_loaded_on_a_cpu_with_other_features(cache, monkeypatch):
-    first = assert_loaded(cache)
+def test_object_is_not_loaded_on_a_cpu_with_other_features(seeded, monkeypatch):
+    first = assert_loaded(seeded)
     real = native._cpu_flags()
     monkeypatch.setattr(native, "_cpu_flags", lambda: (real or "") + " extra")
     monkeypatch.setattr(native, "_state", None)
