@@ -139,7 +139,7 @@ def test_three_bodies_agree_byte_for_byte(
 # --- The paged row-wise executor (the same ``lut_block``) -------------------
 #
 # The same three-way equality for the int4-KV attention's executor:
-# compiled paged body == numpy body (gather + ``rowwise_lut_execute``) ==
+# compiled paged body == numpy body (gather + ``numpy_lut``) ==
 # one ``lut-naive`` dispatch per (row, KV head, block), over column arrays
 # built the way the pool builds its arenas — a plan's one-byte indices and
 # affine parameters per (block, head), scrubbed values (index 0, scale 1,
