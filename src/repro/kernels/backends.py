@@ -227,10 +227,11 @@ class LutBlockedBackend:
     rows the signed table ``[T, -T]`` (just ``T`` for full tables) scaled
     once per bit-plane, rows innermost, each plane gathered with the
     plan's cached :meth:`~WeightPlan.flat_lookup_indices` into a
-    ``(G, tile, r)`` block of at most :data:`BLOCK_ELEMS` values. See the module docstring
-    for why either equals ``lut-naive`` bit for bit. Nothing else selects
-    between the two — no config field, flag or variable — and
-    :attr:`last_body` / :attr:`last_paged_body` say which one ran.
+    ``(G, tile, r)`` block of at most :data:`BLOCK_ELEMS` values. See the
+    module docstring for why either equals ``lut-naive`` bit for bit.
+    Nothing else selects between the two — no config field, flag or
+    variable — and :attr:`last_body` / :attr:`last_paged_body` say which
+    one ran.
     """
 
     name = "lut-blocked"
@@ -408,8 +409,8 @@ def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
     (:func:`~repro.kernels.plan.flat_lookup`). Per block of
     :data:`BLOCK_ROWS` lanes the tables are scaled by ``2**i`` per
     bit-plane, lanes innermost as in ``lut_block``, so one gathered index
-    copies a lane vector; per tile of at most :data:`BLOCK_ELEMS` gathered values
-    (weight rows × columns, or a wide row's columns) the planes are
+    copies a lane vector; per tile of at most :data:`BLOCK_ELEMS` gathered
+    values (weight rows × columns, or a wide row's columns) the planes are
     gathered and added LSB first, ``− z·Σa`` is applied to every column
     whenever *zero* is given, ``s`` is multiplied in, and the groups add
     in ascending order from ``-0.0`` (the identity of ``+``, so the first
