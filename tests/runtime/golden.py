@@ -5,9 +5,13 @@ Each scenario serves a small request set through one feature of the
 runtime — float and int4 KV decode, chunked prefill, prefix sharing,
 preemption by recompute and by swap, speculation at high and at zero
 acceptance, a two-worker router — for two seeds, and its digest is the
-SHA-256 of the emitted token streams and of the bytes of every logits
-row they were sampled from: tokens alone survive a one-ulp change to the
-table build, the logits do not. Every LUT backend and both bodies
+SHA-256 of the emitted token streams. Tokens survive a one-ulp change
+to the table build, so one more digest per seed covers the bits: every
+linear of the model applied to a fixed activation block. It holds no
+transcendental — the logits do, through numpy's ``exp``, whose SIMD path
+differs from libm in the last bit (so do the bits of every softmax), and
+a logits digest would pin this host's ``exp``. Every LUT backend and
+both bodies
 of ``lut-blocked`` are bit-identical, so one digest per (scenario, seed)
 covers all of them; ``reference`` is excluded (its BLAS GEMM agrees to
 1e-9, not bit for bit). ``tests/runtime/test_golden_digests.py`` recomputes
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,6 @@ from repro.runtime import (
     ServingEngine,
     SpeculativeConfig,
 )
-from repro.runtime.engine import _Sequence
 
 GOLDEN_FILE = Path(__file__).with_name("golden_digests.json")
 
@@ -91,54 +93,49 @@ def _engine(overrides: dict) -> ServingEngine:
     )
 
 
-@contextmanager
-def _sampled_logits():
-    """The bytes of every logits row the engine samples while open, by
-    request id, in sampling order."""
-    seen: dict[str, list[bytes]] = {}
-    sample = _Sequence.sample
-
-    def recording(seq, logits):
-        seen.setdefault(seq.request.request_id, []).append(logits.tobytes())
-        return sample(seq, logits)
-
-    _Sequence.sample = recording
-    try:
-        yield seen
-    finally:
-        _Sequence.sample = sample
-
-
 def run(scenario: str, seed: int):
     """Serve one (scenario, seed): its digest, the request results, and
     the engine's stats (None behind the router)."""
     overrides, preempt_steps, workers = SCENARIOS[scenario]
-    with _sampled_logits() as logits:
-        if workers > 1:
-            router = AsyncRouter(
-                lambda: _engine(overrides), workers=workers,
-                routing="prefix-aware",
-            )
-            try:
-                results, stats = router.run_sync(requests(seed)), None
-            finally:
-                router.close()
-        else:
-            engine = _engine(overrides)
-            for request in requests(seed):
-                engine.submit(request)
-            step = 0
-            while engine.has_work:
-                engine.step()
-                step += 1
-                if step in preempt_steps and engine.active:
-                    engine._preempt(engine.active[0])
-            results, stats = engine.run()
+    if workers > 1:
+        router = AsyncRouter(
+            lambda: _engine(overrides), workers=workers,
+            routing="prefix-aware",
+        )
+        try:
+            results, stats = router.run_sync(requests(seed)), None
+        finally:
+            router.close()
+    else:
+        engine = _engine(overrides)
+        for request in requests(seed):
+            engine.submit(request)
+        step = 0
+        while engine.has_work:
+            engine.step()
+            step += 1
+            if step in preempt_steps and engine.active:
+                engine._preempt(engine.active[0])
+        results, stats = engine.run()
+    streams = sorted((r.request_id, r.tokens) for r in results)
+    digest = hashlib.sha256(json.dumps(streams).encode()).hexdigest()
+    return digest, results, stats
+
+
+def linears_digest(seed: int) -> str:
+    """SHA-256 of the bytes of every linear of the model (the head
+    included) applied to five activation rows drawn from *seed*."""
+    model = _engine({}).model
+    rng = np.random.default_rng(seed)
     sha = hashlib.sha256()
-    for result in sorted(results, key=lambda r: r.request_id):
-        sha.update(json.dumps([result.request_id, result.tokens]).encode())
-        sha.update(b"".join(logits[result.request_id]))
-    return sha.hexdigest(), results, stats
+    linears = [
+        getattr(layer, name)
+        for layer in model.layers
+        for name in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+    ]
+    for linear in linears + [model.head]:
+        sha.update(linear(rng.normal(size=(5, linear.in_features))).tobytes())
+    return sha.hexdigest()
 
 
 def main() -> None:
@@ -147,6 +144,7 @@ def main() -> None:
         for scenario in SCENARIOS
         for seed in SEEDS
     }
+    table.update({f"linears/{seed}": linears_digest(seed) for seed in SEEDS})
     GOLDEN_FILE.write_text(json.dumps(table, indent=2) + "\n")
     print(f"wrote {len(table)} digests to {GOLDEN_FILE}")
 
