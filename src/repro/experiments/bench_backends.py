@@ -35,9 +35,8 @@ fold a weight row shared by its query heads makes once, made per head;
 the concatenated heads must equal the shared dispatch byte for byte.
 
 The ``kv-*`` rows time the two bodies of the int4-KV pool's writer at the
-same step: ``kv-append`` lands B = 8 K/V rows in 8 blocks (float slabs,
-K codes and scales, K-arena columns), ``kv-refresh`` rebuilds those 8
-blocks' V arenas. The numpy body quantizes, builds the columns and
+same step: ``kv-append`` lands B = 8 K/V rows in 8 blocks (float slabs
+and K-arena columns), ``kv-refresh`` rebuilds those 8 blocks' V arenas. The numpy body quantizes, builds the columns and
 scatters them; the compiled one (``kv_append`` / ``kv_refresh``) writes
 them in place in one pass. Every pool array must be equal byte for byte
 after the call, or the experiment raises.

@@ -15,9 +15,10 @@ implementations, all fed by one shared offline :class:`WeightPlan`:
   a C compiler on ``PATH`` the loop runs compiled as one fused pass
   (``lut_block.c``, built and loaded by :mod:`repro.kernels.native`,
   whose ``status()`` says whether and why not); without one, the numpy
-  body computes the same bytes. The same object carries the compiled
-  body of :func:`paged_lut_execute`, the int4-KV attention's row-wise
-  executor over block-paged weight columns (:mod:`repro.kernels.fused`).
+  body computes the same bytes. :func:`paged_lut_execute` is the same
+  LUT pass over block-paged weight columns, the int4-KV attention's
+  score and context dispatch; every backend runs it, ``reference``
+  included, on the numpy body unless it is ``lut-blocked``.
 
 Select a backend per call via ``LutMpGemmConfig(backend=...)`` (or the
 ``backend=`` argument on `lut_mpgemm`/`lut_gemv`), or globally via the
@@ -32,13 +33,8 @@ from repro.kernels.backends import (
     ReferenceBackend,
     effective_activations,
     gather_grouped_blocked,
-    reduce_blocks,
-    sum_groups,
-)
-from repro.kernels.fused import (
     paged_lut_execute,
-    rowwise_dequant_execute,
-    shared_rows,
+    sum_groups,
 )
 from repro.kernels.plan import WeightPlan, build_weight_plan
 from repro.kernels.registry import (
@@ -63,9 +59,6 @@ __all__ = [
     "effective_activations",
     "gather_grouped_blocked",
     "paged_lut_execute",
-    "reduce_blocks",
-    "rowwise_dequant_execute",
-    "shared_rows",
     "sum_groups",
     "DEFAULT_BACKEND",
     "ENV_VAR",

@@ -216,9 +216,8 @@ class LutBlockedBackend:
 
     ``execute`` is a dispatch of one weight row (the plan, through
     :data:`ONE_BLOCK`) shared by its M activation rows, in the operand
-    convention of the paged attention
-    (:func:`~repro.kernels.fused.paged_lut_execute`), and both go through
-    :meth:`dispatch` to one LUT body. Where
+    convention of the paged attention (:func:`paged_lut_execute`), and
+    both go through :meth:`dispatch` to one LUT body. Where
     :func:`repro.kernels.native.lut_block` loaded (a C compiler on
     ``PATH``) and takes the operands, it runs compiled
     (:func:`compiled_lut`): one fused pass, rows as SIMD lanes, reading
@@ -240,8 +239,8 @@ class LutBlockedBackend:
     #: Which body the last dispatch ran, ``"compiled"`` or ``"numpy"``
     #: (None before the first): a silent fallback stays visible.
     last_body: str | None = None
-    #: The same for the last :func:`~repro.kernels.fused.paged_lut_execute`
-    #: dispatched through this backend.
+    #: The same for the last :func:`paged_lut_execute` dispatched
+    #: through this backend.
     last_paged_body: str | None = None
 
     def execute(self, plan, config, activations, table):
@@ -288,12 +287,12 @@ def _fold_address(k: int, entries: int, symmetric: bool) -> int:
 
 
 def compiled_lut(table, sums, ids, columns, repeat, counts, k, symmetric):
-    """The paged operand convention of
-    :func:`~repro.kernels.fused.paged_lut_execute` (*columns* ``(idx,
-    scale, zero)``, *zero* None without a zero-point) on the compiled LUT
-    pass, ``lut_block`` in ``lut_block.c``: the output, or None where the
-    routine did not load or does not take these operands
-    (:func:`_compiled_takes`) and the caller runs its numpy body. The one
+    """The paged operand convention of :func:`paged_lut_execute`
+    (*columns* ``(idx, scale, zero)``, *zero* None without a zero-point)
+    on the compiled LUT pass, ``lut_block`` in ``lut_block.c``: the
+    output, or None where the routine did not load or does not take these
+    operands (:func:`_compiled_takes`) and the caller runs its numpy
+    body. The one
     call site of the routine: a linear is a dispatch of one weight row
     (``kv == 1``, *repeat* 1) through :data:`ONE_BLOCK`, its M activation
     rows the T positions; the int4-KV attention reads the pool's arenas
@@ -498,6 +497,81 @@ def numpy_lut(table, sums, ids, columns, repeat, counts, k, symmetric,
     # (rows, maxb, kv, N, repeat) -> (rows, kv, repeat, maxb, N)
     total = reduce_blocks(out.transpose(0, 2, 4, 1, 3), counts)
     return total.reshape(rows, kv * repeat, n)
+
+
+def paged_lut_execute(
+    kernel,
+    table: np.ndarray,
+    sums: np.ndarray,
+    ids: np.ndarray,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    repeat: int,
+    counts: np.ndarray | None = None,
+) -> np.ndarray:
+    """One LUT mpGEMM over a block table, the weight columns read where
+    they live: the int4-KV attention's score and context dispatches.
+
+    **The paged operand convention.** *columns* are ``(idx, scale,
+    zero)`` column arrays indexed by block id on axis 0 and weight row
+    (KV head) on axis 1 — ``(blocks, kv, bits, G, N)`` plain K-bit
+    lookup indices, each weight row's
+    :attr:`~repro.kernels.WeightPlan.indices` at their ``code_dtype(k)``
+    width (one byte for k <= 8), and ``(blocks, kv, G, N)`` float64
+    affine parameters, any strides: the pool's own arenas, or slabs a
+    caller gathered to rewrite some. Both bodies fold an index into the
+    signed table ``[T, -T]`` as they read it
+    (:func:`~repro.kernels.plan.fold_offsets`), and apply ``− z·Σa`` to
+    every column. *ids* is the int64 ``(rows, max_blocks)`` index table
+    into axis 0; pad entries name any valid block. *table* ``(A, G, E)`` and *sums* ``(A, G)`` are the half
+    tables and group sums of the ``A`` activation rows, of which ``M``
+    share each weight row (*repeat* query heads per KV head, times ``T``
+    positions): grouped-query attention *is* M, so the columns are read
+    once per KV head, not once per query head. Bit-planes weigh
+    ``2**i``, LSB first.
+
+    - ``counts is None`` (scores): activation rows ordered ``(rows, T,
+      kv, repeat)``; every block of a row is dispatched and block ``j``'s
+      ``N`` columns land side by side. Returns ``(rows, T, kv · repeat,
+      max_blocks · N)``.
+    - *counts* ``(rows,)`` int64 in ``[1, max_blocks]`` (context):
+      activation rows ordered ``(rows, kv, repeat, max_blocks)``, one
+      table per block; the per-block partials reduce in ascending block
+      order, first block unconditional, later ones gated by the row's
+      count — a per-sequence running sum's order. Returns ``(rows, kv ·
+      repeat, N)``.
+
+    Every operation is element-wise over the row / column / lane grid,
+    so an activation row's result does not depend on which other rows
+    share the batch or its weight row: the fused attention equals the
+    per-sequence one at any batch size and GQA ratio, bit for bit.
+
+    **Two bodies, one result.** ``lut-blocked`` runs the dispatch where
+    its linears' run (:meth:`LutBlockedBackend.dispatch`): on the
+    compiled ``lut_block`` where it loaded and takes the operands
+    (:func:`compiled_lut`), nothing gathered, else on :func:`numpy_lut`,
+    which gathers ``column[ids]``; any other *kernel* — ``lut-naive``,
+    and ``reference``, which has no tables for its linears but nothing
+    else to read here — runs the numpy body. The two are equal byte for
+    byte; :attr:`LutBlockedBackend.last_paged_body` says which ran.
+
+    **The bounds rule.** A block id ``>= blocks`` raises
+    :class:`IndexError` from either body and nothing is returned. The
+    compiled body checks the block ids and counts before anything is
+    read through them: it also refuses a negative id (numpy wraps it; the
+    pool never produces one) and a count outside ``[1, max_blocks]``.
+    No index byte can take either body outside its table: each goes
+    through a 256-entry fold table whose entries past ``2**k`` read entry
+    0. The pool's own arenas hold only indices below ``2**k``: its writers
+    produce no other, and ``BlockAllocator.accepts`` refuses a swap
+    payload that holds one.
+    """
+    operands = (
+        table, sums, ids, columns, repeat, counts,
+        table.shape[-1].bit_length(), True,
+    )
+    if isinstance(kernel, LutBlockedBackend):
+        return kernel.dispatch("last_paged_body", *operands)
+    return numpy_lut(*operands)
 
 
 def reduce_blocks(parts: np.ndarray, counts: np.ndarray) -> np.ndarray:

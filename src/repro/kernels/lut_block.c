@@ -270,7 +270,7 @@ int lut_block(const double *table, const double *sums, const int64_t *index,
 /* The int4-KV pool's quantized state, written in place (ARCHITECTURE
  * section 8): kv_append lands new K/V rows, kv_refresh rebuilds blocks' V
  * arenas. Both replay, per weight row, the numpy sequence of
- * BlockAllocator._quantize_rows -> _lookup_columns element by element:
+ * BlockAllocator._lookup_columns element by element:
  *
  *     lo, hi = min, max of the group     (only finite values get here)
  *     scale  = span > 0 ? span / qmax : 1.0,  span = hi - lo
@@ -291,22 +291,19 @@ int lut_block(const double *table, const double *sums, const int64_t *index,
  * The pool arrays are the C-contiguous arenas of
  * BlockAllocator._block_layout; their base pointers come in `pool`, in
  * KV_ARRAYS order, and the pool geometry in `geo`, in KV_GEO order. */
-enum { KV_K, KV_V, KV_K_CODES, KV_K_SCALE, KV_K_ZP, KV_KA_IDX, KV_KA_SCALE,
-       KV_KA_ZERO, KV_VA_IDX, KV_VA_SCALE, KV_VA_ZERO, KV_ARRAYS };
+enum { KV_K, KV_V, KV_KA_IDX, KV_KA_SCALE, KV_KA_ZERO, KV_VA_IDX, KV_VA_SCALE,
+       KV_VA_ZERO, KV_ARRAYS };
 enum { GEO_BLOCKS, GEO_KV, GEO_BLOCK, GEO_DIM, GEO_BITS, GEO_LUT_K,
        GEO_K_GROUP, GEO_V_GROUP, KV_GEO };
 #define ROWS 64
 
-/* Where quantize_rows writes row l's results, in elements: codes (NULL:
- * not stored) at codes[l * code_row + j], one scale / zero-point per
- * quantization group q (NULL likewise) at qs[l * q_row + q], plane i of
+/* Where quantize_rows writes row l's results, in elements: plane i of
  * lookup group g at idx[l * idx_row + i * idx_plane + g * idx_group],
  * the affine at as[l * a_row + g * a_group] and az likewise. */
 typedef struct {
-    uint8_t *codes;
-    double *qs, *qz, *as, *az;
+    double *as, *az;
     uint8_t *idx;
-    ptrdiff_t code_row, q_row, idx_row, idx_plane, idx_group, a_row, a_group;
+    ptrdiff_t idx_row, idx_plane, idx_group, a_row, a_group;
 } kv_out;
 
 /* scale and zero-point of `rows` rows' group of `group` values, row l's
@@ -387,12 +384,8 @@ static __attribute__((noinline)) void quantize_rows(
     for (int64_t l0 = 0; l0 < m; l0 += ROWS) {
         const int64_t rows = m - l0 < ROWS ? m - l0 : ROWS;
         const double *wl = w + l0 * rs;
-        for (int64_t g0 = 0, q = 0, g = 0; g0 < n; g0 += group, q++) {
+        for (int64_t g0 = 0, g = 0; g0 < n; g0 += group) {
             group_affine(wl + g0 * es, rs, es, rows, group, qmax, scale, zp);
-            for (int64_t l = 0; o.qs && l < rows; l++) {
-                o.qs[(l0 + l) * o.q_row + q] = scale[l];
-                o.qz[(l0 + l) * o.q_row + q] = zp[l];
-            }
             for (int64_t c0 = g0; c0 < g0 + group; c0 += k, g++) {
                 for (int64_t l = 0; l < rows; l++)
                     packed[l] = 0;
@@ -401,11 +394,7 @@ static __attribute__((noinline)) void quantize_rows(
                         double x = nearbyint(
                             wl[l * rs + (c0 + j) * es] / scale[l] + zp[l]);
                         x = x < 0.0 ? 0.0 : x > qmax ? qmax : x;
-                        const int64_t code = (int64_t)x;
-                        if (o.codes)
-                            o.codes[(l0 + l) * o.code_row + c0 + j] =
-                                (uint8_t)code;
-                        packed[l] += spread[code] << j;
+                        packed[l] += spread[(int64_t)x] << j;
                     }
                 uint8_t *idx = o.idx + l0 * o.idx_row + g * o.idx_group;
                 for (int64_t i = 0; i < bits; i++)
@@ -423,12 +412,11 @@ static __attribute__((noinline)) void quantize_rows(
 }
 
 /* Row i of r (r, kv, head_dim) C-contiguous K / V rows lands in slot
- * offs[i] of block bids[i]: float slabs, K codes, one K scale / zero-point
- * per quantization group, and the row's K-arena column per KV head (the kv
- * heads of a row go through quantize_rows together). Returns 0; 1 at a
- * block id or offset out of range, 2 at a pool geometry (geo_replayable)
- * or a K value (group_affine) the numpy body must handle -- all before any
- * write. */
+ * offs[i] of block bids[i]: float slabs and the row's K-arena column per
+ * KV head (the kv heads of a row go through quantize_rows together).
+ * Returns 0; 1 at a block id or offset out of range, 2 at a pool geometry
+ * (geo_replayable) or a K value (group_affine) the numpy body must handle
+ * -- all before any write. */
 int kv_append(void *const *pool, const int64_t *geo, const double *k_rows,
               const double *v_rows, const int64_t *bids, const int64_t *offs,
               int64_t r)
@@ -443,7 +431,7 @@ int kv_append(void *const *pool, const int64_t *geo, const double *k_rows,
         || !rows_replayable(k_rows, hd, 1, r * kv, hd, group,
                          (double)((1 << bits) - 1)))
         return 2;
-    const int64_t gk = hd / geo[GEO_LUT_K], groups = hd / group;
+    const int64_t gk = hd / geo[GEO_LUT_K];
     for (int64_t i = 0; i < r; i++) {
         const int64_t slot = bids[i] * kv * bs + offs[i]; /* head 0 */
         for (int64_t h = 0; h < kv; h++)
@@ -454,14 +442,10 @@ int kv_append(void *const *pool, const int64_t *geo, const double *k_rows,
             }
         const int64_t col = bids[i] * kv * gk * bs + offs[i];
         const kv_out o = {
-            .codes = (uint8_t *)pool[KV_K_CODES] + slot * hd,
-            .qs = (double *)pool[KV_K_SCALE] + slot * groups,
-            .qz = (double *)pool[KV_K_ZP] + slot * groups,
             .as = (double *)pool[KV_KA_SCALE] + col,
             .az = (double *)pool[KV_KA_ZERO] + col,
             .idx = (uint8_t *)pool[KV_KA_IDX] + bids[i] * kv * bits * gk * bs
                 + offs[i],
-            .code_row = bs * hd, .q_row = bs * groups,
             .idx_row = bits * gk * bs, .idx_plane = gk * bs,
             .idx_group = bs, .a_row = gk * bs, .a_group = bs,
         };

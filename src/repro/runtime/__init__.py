@@ -18,7 +18,8 @@ configs (:mod:`repro.models.configs`) into a real inference engine:
   batched decode (T = 1) and speculative verify (T = k + 1): one paged
   attention body, :func:`fused_paged_verify_attention`, of which
   :func:`fused_paged_decode_attention` is the T = 1 call, dispatched
-  once per layer per step;
+  once per layer per step — on an int4 pool a LUT mpGEMM over the
+  arenas whatever backend the linears use (``reference`` included);
 - :class:`ServingEngine` — continuous batching over a request queue
   with pluggable admission scheduling (``fifo`` / ``sjf`` /
   ``memory-aware``), pluggable preemption (``priority-remaining`` /

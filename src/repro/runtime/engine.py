@@ -38,14 +38,13 @@ Preempted requests resume ahead of new admissions.
 With :attr:`~repro.runtime.model.RuntimeConfig.swap_threshold_tokens`
 set, a victim whose cached context reaches the threshold is **swapped
 to host** instead: eviction serializes its KV blocks (float slabs +
-K codes + fill metadata, via
+K / V arena columns + fill metadata, via
 :meth:`~repro.runtime.paging.PagedLayerCache.serialize`) into a
 host-side spill record, and resumption restores the blocks into the
 pool — turning resume cost from O(context) model FLOPs into
 O(context) memcpy plus one decode step. The restored slabs are the
-evicted bits verbatim (frozen K plans and V caches rebuild lazily
-from identical codes, the CoW guarantee), so swapped resumption is
-just as output-transparent; a restore the pool cannot hold right now
+evicted bits verbatim (the arenas come back as they left, the CoW
+guarantee), so swapped resumption is just as output-transparent; a restore the pool cannot hold right now
 falls back to recompute-on-resume, which can adopt shared blocks
 instead of allocating. Swap traffic lands in
 :attr:`EngineStats.swaps` / :attr:`EngineStats.swap_resumes` /

@@ -7,15 +7,14 @@ keeps their prepared state per block, so no step rebuilds it for the
 whole context (vLLM-style paging):
 
 - :class:`BlockAllocator` owns a **shared pool** of fixed-size token
-  blocks (float K/V storage plus, in quantized mode, incrementally
-  written K codes and the plan arenas below). Blocks are allocated as
-  sequences grow, freed when requests complete, and reused by later
-  requests.
+  blocks (float K/V storage plus, in quantized mode, the plan arenas
+  below). Blocks are allocated as sequences grow, freed when requests
+  complete, and reused by later requests.
 - :class:`PagedLayerCache` is the per-(sequence, layer) view: a block
   table (list of block ids) plus a token count. ``append`` writes rows
-  into the trailing block and quantizes K rows the moment they arrive
-  (the per-row scales are independent, so the codes equal a
-  from-scratch quantize).
+  into the trailing block and builds the K rows' lookup columns the
+  moment they arrive (the per-row scales are independent, so the
+  columns equal a from-scratch build).
 - **K arenas**: the score mpGEMM treats the K rows of one block as a
   weight matrix ``(fill, head_dim)``. A row's lookup columns are
   written into the pool's K arenas when the row lands; full blocks
@@ -52,7 +51,9 @@ whole context (vLLM-style paging):
   or ``T · repeat`` rows per KV head — grouped-query attention and the
   verify's candidates *are* M. :func:`fused_paged_verify_attention` is
   the only body and :func:`fused_paged_decode_attention` its T = 1
-  call. It hands the arenas and the block table to
+  call, on every backend: ``reference`` has no tables for its linears,
+  but the pool holds nothing a dequantizing attention could read. It
+  hands the arenas and the block table to
   :func:`~repro.kernels.paged_lut_execute`, which reads each KV head's
   columns where they live (its numpy body gathers them once per KV
   head). Score columns depend only on their own K row, so per-block
@@ -129,9 +130,6 @@ from repro.kernels import (
     get_backend,
     native,
     paged_lut_execute,
-    reduce_blocks,
-    rowwise_dequant_execute,
-    shared_rows,
 )
 from repro.kernels.backends import sum_groups_leading
 from repro.kernels.plan import lookup_indices
@@ -162,8 +160,8 @@ INITIAL_POOL_BLOCKS = 8
 
 #: Default bound on parked (cached-free) prefix blocks. Bounded pools
 #: reclaim parked blocks on demand anyway; without this cap an
-#: *unbounded* pool would retain every distinct prompt's blocks (slabs,
-#: codes, arena columns) forever.
+#: *unbounded* pool would retain every distinct prompt's blocks (slabs
+#: and arena columns) forever.
 DEFAULT_PREFIX_CACHE_BLOCKS = 64
 
 
@@ -277,8 +275,8 @@ class BlockAllocator:
 
     One allocator serves every sequence and every layer of a model:
     a block id names a ``(kv_heads, block_size, head_dim)`` slab of K
-    and V storage (plus incremental K quantization state when ``bits``
-    is set). ``num_blocks=None`` lets the pool grow geometrically on
+    and V storage (plus the K / V lookup-column arenas when ``bits`` is
+    set). ``num_blocks=None`` lets the pool grow geometrically on
     demand; a concrete bound makes :meth:`allocate` raise
     :class:`ServingError` on exhaustion — the failure mode the
     memory-aware admission policy exists to prevent.
@@ -339,8 +337,9 @@ class BlockAllocator:
         self._block_arrays = self._FLOAT_ARRAYS + (
             self._QUANT_ARRAYS if bits is not None else ()
         )
-        self._va_deq_fill = self._va_deq = None
-        self._alloc(self._resident, cap)
+        #: The per-block arrays this pool holds.
+        self._resident = ("_fill", "_refcount") + self._block_arrays
+        self._alloc(cap)
         self._free: list[int] = list(range(cap - 1, -1, -1))
         self._in_use: set[int] = set()
         self._ever_used: set[int] = set()
@@ -397,29 +396,17 @@ class BlockAllocator:
     #: once at its own width (:meth:`_block_layout`); none is int64.
     _FLOAT_ARRAYS = ("_k", "_v")
     _QUANT_ARRAYS = (
-        "_k_codes", "_k_scale", "_k_zp",
         "_ka_idx", "_ka_scale", "_ka_zero",
         "_va_fill", "_va_idx", "_va_scale", "_va_zero",
     )
     #: The lookup-index arenas: a value must be below ``2**lut_k``
     #: (:meth:`accepts`).
     _INDEX_ARRAYS = ("_ka_idx", "_va_idx")
-    #: The dequantized V arena and its stamp: read by table-less backends
-    #: only, so resident from the first such :meth:`refresh_v_arenas`.
-    #: Derived from ``_v`` — never carried; a stamp of -1 rebuilds it.
-    _DEQ_ARRAYS = ("_va_deq_fill", "_va_deq")
-    #: The V arenas a backend reads, by ``not needs_table``: the lookup
-    #: columns a table backend gathers, or the dequantized block.
-    _V_ARENAS = {
-        False: ("_va_idx", "_va_scale", "_va_zero"),
-        True: ("_va_deq",),
-    }
     #: What the compiled writer (``kv_append`` / ``kv_refresh`` in
     #: ``kernels/lut_block.c``) reads and writes, in its ``KV_ARRAYS``
     #: order.
     _KV_WRITER_ARRAYS = (
-        "_k", "_v", "_k_codes", "_k_scale", "_k_zp",
-        "_ka_idx", "_ka_scale", "_ka_zero",
+        "_k", "_v", "_ka_idx", "_ka_scale", "_ka_zero",
         "_va_idx", "_va_scale", "_va_zero",
     )
     #: Which body last wrote the quantized KV state, ``"compiled"`` or
@@ -443,13 +430,9 @@ class BlockAllocator:
         layout.update(_fill=((), i8, 0), _refcount=((), i8, 0))
         if self.bits is None:
             return layout
-        groups = hd // (self._k_group or hd)
         gk, gv = hd // self.lut_k, bs // self.lut_k
         ix = code_dtype(self.lut_k)
         layout.update(
-            _k_codes=((kv, bs, hd), code_dtype(self.bits), 0),
-            _k_scale=((kv, bs, groups), f8, 1.0),
-            _k_zp=((kv, bs, groups), f8, 0.0),
             # Plan arenas: the per-block WeightPlan state in slab layout,
             # read in place by one dispatch per layer across every active
             # sequence's blocks. K side (score mpGEMM, one output column
@@ -465,25 +448,15 @@ class BlockAllocator:
             # :meth:`refresh_v_arenas` — ``_va_fill`` records the fill the
             # arena was built at (-1 = never), so full blocks refresh once
             # and only the trailing block pays per-step requantization.
-            # ``_va_deq`` carries its own stamp: whichever kind of backend
-            # dispatches maintains its own arenas only.
             _va_fill=((), i4, -1),
             _va_idx=((kv, self.bits, gv, hd), ix, 0),
             _va_scale=((kv, gv, hd), f8, 1.0),
             _va_zero=((kv, gv, hd), f8, 0.0),
-            _va_deq_fill=((), i4, -1),
-            _va_deq=((kv, hd, bs), f8, 0.0),
         )
         return layout
 
-    @property
-    def _resident(self) -> tuple[str, ...]:
-        """The per-block arrays this pool currently holds."""
-        deq = self._DEQ_ARRAYS if self._va_deq is not None else ()
-        return ("_fill", "_refcount") + self._block_arrays + deq
-
-    def _alloc(self, names, cap: int) -> None:
-        for name in names:
+    def _alloc(self, cap: int) -> None:
+        for name in self._resident:
             shape, dtype, scrubbed = self._layout[name]
             arr = np.zeros((cap,) + shape, dtype)  # calloc: untouched = unbacked
             if scrubbed:
@@ -587,7 +560,7 @@ class BlockAllocator:
         old_cap = self.capacity
         new_cap = old_cap * 2
         old = {name: getattr(self, name) for name in self._resident}
-        self._alloc(old, new_cap)
+        self._alloc(new_cap)
         for name, arr in old.items():
             getattr(self, name)[:old_cap] = arr
         self._free.extend(range(new_cap - 1, old_cap - 1, -1))
@@ -631,11 +604,7 @@ class BlockAllocator:
                         "blocks in use); complete requests to free blocks "
                         "or admit with the memory-aware scheduler"
                     )
-                victim = self.eviction.select_victim(self._cached_free)
-                del self._cached_free[victim]
-                self._unregister(victim)
-                self._scrub_to_free(victim)
-                self.stats["evicted"] += 1
+                self._reclaim(self.eviction.select_victim(self._cached_free))
             else:
                 self._grow()
         bid = self._free.pop()
@@ -683,14 +652,18 @@ class BlockAllocator:
                 self.prefix_cache_blocks is not None
                 and len(self._cached_free) > self.prefix_cache_blocks
             ):
-                victim = self.eviction.select_victim(self._cached_free)
-                del self._cached_free[victim]
-                self._unregister(victim)
-                self._scrub_to_free(victim)
-                self.stats["evicted"] += 1
+                self._reclaim(self.eviction.select_victim(self._cached_free))
         else:
             self._unregister(block_id)
             self._scrub_to_free(block_id)
+
+    def _reclaim(self, block_id: int) -> None:
+        """Evict a parked block: out of the parked set and the prefix
+        index, scrubbed back to the free list."""
+        del self._cached_free[block_id]
+        self._unregister(block_id)
+        self._scrub_to_free(block_id)
+        self.stats["evicted"] += 1
 
     def _scrub_to_free(self, block_id: int) -> None:
         """Zero a dead block's storage and return it to the free list."""
@@ -741,14 +714,14 @@ class BlockAllocator:
 
         The exact inverse of the :meth:`write_rows` /
         :meth:`append_rows` calls that grew the block past *new_fill*:
-        the dead rows' float slabs, K codes and K-arena columns return
-        to their scrubbed values (per-row K scales and per-column arena
-        entries never fed into the surviving rows, so zeroing them is a
-        perfect undo), ``k_plan_cols`` gives back the removed columns,
-        a V arena built past *new_fill* is reset to never-built (its
-        trailing group's scales saw the dead rows), and a stale
-        prefix-index entry is dropped — leaving the block bit-equal to
-        one that never appended the rows. Shared blocks are refused:
+        the dead rows' float slabs and K-arena columns return to their
+        scrubbed values (per-column arena entries never fed into the
+        surviving rows, so zeroing them is a perfect undo),
+        ``k_plan_cols`` gives back the removed columns, a V arena built
+        past *new_fill* is reset to never-built (its trailing group's
+        scales saw the dead rows), and a stale prefix-index entry is
+        dropped — leaving the block bit-equal to one that never appended
+        the rows. Shared blocks are refused:
         rollback of a row another table can see is never meaningful.
         """
         if block_id not in self._in_use:
@@ -772,18 +745,12 @@ class BlockAllocator:
         self._k[block_id][:, dead] = 0.0
         self._v[block_id][:, dead] = 0.0
         if self.bits is not None:
-            self._k_codes[block_id][:, dead] = 0
-            self._k_scale[block_id][:, dead] = 1.0
-            self._k_zp[block_id][:, dead] = 0.0
             self._ka_idx[block_id][:, :, :, dead] = 0
             self._ka_scale[block_id][:, :, dead] = 1.0
             self._ka_zero[block_id][:, :, dead] = 0.0
             self.stats["k_plan_cols"] -= (fill - new_fill) * self.kv_heads
-            if self._va_fill[block_id] > new_fill or (
-                self._va_deq is not None
-                and self._va_deq_fill[block_id] > new_fill
-            ):
-                # An arena saw the dead rows (their trailing V group's
+            if self._va_fill[block_id] > new_fill:
+                # The arena saw the dead rows (their trailing V group's
                 # scale folded them in) — reset to never-built so the
                 # next refresh reproduces the never-appended recipe.
                 for name in self._resident:
@@ -849,14 +816,12 @@ class BlockAllocator:
         self._unregister(block_id)
         prev = self._prefix_index.get(key)
         if prev is not None and prev != block_id:
-            self._block_key.pop(prev, None)
-            self._block_tokens.pop(prev, None)
             if prev in self._cached_free:
                 # A parked block only exists to serve the index; once
                 # displaced it is unreachable — reclaim it now.
-                del self._cached_free[prev]
-                self._scrub_to_free(prev)
-                self.stats["evicted"] += 1
+                self._reclaim(prev)
+            else:
+                self._unregister(prev)
         self._prefix_index[key] = block_id
         self._block_key[block_id] = key
         self._block_tokens[block_id] = tuple(block_tokens)
@@ -922,12 +887,11 @@ class BlockAllocator:
     def cow_clone(self, block_id: int) -> int:
         """Copy-on-write: clone a shared block into a fresh private one.
 
-        Copies every :attr:`_block_arrays` slab — float K/V, quantized K
-        state, the arenas with their fill stamps — and the fill, so the
-        first post-divergence decode step reproduces the from-scratch
-        recipe bit for bit (a dequantized V arena rebuilds from its -1
-        stamp). The caller swaps the clone into its table and releases
-        its reference on the original.
+        Copies every :attr:`_block_arrays` slab — float K/V, the arenas
+        with their fill stamp — and the fill, so the first
+        post-divergence decode step reproduces the from-scratch recipe
+        bit for bit. The caller swaps the clone into its table and
+        releases its reference on the original.
         """
         if block_id not in self._in_use:
             raise ServingError(f"block {block_id} is not allocated")
@@ -939,23 +903,6 @@ class BlockAllocator:
         return new
 
     # ------------------------------------------------------------------
-    def _quantize_rows(self, rows: np.ndarray, group: int | None):
-        """Per-row affine quantization of an ``(n, K)`` weight — one
-        scale per row, or per *group* consecutive columns when set —
-        through :func:`quantize_weights`' core. Returns ``(n, K // g,
-        g)`` codes and ``(n, K // g, 1)`` scale / zero-point."""
-        n, kdim = rows.shape
-        grouped = rows.reshape(n, kdim // (group or kdim), group or kdim)
-        # A short trailing axis reduces one numpy inner loop per group;
-        # group axis leading, g vectorized passes. min/max are exact.
-        lead = np.ascontiguousarray(grouped.transpose(2, 0, 1))
-        return affine_quantize(
-            grouped,
-            lead.min(axis=0)[..., None],
-            lead.max(axis=0)[..., None],
-            self.bits,
-        )
-
     def _check_lookup_groups(self, gsize: int) -> None:
         """Raise :class:`LutError` unless a quantization group of *gsize*
         values is whole lookup groups: else one ``lut_k`` group would
@@ -966,15 +913,27 @@ class BlockAllocator:
                 "must be a multiple of k for the LUT path"
             )
 
-    def _lookup_columns(self, codes, scale, zero_point):
-        """Lookup columns of :meth:`_quantize_rows` output: what
+    def _lookup_columns(self, rows: np.ndarray, group: int | None):
+        """Lookup columns of an ``(n, K)`` weight, quantized per row — one
+        scale per row, or per *group* consecutive columns when set —
+        through :func:`quantize_weights`' core: what
         ``build_weight_plan`` → ``indices`` / ``scale_gn`` / ``zero_gn``
         hold for the same weight, straight from the codes and the Eq. 2
         parameters. Returns ``(bits, n, G)`` plain K-bit indices and
         ``(n, G)`` affine, ``G = K // lut_k``."""
-        n, ngroups, gsize = codes.shape
-        k = self.lut_k
+        n, kdim = rows.shape
+        gsize, k = group or kdim, self.lut_k
         self._check_lookup_groups(gsize)
+        grouped = rows.reshape(n, kdim // gsize, gsize)
+        # A short trailing axis reduces one numpy inner loop per group;
+        # group axis leading, g vectorized passes. min/max are exact.
+        lead = np.ascontiguousarray(grouped.transpose(2, 0, 1))
+        codes, scale, zero_point = affine_quantize(
+            grouped,
+            lead.min(axis=0)[..., None],
+            lead.max(axis=0)[..., None],
+            self.bits,
+        )
         a_scale, a_zero = reinterpret_params(scale, zero_point, self.bits)
         return (
             lookup_indices(codes.reshape(n, -1), self.bits, k),
@@ -983,31 +942,24 @@ class BlockAllocator:
         )
 
     def _k_columns(self, k_rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Quantize ``(R, kv_heads, head_dim)`` K rows into pool columns.
+        """K-arena columns of ``(R, kv_heads, head_dim)`` K rows.
 
         **One** stacked quantize + column build over all ``R *
         kv_heads`` rows, whichever blocks they are bound for: per-row
         scales are row-local and every lookup column is per output
-        column, so each row's codes, scales and K-arena columns are
-        bit-identical to quantizing it alone. Returns ``(codes, scale,
-        zero_point, arena indices, arena scale, arena zero)``, row
+        column, so each row's K-arena columns are bit-identical to
+        building them alone. Returns ``(indices, scale, zero)``, row
         axis leading, for :meth:`_land_rows` to scatter. The numpy
         body's half of the ``k_plan_s`` timer: quantize and column
         build.
         """
         started = time.perf_counter()
         r, kv = k_rows.shape[0], self.kv_heads
-        codes, scale, zero_point = self._quantize_rows(
+        idx, a_scale, a_zero = self._lookup_columns(
             k_rows.reshape(r * kv, self.head_dim), self._k_group
         )
-        idx, a_scale, a_zero = self._lookup_columns(codes, scale, zero_point)
         shape = (r, kv, -1)
-        # Returned scales: one per element when grouped, else one per row.
-        per = codes.shape[2] if self._k_group else 1
         cols = (
-            codes.reshape(shape),
-            np.repeat(scale[..., 0], per, axis=1).reshape(shape),
-            np.repeat(zero_point[..., 0], per, axis=1).reshape(shape),
             # (bits, R * kv_heads, gk) lookup columns, row axis first.
             idx.reshape(self.bits, r, kv, -1).transpose(1, 2, 0, 3),
             a_scale.reshape(shape),
@@ -1020,9 +972,8 @@ class BlockAllocator:
         """Land row ``i`` of ``(R, kv_heads, head_dim)`` C-contiguous
         float64 K / V rows in slot ``offs[i]`` of block ``bids[i]`` (int64
         arrays; or of the one block ``bids``), all checked by the caller:
-        the float slabs, then on a quantized pool the K
-        state — codes, one scale and zero-point per quantization group,
-        and the row's K-arena column per KV head.
+        the float slabs, then on a quantized pool the row's K-arena
+        column per KV head.
 
         **Two bodies, one result.** Where ``lut_block.c`` loaded (and
         :meth:`_kv_writer_operands` took the pool), ``kv_append`` writes
@@ -1052,14 +1003,7 @@ class BlockAllocator:
         self._v[bids, :, offs] = v_rows
         if self.bits is None:
             return
-        codes, scale, zero_point, ka_idx, ka_scale, ka_zero = (
-            self._k_columns(k_rows)
-        )
-        # Stored scales: one per quantization group.
-        per = self.head_dim // self._k_scale.shape[-1]
-        self._k_codes[bids, :, offs] = codes
-        self._k_scale[bids, :, offs] = scale[..., ::per]
-        self._k_zp[bids, :, offs] = zero_point[..., ::per]
+        ka_idx, ka_scale, ka_zero = self._k_columns(k_rows)
         self._ka_idx[bids, :, :, :, offs] = ka_idx
         self._ka_scale[bids, :, :, offs] = ka_scale
         self._ka_zero[bids, :, :, offs] = ka_zero
@@ -1124,13 +1068,12 @@ class BlockAllocator:
     ) -> None:
         """Append ``(t, kv_heads, head_dim)`` rows into one block.
 
-        Writes the float slabs, quantizes the K rows in place (per-row
+        Writes the float slabs and the K rows' K-arena columns (per-row
         scales — independent of every other row, hence equal to a
-        from-scratch quantize) and writes their K-arena columns, all
-        through :meth:`_land_rows`; the block's V arenas go stale by
-        their fill stamp (the trailing group's scales may have changed).
-        Shared blocks are read-only at this
-        layer: writing one is an error — callers must go through
+        from-scratch build), both through :meth:`_land_rows`; the
+        block's V arenas go stale by their fill stamp (the trailing
+        group's scales may have changed). Shared blocks are read-only at
+        this layer: writing one is an error — callers must go through
         :meth:`cow_clone` first. Every check (:meth:`_writable`) comes
         before any change; then a stale prefix-index entry for the block
         is dropped before the rows land (the caller re-registers the
@@ -1156,8 +1099,8 @@ class BlockAllocator:
         executed as one :meth:`_land_rows`: one compiled pass, or one
         vectorized slab write plus **one** stacked quantize + column
         build over all ``B * kv_heads`` rows (:meth:`_k_columns`), so
-        the codes, scales and K-arena columns land bit-identical to the
-        sequential loop (the batched-append parity tests pin this).
+        the K-arena columns land bit-identical to the sequential loop
+        (the batched-append parity tests pin this).
         Every destination passes every check (:meth:`_writable`) before
         anything changes; then stale prefix-index entries drop and
         ``k_plan_cols`` grows by one column per KV head per block.
@@ -1173,9 +1116,7 @@ class BlockAllocator:
         self._fill[bids] = offs + 1
 
     # ------------------------------------------------------------------
-    def _v_arena_columns(
-        self, v_slabs: np.ndarray, deq: bool = False
-    ) -> tuple[np.ndarray, ...]:
+    def _v_arena_columns(self, v_slabs: np.ndarray) -> tuple[np.ndarray, ...]:
         """V-arena columns of ``(C, kv_heads, block_size, head_dim)`` slabs.
 
         Each slab is consumed as ``kv_heads`` ``(head_dim, block_size)``
@@ -1184,10 +1125,8 @@ class BlockAllocator:
         row (grouped along the block context) and every lookup column is
         per output column, so the stacked columns are bit-identical to
         the per-block, per-head ``quantize_weights`` →
-        ``build_weight_plan`` chain. Returns the
-        :attr:`_V_ARENAS` columns of *deq* — ``(indices, scale, zero)``,
-        or ``(dequantized,)``, all a table-less backend reads
-        — slab axis leading, in arena layout.
+        ``build_weight_plan`` chain. Returns ``(indices, scale, zero)``,
+        slab axis leading, in arena layout.
         Owns the ``v_quant_s`` timer — quantize and index build — and
         the ``v_quant_cols`` count.
         """
@@ -1196,67 +1135,48 @@ class BlockAllocator:
         kv, hd = self.kv_heads, self.head_dim
         # (C * kv_heads * head_dim, block_size): slab-major, then head.
         v_t = v_slabs.transpose(0, 1, 3, 2).reshape(-1, self.block_size)
-        codes, scale, zero_point = self._quantize_rows(v_t, self._v_group)
-        if deq:
-            cols = (
-                (scale * (codes.astype(np.float64) - zero_point))
-                .reshape(c, kv, hd, self.block_size),
-            )
-        else:
-            idx, a_scale, a_zero = self._lookup_columns(
-                codes, scale, zero_point
-            )
-            cols = (
-                idx.reshape(self.bits, c, kv, hd, -1)
-                .transpose(1, 2, 0, 4, 3),
-                a_scale.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
-                a_zero.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
-            )
+        idx, a_scale, a_zero = self._lookup_columns(v_t, self._v_group)
+        cols = (
+            idx.reshape(self.bits, c, kv, hd, -1).transpose(1, 2, 0, 4, 3),
+            a_scale.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
+            a_zero.reshape(c, kv, hd, -1).transpose(0, 1, 3, 2),
+        )
         self.stats["v_quant_cols"] += c * self.block_size * kv
         self.stats["v_quant_s"] += time.perf_counter() - started
         return cols
 
-    def refresh_v_arenas(self, block_ids, deq: bool = False) -> None:
+    def refresh_v_arenas(self, block_ids) -> None:
         """Bring the V arena slabs of *block_ids* up to their current fill.
 
-        *deq* selects which arenas: the lookup columns a table backend
-        gathers (default), or the dequantized block a table-less one
-        multiplies — each kind stamps its own fill, so a pool dispatched
-        to both keeps both honest and one kind of backend never pays for
-        the other's. Blocks whose stamp already matches are skipped
+        Blocks whose ``_va_fill`` stamp already matches are skipped
         (full blocks refresh once, ever; duplicate ids count once). An id
         outside the pool raises :class:`IndexError`, and a V scale group
         that is not whole lookup groups :class:`LutError`, before
-        anything changes. The fused decode calls this once per layer per step
-        with every gathered block: steady-state V-quant work is one
+        anything changes. The fused decode calls this once per layer per
+        step with every gathered block: steady-state V-quant work is one
         trailing block per sequence per layer.
 
-        **Two bodies, one result** for the lookup columns. Where
-        ``lut_block.c`` loaded, ``kv_refresh`` rebuilds every stale
-        block's ``_va_idx`` / ``_va_scale`` / ``_va_zero`` in place in
-        one pass, each block's ``_v`` slab read transposed — every slot,
-        the scrubbed ones past the fill included — replaying
-        :meth:`_v_arena_columns` element by element. The numpy body (and
-        the dequantized arena, and a call holding a value the compiled
+        **Two bodies, one result.** Where ``lut_block.c`` loaded,
+        ``kv_refresh`` rebuilds every stale block's ``_va_idx`` /
+        ``_va_scale`` / ``_va_zero`` in place in one pass, each block's
+        ``_v`` slab read transposed — every slot, the scrubbed ones past
+        the fill included — replaying :meth:`_v_arena_columns` element by
+        element. The numpy body (and a call holding a value the compiled
         body leaves to it) stacks the stale slabs into **one**
         :meth:`_v_arena_columns` build and scatters it with one write per
         arena. :attr:`last_kv_body` says which body wrote the columns;
         ``v_quant_s`` times the build on both.
         """
-        if deq and self._va_deq is None:
-            self._alloc(self._DEQ_ARRAYS, self.capacity)
-        stamp = self._va_deq_fill if deq else self._va_fill
         bids = np.unique(np.asarray(block_ids, dtype=np.int64))
         if bids.size and (bids[0] < 0 or bids[-1] >= self.capacity):
             raise IndexError(
                 f"block ids {bids[0]}..{bids[-1]} for {self.capacity} blocks"
             )
-        stale = bids[stamp[bids] != self._fill[bids]]
+        stale = bids[self._va_fill[bids] != self._fill[bids]]
         if stale.size == 0:
             return
-        if not deq:
-            self._check_lookup_groups(self._v_group or self.block_size)
-        fn = None if deq else self._kv_writer(native.kv_refresh)
+        self._check_lookup_groups(self._v_group or self.block_size)
+        fn = self._kv_writer(native.kv_refresh)
         started = time.perf_counter()
         if fn is not None and self._kv_compiled(
             fn, stale.ctypes.data, stale.size
@@ -1267,12 +1187,10 @@ class BlockAllocator:
             self.stats["v_quant_s"] += time.perf_counter() - started
             self.last_kv_body = "compiled"
         else:
-            cols = self._v_arena_columns(self._v[stale], deq)
-            for name, col in zip(self._V_ARENAS[deq], cols):
-                getattr(self, name)[stale] = col
-            if not deq:
-                self.last_kv_body = "numpy"
-        stamp[stale] = self._fill[stale]
+            (self._va_idx[stale], self._va_scale[stale],
+             self._va_zero[stale]) = self._v_arena_columns(self._v[stale])
+            self.last_kv_body = "numpy"
+        self._va_fill[stale] = self._fill[stale]
 
 
 class PagedLayerCache:
@@ -1364,13 +1282,7 @@ class PagedLayerCache:
         self.length = covered
         self._tokens = [int(t) for t in tokens]
         if self.layer is not None:
-            prev, pos = b"", 0
-            for _, fill in chain:
-                prev = self.pool.prefix_key(
-                    self.layer, prev, self._tokens[pos:pos + fill]
-                )
-                self._chain.append(prev)
-                pos += fill
+            self._rechain(register=False)
         self.pool.stats["prefix_tokens"] += covered
         return covered
 
@@ -1420,23 +1332,45 @@ class PagedLayerCache:
                 track = False
         written = 0
         while written < total:
-            off = self.length % self.block_size
-            if off == 0 and self.length == self.padded_context():
-                self.block_ids.append(self.pool.allocate())
-            elif self.pool.refcount(self.block_ids[-1]) > 1:
-                shared = self.block_ids[-1]
-                self.block_ids[-1] = self.pool.cow_clone(shared)
-                self.pool.free(shared)
-            take = min(self.block_size - off, total - written)
+            take = min(
+                self.block_size - self.length % self.block_size,
+                total - written,
+            )
             rows = np.s_[written:written + take]
             self.pool.write_rows(
-                self.block_ids[-1], k_rows[rows], v_rows[rows]
+                self._own_trailing(), k_rows[rows], v_rows[rows]
             )
             self.length += take
             written += take
             if track:
                 self._tokens.extend(int(t) for t in ids[written - take:written])
                 self._index_trailing()
+
+    def _own_trailing(self) -> int:
+        """The block the next row lands in, held privately: a fresh one
+        at a block boundary, else the trailing block, copy-on-written
+        first when shared (the clone replaces it in this table and the
+        reference on the original is released). At most one allocation."""
+        if self.length == self.padded_context():
+            self.block_ids.append(self.pool.allocate())
+        elif self.pool.refcount(self.block_ids[-1]) > 1:
+            shared = self.block_ids[-1]
+            self.block_ids[-1] = self.pool.cow_clone(shared)
+            self.pool.free(shared)
+        return self.block_ids[-1]
+
+    def _rechain(self, register: bool) -> None:
+        """Record the chained prefix digest of every block, first to
+        last, from the tracked token ids; with *register*, also index
+        each block under its digest."""
+        prev = b""
+        for i, bid in enumerate(self.block_ids):
+            start = i * self.block_size
+            segment = self._tokens[start:start + self.block_fill(i)]
+            prev = self.pool.prefix_key(self.layer, prev, segment)
+            self._chain.append(prev)
+            if register:
+                self.pool.register_prefix(bid, prev, segment)
 
     def _index_trailing(self) -> None:
         """(Re-)register the trailing block under the chained digest of
@@ -1534,13 +1468,11 @@ class PagedLayerCache:
         """Copy this table's block contents out of the pool (spill).
 
         The payload is the per-block state :meth:`BlockAllocator.cow_clone`
-        copies — float K/V slabs, quantized K codes/scales, the fused-
-        decode arena slabs, and the fill — plus the table geometry and
-        tracked token ids. It references no pool storage (every array is
-        a copy), so the blocks can be freed immediately after and the
-        payload handed to any host-side spill store. The dequantized V
-        arena is *not* captured: it rebuilds from the restored slabs on
-        first use, bit-identically, exactly as after a CoW clone.
+        copies — float K/V slabs, the K / V arena slabs, and the fill —
+        plus the table geometry and tracked token ids. It references no
+        pool storage (every array is a copy), so the blocks can be freed
+        immediately after and the payload handed to any host-side spill
+        store.
         """
         if self._released:
             raise ServingError("cache was released back to the pool")
@@ -1600,13 +1532,7 @@ class PagedLayerCache:
         cache.length = int(payload["length"])
         cache._tokens = [int(t) for t in payload["tokens"]]
         if cache.layer is not None and len(cache._tokens) == cache.length:
-            prev = b""
-            for i, bid in enumerate(cache.block_ids):
-                start = i * pool.block_size
-                segment = cache._tokens[start:start + cache.block_fill(i)]
-                prev = pool.prefix_key(cache.layer, prev, segment)
-                cache._chain.append(prev)
-                pool.register_prefix(bid, prev, segment)
+            cache._rechain(register=True)
         return cache
 
     # ------------------------------------------------------------------
@@ -1691,13 +1617,7 @@ def batched_decode_append(
     for cache in caches:
         if cache._released:
             raise ServingError("cache was released back to the pool")
-        if cache.length == cache.padded_context():
-            cache.block_ids.append(pool.allocate())
-        elif pool.refcount(cache.block_ids[-1]) > 1:
-            shared = cache.block_ids[-1]
-            cache.block_ids[-1] = pool.cow_clone(shared)
-            pool.free(shared)
-        dest.append(cache.block_ids[-1])
+        dest.append(cache._own_trailing())
     pool.append_rows(dest, k_rows, v_rows)
     for s, cache in enumerate(caches):
         cache.length += 1
@@ -1712,104 +1632,19 @@ def batched_decode_append(
         cache._index_trailing()
 
 
-def _grouped_softmax(scores: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Row softmax over a padded score layout, per-row denominators.
-
-    ``scores`` is ``(B, heads, N)`` with every position at or past row
-    b's true padded context ``widths[b]`` already at
-    :data:`MASKED_SCORE`; ``widths[b] <= N``. The exponentials are
-    elementwise, but each row's denominator sums only its own leading
-    ``widths[b]`` entries: appending even *exact zeros* to a sum changes
-    numpy's pairwise reduction tree (and hence the result's last ulp),
-    so summing the full padded width would break bit-parity with the
-    per-sequence :func:`~repro.numerics.softmax` over a
-    ``widths[b]``-long vector. Delegates to
-    :func:`repro.numerics.masked_width_softmax`, the shared exact-width
-    implementation, with the per-sequence widths broadcast across heads.
-    """
-    return masked_width_softmax(scores, np.asarray(widths)[:, None])
-
-
-def _lut_dispatch(lut_k: int, act_dtype, table_dtype, backend):
-    """The paged attention kernels' ``(config, backend)`` resolution."""
-    config = LutMpGemmConfig(
-        k=lut_k,
-        act_dtype=act_dtype,
-        table_dtype=table_dtype,
-        backend=backend,
+def _paged_lut(kernel, config, acts, ids, columns, repeat, counts=None):
+    """One paged LUT dispatch of the ``(A, width)`` activation rows
+    *acts*, their tables and k-group sums built here: queries against
+    the K arenas (scores) or probability segments against V *columns*
+    (context, *counts* given), in
+    :func:`~repro.kernels.paged_lut_execute`'s convention."""
+    groups = effective_activations(acts, config).reshape(
+        len(acts), -1, config.k
     )
-    kernel = get_backend(config.backend)
-    if config.table_dtype is not None and not kernel.needs_table:
-        raise LutError(
-            f"backend {kernel.name!r} has no tables and cannot model "
-            f"table_dtype={config.table_dtype.name} quantization"
-        )
-    return config, kernel
-
-
-def _fused_scores(pool, kernel, config, queries, ids) -> np.ndarray:
-    """Raw (unscaled, unmasked) scores of ``(B, T, heads, head_dim)``
-    queries against the K arenas of the padded block table *ids*: one
-    dispatch, R = ``B · kv_heads`` weight rows read in place, each shared
-    by its M = ``T · repeat`` query rows (T = 1 for decode). Returns
-    ``(B, T, heads, max_blocks · block_size)``."""
-    b, t, heads, hd = queries.shape
-    kv, k = pool.kv_heads, pool.lut_k
-    repeat = heads // kv
-    n = ids.shape[1] * pool.block_size
-    q2 = queries.reshape(-1, hd)
-    acts = effective_activations(q2, config)
-    if kernel.needs_table:
-        return paged_lut_execute(
-            kernel, precompute_tables(q2, config),
-            acts.reshape(-1, hd // k, k).sum(axis=-1), ids,
-            (pool._ka_idx, pool._ka_scale, pool._ka_zero), repeat,
-        )
-    # One stored scale per quantization group, broadcast at the read.
-    sc, zp = pool._k_scale[ids][..., None], pool._k_zp[ids][..., None]
-    codes = pool._k_codes[ids].reshape(sc.shape[:-1] + (-1,))
-    kd = (sc * (codes.astype(np.float64) - zp)).transpose(
-        0, 2, 1, 3, 4, 5
-    ).reshape(b * kv, n, hd)
-    raw = rowwise_dequant_execute(
-        shared_rows(acts, (b, t, kv, repeat), (1, 3)), kd
+    return paged_lut_execute(
+        kernel, precompute_tables(acts, config), groups.sum(axis=-1), ids,
+        columns, repeat, counts,
     )
-    # (B * kv, N, T * repeat) -> (B, T, kv * repeat, N)
-    return raw.reshape(b, kv, n, t, repeat).transpose(0, 3, 1, 4, 2).reshape(
-        b, t, heads, n
-    )
-
-
-def _fused_context(pool, kernel, config, probs, ids, columns, nblocks):
-    """Context vectors ``(rows, heads, head_dim)`` of ``(rows, heads,
-    max_blocks · block_size)`` probabilities against the V *columns* the
-    backend reads (:attr:`BlockAllocator._V_ARENAS`, or slabs laid out
-    like them) through the ``(rows, max_blocks)`` index table *ids*: one
-    dispatch, R = ``rows · kv_heads · max_blocks`` weight rows, each
-    shared by its M = ``repeat`` probability segments. Per-block
-    partials accumulate in ascending block order, first block
-    unconditional (length >= 1), later blocks gated by each row's
-    *nblocks* — the order of a per-sequence running sum over its blocks."""
-    rows, heads, n = probs.shape
-    kv, hd, k = pool.kv_heads, pool.head_dim, pool.lut_k
-    block_size = pool.block_size
-    repeat, maxb = heads // kv, n // block_size
-    p2 = probs.reshape(-1, block_size)
-    if kernel.needs_table:
-        pacts = effective_activations(p2, config)
-        return paged_lut_execute(
-            kernel, precompute_tables(p2, config),
-            pacts.reshape(-1, block_size // k, k).sum(axis=-1), ids,
-            columns, repeat, nblocks,
-        )
-    parts = rowwise_dequant_execute(
-        shared_rows(p2, (rows, kv, repeat, maxb), (2,)),
-        columns[0][ids].swapaxes(1, 2).reshape(-1, hd, block_size),
-    )
-    # (rows · kv · max_blocks, head_dim, repeat) -> (rows, kv, repeat,
-    # max_blocks, head_dim)
-    parts = parts.reshape(rows, kv, maxb, hd, repeat).transpose(0, 1, 4, 2, 3)
-    return reduce_blocks(parts, nblocks).reshape(rows, heads, hd)
 
 
 def fused_paged_decode_attention(
@@ -2036,7 +1871,10 @@ def fused_paged_verify_attention(
     only on its own K row, so masking the columns at or past a row's
     causal width to :data:`MASKED_SCORE` reproduces its time-``j`` score
     vector bit for bit. The softmax denominators sum each row's
-    *padded* block context (:func:`_grouped_softmax`).
+    *padded* block context
+    (:func:`~repro.numerics.masked_width_softmax`): appending even exact
+    zeros to a sum changes numpy's pairwise reduction tree, so each row
+    sums exactly its own width.
 
     **V leaks through the trailing block**: its group quantization
     folds every resident row into its scales. Every live block is
@@ -2051,12 +1889,13 @@ def fused_paged_verify_attention(
     (scrubbed on free and on rollback), so the refreshed arena equals
     the masked copy at the current fill byte for byte.
 
-    Exactness: on the LUT backends each row is bit-identical to a
-    from-scratch recomputation over its time-``j`` float history
-    (quantize it, one plan per block and KV head, block-ordered context
-    partials), whatever the batch and T; the ``reference`` backend's
-    batched BLAS/einsum reductions differ in the last ulp: 1e-9. The
-    float-KV branch matches
+    Exactness: each row is bit-identical to a from-scratch LUT
+    recomputation over its time-``j`` float history (quantize it, one
+    plan per block and KV head, block-ordered context partials), whatever
+    the batch and T. Every backend runs the LUT mpGEMM here: ``lut-blocked``
+    on its compiled or numpy body, any other on the numpy body
+    (:func:`~repro.kernels.paged_lut_execute`), so ``reference`` returns
+    ``lut-naive``'s bytes. The float-KV branch matches
     :func:`~repro.lut.attention.float_decode_attention` at 1e-9 (its
     per-head BLAS gemv and pairwise softmax sum associate differently).
     """
@@ -2076,20 +1915,26 @@ def fused_paged_verify_attention(
     nb_rows = np.array([-(-f // block_size) for f in f_list], dtype=np.int64)
     key_valid = np.arange(n)[None, :] < f_rows[:, None]
     inv_sqrt_d = 1.0 / np.sqrt(hd)
-    config, kernel = _lut_dispatch(pool.lut_k, act_dtype, table_dtype, backend)
+    config = LutMpGemmConfig(
+        k=pool.lut_k, act_dtype=act_dtype, table_dtype=table_dtype,
+        backend=backend,
+    )
+    kernel = get_backend(config.backend)
     # One stacked refresh of the batch's stale V arenas — in steady
     # state each sequence's trailing block; full blocks refresh once.
-    deq = not kernel.needs_table
     live = np.arange(maxb)[None, :] < nblocks[:, None]
-    pool.refresh_v_arenas(ids[live], deq)
-    scores = _fused_scores(pool, kernel, config, queries, ids).reshape(
-        bt, heads, n
-    )
+    pool.refresh_v_arenas(ids[live])
+    # Scores: R = B · kv_heads K rows read in place, each shared by its
+    # M = T · repeat query rows.
+    scores = _paged_lut(
+        kernel, config, queries.reshape(-1, hd), ids,
+        (pool._ka_idx, pool._ka_scale, pool._ka_zero), repeat,
+    ).reshape(bt, heads, n)
     scores = np.where(
         key_valid[:, None, :], scores * inv_sqrt_d, MASKED_SCORE
     )
-    probs = _grouped_softmax(scores, nb_rows * block_size)
-    columns = [getattr(pool, name) for name in pool._V_ARENAS[deq]]
+    probs = masked_width_softmax(scores, (nb_rows * block_size)[:, None])
+    columns = [pool._va_idx, pool._va_scale, pool._va_zero]
     ids_rows = ids
     if t > 1:
         ids_rows = np.repeat(ids, t, axis=0)
@@ -2103,7 +1948,7 @@ def fused_paged_verify_attention(
                 < fill_rows[masked][:, None, None, None]
             )
             cols = pool._v_arena_columns(
-                np.where(keep, pool._v[tb_ids[masked]], 0.0), deq
+                np.where(keep, pool._v[tb_ids[masked]], 0.0)
             )
             columns = [col[ids_rows] for col in columns]
             for slab, col in zip(columns, cols):
@@ -2111,8 +1956,12 @@ def fused_paged_verify_attention(
             # The slabs are their own arena: (row, block i) at row·maxb + i.
             columns = [s.reshape((-1,) + s.shape[2:]) for s in columns]
             ids_rows = np.arange(bt * maxb, dtype=np.int64).reshape(bt, maxb)
-    out = _fused_context(
-        pool, kernel, config, probs, ids_rows, columns, nb_rows
+    # Context: R = B · T · kv_heads · max_blocks V blocks, each shared by
+    # its M = repeat probability segments; per-block partials add in
+    # ascending block order, gated by each row's block count.
+    out = _paged_lut(
+        kernel, config, probs.reshape(-1, block_size), ids_rows, columns,
+        repeat, nb_rows,
     )
     return out.reshape(b, t, heads, hd)
 

@@ -13,11 +13,7 @@ over the shared rows, so one ``M``-wide dispatch equals ``M`` separate
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    build_weight_plan,
-    get_backend,
-    rowwise_dequant_execute,
-)
+from repro.kernels import build_weight_plan, get_backend
 from repro.lut.mpgemm import LutMpGemmConfig, precompute_tables
 from repro.quant.weight import quantize_weights
 
@@ -99,14 +95,3 @@ class TestSharedLutRows:
             )
             assert got[r].tobytes() == want.tobytes()
 
-
-def test_rowwise_dequant_execute_shares_rows():
-    rng = np.random.default_rng(2)
-    acts = rng.normal(size=(R, KDIM, M))
-    weights = rng.normal(size=(R, N, KDIM))
-    got = rowwise_dequant_execute(acts, weights)
-    assert got.shape == (R, N, M)
-    for r in range(R):
-        np.testing.assert_allclose(
-            got[r], weights[r] @ acts[r], atol=1e-12
-        )

@@ -6,7 +6,8 @@ history a cache's ``k_view()`` / ``v_view()`` gathers and plans it with
 attends through that recompute. The runtime's one decode path — the
 batched append plus :func:`~repro.runtime.paging.fused_paged_decode_attention`
 over the arenas — is pinned against these: bitwise on the LUT backends,
-1e-9 on ``reference`` (whose batched BLAS/einsum reductions regroup).
+1e-9 on ``reference``, where the runtime's attention still runs the LUT
+mpGEMM but this oracle dequantizes (``reference``'s ``execute``).
 """
 
 import numpy as np

@@ -26,7 +26,6 @@ KV_HEADS, HEAD_DIM, BLOCK = 2, 8, 8
 #: Pool arrays that must match bit for bit after any append path.
 _POOL_ARRAYS = (
     "_k", "_v", "_fill", "_refcount",
-    "_k_codes", "_k_scale", "_k_zp",
     "_ka_idx", "_ka_scale", "_ka_zero",
 )
 

@@ -14,11 +14,7 @@ import pytest
 
 from repro.models.configs import ModelConfig
 from repro.runtime import DecoderModel, RuntimeConfig
-from repro.runtime.paging import (
-    BlockAllocator,
-    PagedLayerCache,
-    fused_paged_decode_attention,
-)
+from repro.runtime.paging import BlockAllocator, PagedLayerCache, spill_nbytes
 
 #: ``bench/workloads.py``'s one model: 655,360 four-bit weights.
 BENCH_128 = ModelConfig(
@@ -98,22 +94,22 @@ class TestPoolBlockBytes:
         # bench-128's KV geometry: 4 KV heads of head_dim 16, 16-token blocks.
         return BlockAllocator(kv_heads=4, head_dim=16, block_size=16, **kwargs)
 
-    def test_int4_block_is_28_kib(self):
+    def test_int4_block_is_26_kib(self):
         """72 KiB before (int64 codes, one float64 scale and zero-point
         per *element*, an always-resident dequantized V arena), 42 KiB
-        with int64 flat indices in the arenas; the packed K+V payload of
-        the same block is 1 KiB. Of the 28 KiB, 16 are the float K / V
-        slabs prefill attends over and 8 the arenas' affine."""
+        with int64 flat indices in the arenas, 28 KiB while the pool also
+        kept the K codes a dequantizing attention read; the packed K+V
+        payload of the same block is 1 KiB. Of the 26 KiB, 16 are the
+        float K / V slabs prefill attends over and 8 the arenas' affine.
+        A swap payload carries the same bytes a block."""
         pool = self._pool(bits=4)
         per_block = {
             name: getattr(pool, name)[0].nbytes for name in pool._resident
         }
         counters = ("_fill", "_refcount", "_va_fill")  # 20 B of stamps
-        assert sum(per_block.values()) == 28 * 1024 + sum(
+        assert sum(per_block.values()) == 26 * 1024 + sum(
             per_block[name] for name in counters
         )
-        assert per_block["_k_codes"] == 4 * 16 * 16  # one byte a code
-        assert per_block["_k_scale"] == per_block["_k_zp"] == 4 * 16 * 8
         # (kv, bits, G, N) = 4 · 4 · 4 · 16 one-byte indices each.
         assert per_block["_ka_idx"] == per_block["_va_idx"] == 1024
         assert pool._ka_idx.dtype == pool._va_idx.dtype == np.uint8
@@ -121,80 +117,6 @@ class TestPoolBlockBytes:
             name for name in pool._block_arrays
             if getattr(pool, name).dtype == np.int64
         ]
-
-    def test_scales_are_stored_per_group_and_read_back_per_element(self):
-        """head_dim 32 is two K groups: two stored scales a row, which
-        broadcast back over their group's elements at the read."""
-        pool = BlockAllocator(kv_heads=2, head_dim=32, block_size=16, bits=4)
-        rng = np.random.default_rng(0)
-        k = rng.normal(size=(5, 2, 32)) * np.array([1.0, 50.0]).repeat(16)
         cache = PagedLayerCache(pool)
-        cache.append(k, rng.normal(size=(5, 2, 32)))
-        bid = cache.block_ids[0]
-        assert pool._k_scale.shape[1:] == pool._k_zp.shape[1:] == (2, 16, 2)
-
-        def per_element(stored):  # (rows, groups) -> (rows, head_dim)
-            return np.repeat(stored[bid, 1, :5], 16, axis=-1)
-
-        scale, zero = per_element(pool._k_scale), per_element(pool._k_zp)
-        assert scale.shape == zero.shape == (5, 32)
-        for g in range(2):
-            cols = slice(16 * g, 16 * (g + 1))
-            np.testing.assert_array_equal(
-                scale[:, cols],
-                np.broadcast_to(pool._k_scale[bid, 1, :5, g, None], (5, 16)),
-            )
-        assert (scale[:, 0] != scale[:, 16]).all()
-        # Each element within half a step of its own group's grid.
-        codes = pool._k_codes[bid, 1, :5].astype(np.float64)
-        assert (
-            np.abs(scale * (codes - zero) - k[:, 1]) <= scale / 2 + 1e-12
-        ).all()
-
-    @pytest.mark.parametrize("backend", ["lut-naive", "lut-blocked"])
-    def test_lut_only_pool_owns_no_dequantized_arena(self, backend):
-        pool = self._pool(bits=4, num_blocks=8)
-        self._decode(pool, backend, self._caches(pool))
-        assert pool._va_deq is None and pool._va_deq_fill is None
-        assert "_va_deq" not in pool._resident
-
-    def test_dequantized_arena_arrives_with_a_table_less_dispatch(self):
-        """...and from then on grows, scrubs and refreshes with the rest,
-        while clones and spill payloads still leave it behind."""
-        pool = self._pool(bits=4)  # unbounded: 8 blocks, doubles on demand
-        caches = self._caches(pool)
-        lut = self._decode(pool, "lut-blocked", caches)
-        self._decode(pool, "reference", caches)
-        assert pool._va_deq.shape == (8, 4, 16, 16)
-        assert pool._va_deq_fill.shape == (8,)
-        first = caches[0].block_ids[0]
-        assert pool._va_deq_fill[first] == pool._fill[first] == 16
-        assert pool._va_deq[first].any()
-        assert "_va_deq" not in caches[0].serialize()["blocks"][0]
-        clone = pool.cow_clone(first)
-        assert pool._va_deq_fill[clone] == -1 and not pool._va_deq[clone].any()
-        pool.free(clone)
-
-        before = pool._va_deq[first].copy()
-        filler = PagedLayerCache(pool)
-        filler.append(*np.zeros((2, 8 * 16, 4, 16)))  # 8 more blocks: doubles
-        assert pool._va_deq.shape[0] == len(pool._va_deq_fill) == 16
-        np.testing.assert_array_equal(pool._va_deq[first], before)
-        np.testing.assert_array_equal(
-            self._decode(pool, "lut-blocked", caches), lut
-        )
-        caches[0].release()
-        assert pool._va_deq_fill[first] == -1 and not pool._va_deq[first].any()
-
-    def _caches(self, pool):
-        rng = np.random.default_rng(1)
-        caches = [PagedLayerCache(pool) for _ in range(2)]
-        for cache in caches:
-            cache.append(*rng.normal(size=(2, 20, 4, 16)))
-        return caches
-
-    def _decode(self, pool, backend, caches):
-        queries = np.random.default_rng(2).normal(size=(2, 8, 16))
-        return fused_paged_decode_attention(
-            queries, caches, repeat=2, backend=backend
-        )
+        cache.append(*np.ones((2, 20, 4, 16)))
+        assert spill_nbytes(cache.serialize()) == 2 * 26_628

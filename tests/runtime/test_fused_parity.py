@@ -5,8 +5,9 @@ The fused decode attention
 be bit-identical on the LUT backends, at *any* batch composition, to a
 from-scratch recompute that re-quantizes each sequence's float history
 and reads no pool arena (:mod:`tests.runtime.oracle`), and 1e-9-close
-on ``reference`` (whose batched BLAS/einsum reductions differ in the
-last ulp). This module pins that claim two ways:
+on ``reference`` (whose oracle dequantizes; the attention itself runs
+the LUT mpGEMM on every backend and equals ``lut-naive`` byte for byte
+there). This module pins that claim two ways:
 
 - a seeded random-schedule **engine fuzz**: random admissions, prompt
   lengths, shared prefixes, samplers, pool bounds (forcing
@@ -523,6 +524,34 @@ class TestSharedGatherRatios:
             )
             assert_parity(got[:, j], want, backend, msg=f"row {j}")
 
+
+
+class TestReferenceRunsTheLutAttention:
+    """On an int4 pool the paged attention is a LUT mpGEMM whatever
+    backend the linears use: the pool keeps only lookup columns, so
+    ``reference`` (no tables for its linears) runs the numpy LUT body
+    ``lut-naive`` runs and returns its bytes."""
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_reference_equals_lut_naive(self, t):
+        """T = 1 is a decode step. At T = 4 rows 0-2 of the 3- and
+        13-row bases see their trailing block below its current fill, so
+        their context reads a masked requantization of it."""
+        rng = np.random.default_rng(40 + t)
+        base = (3, 8, 13)
+        pool = BlockAllocator(2, 8, block_size=8, bits=4)
+        caches = []
+        for n in base:
+            caches.append(PagedLayerCache(pool))
+            caches[-1].append(*rng.normal(size=(2, n + t, 2, 8)))
+        queries = rng.normal(size=(len(base), t, 4, 8))
+        got, want = (
+            fused_paged_verify_attention(
+                queries, caches, base, repeat=2, backend=backend
+            )
+            for backend in ("reference", "lut-naive")
+        )
+        assert got.tobytes() == want.tobytes()
 
 class TestFloatKvFused:
     """The float branch: ``kv_bits=None`` pools no longer fall back to

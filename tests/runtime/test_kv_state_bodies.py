@@ -7,9 +7,9 @@ lookup-column arenas (``refresh_v_arenas``) with the compiled writer
 loaded, and with numpy otherwise. This module is in ``BOTH_BODIES``:
 every op sequence runs on the body under test and again on the numpy
 body, and every array the pool holds must agree by ``tobytes()`` —
-codes, per-group scales and zero-points, the K and V arena columns,
-fills and stamps — across bits 1-8, ``lut_k`` 2 / 4 / 8, head_dim and
-block_size on and off ``KV_GROUP``, partial trailing blocks, and values
+the float slabs, the K and V arena columns, fills and stamps — across
+bits 1-8, ``lut_k`` 2 / 4 / 8, head_dim and block_size on and off
+``KV_GROUP``, partial trailing blocks, and values
 that are constant per row (span 0), signed zeros, huge (a span that
 overflows) or subnormal (a scale that underflows: the compiled body
 leaves that call to numpy).
@@ -174,17 +174,18 @@ class TestTwoBodiesOneState:
         got, want = (_state(pool) for pool in pools)
         assert got[0] == want[0] and got[1:] == want[1:]
 
-    def test_a_zero_range_end_stores_a_positive_zero_point(self):
+    def test_a_zero_range_end_stores_a_zero_zero_point(self):
         """Which zero min() keeps from a ±0.0 tie is numpy's loops'
-        choice; either body stores +0.0 for it, never -0.0."""
+        choice; either body's K arena holds the affine of a zero
+        zero-point for it, ``2·0 + 1 − 2**bits``."""
         pool = BlockAllocator(1, 16, 16, bits=4)
         bid = pool.allocate()
         k = np.full((2, 1, 16), 0.5)
         k[0, 0, :8:2], k[0, 0, 1:8:2] = -0.0, 0.0
         k[1, 0, :8:2], k[1, 0, 1:8:2] = 0.0, -0.0
         pool.write_rows(bid, k, k)
-        zp = pool._k_zp[bid, 0, :2]
-        assert zp.tobytes() == np.zeros_like(zp).tobytes()
+        zero = pool._ka_zero[bid, 0, :, :2]
+        assert zero.tobytes() == np.full_like(zero, -15.0).tobytes()
 
 
 class TestLookupGroupsSplittingAScale:
@@ -207,7 +208,6 @@ class TestLookupGroupsSplittingAScale:
         with pytest.raises(LutError):
             pool.refresh_v_arenas([bid])
         assert (_state(pool), dict(pool._block_key)) == before
-        pool.refresh_v_arenas([bid], deq=True)  # no lookup columns needed
 
     def test_the_compiled_writer_refuses_the_geometry(self, lut_body):
         """Handed such a geometry anyway, the compiled writer returns 2

@@ -7,10 +7,11 @@ row's denominator over its exact valid width to keep numpy's pairwise
 reduction tree stable. Both delegated to
 :func:`repro.numerics.masked_width_softmax`; these tests pin the shared
 helper bit-identical to verbatim copies of both former implementations.
-The int4-KV attention still softmaxes through ``_grouped_softmax``; the
-float attention, prefill's included, now has its own one-definition
-softmax (``paging.paged_float_attention``), so the causal case pins the
-helper itself at per-row causal widths.
+The int4-KV attention (``paging.fused_paged_verify_attention``) calls
+the helper directly with its per-row padded widths; the float attention,
+prefill's included, now has its own one-definition softmax
+(``paging.paged_float_attention``), so the causal case pins the helper
+itself at per-row causal widths.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.numerics import masked_width_softmax, softmax
-from repro.runtime.paging import _grouped_softmax
 
 MASKED = -1e30
 
@@ -68,10 +68,6 @@ class TestMaskedWidthSoftmax:
             expect = _legacy_grouped_softmax(scores, widths)
             got = masked_width_softmax(scores, widths[:, None])
             np.testing.assert_array_equal(got, expect)
-            # The live paging wrapper takes the (B,) widths directly.
-            np.testing.assert_array_equal(
-                _grouped_softmax(scores, widths), expect
-            )
 
     def test_bit_identical_to_legacy_causal_softmax(self):
         rng = np.random.default_rng(1)

@@ -1,9 +1,11 @@
 """Pool-resident KV state: append shapes, growth, and incremental K / V
-quantization equal to a from-scratch quantize of the padded history."""
+lookup columns equal to the plans of a from-scratch quantize of the
+padded history."""
 
 import numpy as np
 import pytest
 
+from repro.kernels import build_weight_plan
 from repro.lut.attention import QuantizedKvCache
 from repro.runtime.paging import (
     INITIAL_POOL_BLOCKS,
@@ -39,8 +41,8 @@ def _assert_state_equal(got, want):
 class TestFloatState:
     @pytest.mark.parametrize("bits", [None, 4], ids=("float", "int4"))
     def test_bulk_append_equals_token_by_token(self, bits):
-        """One multi-block append lands the same slabs, codes and K-arena
-        columns as the same rows appended one token at a time."""
+        """One multi-block append lands the same slabs and K-arena columns
+        as the same rows appended one token at a time."""
         k, v = _rows(19, 2, 8, seed=1)
         one = PagedLayerCache(BlockAllocator(2, 8, block_size=8, bits=bits))
         bulk = PagedLayerCache(BlockAllocator(2, 8, block_size=8, bits=bits))
@@ -83,58 +85,74 @@ def _padded_quantize(cache, k, v):
     return QuantizedKvCache.quantize(k_pad, v_pad, bits=cache.bits)
 
 
+def _plan_columns(plan, tokens):
+    """A plan's ``(indices, scale, zero)``, the first *tokens* output
+    columns of each."""
+    return tuple(
+        np.asarray(arr)[..., :tokens]
+        for arr in (plan.indices, plan.scale_gn, plan.zero_gn)
+    )
+
+
 class TestIncrementalQuantization:
-    """The pool's per-block quantized state equals a from-scratch quantize
-    of the whole padded history."""
+    """The pool's per-block lookup columns equal the plans of a
+    from-scratch quantize of the whole padded history."""
 
     @pytest.mark.parametrize("head_dim", [8, 16])  # 16: group-16 branch
     @pytest.mark.parametrize("tokens", [5, 12, 16, 37])
-    def test_k_state_matches_full_quantize_on_padded_floats(
+    def test_k_arena_matches_full_quantize_on_padded_floats(
         self, head_dim, tokens
     ):
+        """Incrementally written K-arena columns, block after block, are
+        the full-context K plan's columns: per-token scales never look at
+        another row."""
         k, v = _rows(tokens, 3, head_dim, seed=head_dim + tokens)
         cache = PagedLayerCache(BlockAllocator(3, head_dim, 16, bits=4))
         cache.append(k[:3], v[:3])
         for i in range(3, tokens):
             cache.append(k[i], v[i])
         full = _padded_quantize(cache, k, v)
-        pool = cache.pool
-        codes = pool._k_codes[cache.block_ids].transpose(1, 0, 2, 3)
-        per = head_dim // pool._k_scale.shape[-1]
-        scale, zero = (
-            np.repeat(arr[cache.block_ids], per, axis=-1).transpose(1, 0, 2, 3)
-            for arr in (pool._k_scale, pool._k_zp)
-        )
+        pool, ids = cache.pool, cache.block_ids
         for h in range(3):
-            want = full.k_quant[h]
-            np.testing.assert_array_equal(
-                codes[h].reshape(-1, head_dim)[:tokens], want.codes[:tokens]
+            want = _plan_columns(
+                build_weight_plan(full.k_quant[h], pool.lut_k), tokens
             )
-            for got_arr, want_arr in ((scale, want.scale),
-                                      (zero, want.zero_point)):
-                np.testing.assert_array_equal(
-                    got_arr[h].reshape(-1, head_dim)[:tokens],
-                    np.broadcast_to(want_arr, want.codes.shape)[:tokens],
-                )
+            # (blocks, ..., block_size) -> (..., blocks · block_size)
+            got = (
+                np.moveaxis(arr[ids, h], 0, -2).reshape(
+                    arr.shape[2:-1] + (-1,)
+                )[..., :tokens]
+                for arr in (pool._ka_idx, pool._ka_scale, pool._ka_zero)
+            )
+            for name, g, w in zip(("idx", "scale", "zero"), got, want):
+                np.testing.assert_array_equal(g, w, err_msg=f"{name} {h}")
 
     @pytest.mark.parametrize("tokens", [5, 12, 16, 37])
     def test_v_arena_matches_full_quantize_on_padded_floats(self, tokens):
         """With 16-token blocks the V groups along the context coincide
-        with the blocks, so each refreshed dequantized V arena slab is
-        its block's columns of the full-context quantize."""
+        with the blocks, so each refreshed V arena slab is its block's
+        lookup groups of the full-context V plan."""
         k, v = _rows(tokens, 2, 16, seed=tokens)
         cache = PagedLayerCache(BlockAllocator(2, 16, 16, bits=4))
         cache.append(k, v)
         pool = cache.pool
-        pool.refresh_v_arenas(cache.block_ids, deq=True)
+        pool.refresh_v_arenas(cache.block_ids)
         full = _padded_quantize(cache, k, v)
+        gv = 16 // pool.lut_k
         for h in range(2):
-            want = full.v_quant[h].dequantize()
+            want = _plan_columns(
+                build_weight_plan(full.v_quant[h], pool.lut_k), 16
+            )
             for i, bid in enumerate(cache.block_ids):
-                np.testing.assert_array_equal(
-                    pool._va_deq[bid, h], want[:, i * 16:(i + 1) * 16],
-                    err_msg=f"head {h} block {i}",
-                )
+                groups = np.s_[..., i * gv:(i + 1) * gv, :]
+                for name, arr, w in zip(
+                    ("idx", "scale", "zero"),
+                    (pool._va_idx, pool._va_scale, pool._va_zero), want,
+                ):
+                    np.testing.assert_array_equal(
+                        arr[bid, h], w[groups],
+                        err_msg=f"{name} head {h} block {i}",
+                    )
 
     def test_repeated_refreshes_requantize_only_the_tail(self):
         """Full blocks refresh their V arenas once, ever; afterwards only
@@ -157,8 +175,7 @@ class TestIncrementalQuantization:
         cache.append(k[41:49], v[41:49])     # fills block 3, opens block 4
         assert refresh_cols() == 2 * block
 
-    @pytest.mark.parametrize("deq", [False, True], ids=("table", "dequant"))
-    def test_interleaved_refreshes_match_one_scratch_refresh(self, deq):
+    def test_interleaved_refreshes_match_one_scratch_refresh(self):
         """Refreshing between appends leaves every arena exactly as one
         refresh of the final context in a fresh pool leaves it."""
         k, v = _rows(37, 2, 16, seed=17)
@@ -166,11 +183,11 @@ class TestIncrementalQuantization:
         for i in range(37):
             step.append(k[i], v[i])
             if i % 3 == 0:
-                step.pool.refresh_v_arenas(step.block_ids, deq)
-        step.pool.refresh_v_arenas(step.block_ids, deq)
+                step.pool.refresh_v_arenas(step.block_ids)
+        step.pool.refresh_v_arenas(step.block_ids)
         scratch = PagedLayerCache(BlockAllocator(2, 16, 16, bits=4))
         scratch.append(k, v)
-        scratch.pool.refresh_v_arenas(scratch.block_ids, deq)
+        scratch.pool.refresh_v_arenas(scratch.block_ids)
         _assert_state_equal(_block_state(step), _block_state(scratch))
 
 

@@ -39,11 +39,8 @@ GQA = ModelConfig(
 )
 
 #: Pool arrays a prefill / decode append writes (float slabs always,
-#: K codes and K-arena columns on a quantized pool).
-_POOL_ARRAYS = (
-    "_k", "_v", "_fill",
-    "_k_codes", "_k_scale", "_k_zp", "_ka_idx", "_ka_scale", "_ka_zero",
-)
+#: K-arena columns on a quantized pool).
+_POOL_ARRAYS = ("_k", "_v", "_fill", "_ka_idx", "_ka_scale", "_ka_zero")
 
 
 def _model(backend, kv_bits, sharing=True, **kwargs):

@@ -60,7 +60,7 @@ class TestRefcounts:
         _fill_cache(cache_a, [3, 1, 4, 1])          # one full block
         bid = cache_a.block_ids[0]
         before_k = pool._k[bid].copy()
-        before_codes = pool._k_codes[bid].copy()
+        before_idx = pool._ka_idx[bid].copy()
         cache_b = PagedLayerCache(pool, layer=0)
         chain = pool.match_prefix(0, [3, 1, 4, 1])
         assert chain == [(bid, 4)]
@@ -68,7 +68,7 @@ class TestRefcounts:
         cache_a.release()                            # one holder leaves
         assert pool.refcount(bid) == 1
         np.testing.assert_array_equal(pool._k[bid], before_k)
-        np.testing.assert_array_equal(pool._k_codes[bid], before_codes)
+        np.testing.assert_array_equal(pool._ka_idx[bid], before_idx)
         np.testing.assert_array_equal(
             cache_b.k_view()[0], np.stack([_row(t)[0] for t in (3, 1, 4, 1)])
         )

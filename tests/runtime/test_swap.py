@@ -232,10 +232,10 @@ class TestSwapFallback:
         assert pool.used_blocks == 0, "fallback leaked pool blocks"
 
 
-    @pytest.mark.parametrize("damage", ["int64-codes", "truncated"])
+    @pytest.mark.parametrize("damage", ["int64-indices", "truncated"])
     def test_corrupt_payload_falls_back_to_recompute(self, monkeypatch, damage):
-        """A spill record the pool's format check refuses — codes in the
-        pre-narrowing int64 format, a block list cut short — takes the
+        """A spill record the pool's format check refuses — lookup indices
+        in the pre-narrowing int64 format, a block list cut short — takes the
         same road: the real ``restore`` raises before allocating, the
         engine recomputes, streams and pool are as if nothing happened."""
         requests = _random_requests(np.random.default_rng(6))
@@ -252,7 +252,7 @@ class TestSwapFallback:
                     payload["blocks"].pop()
                 else:
                     block = payload["blocks"][0]
-                    block["_k_codes"] = block["_k_codes"].astype(np.int64)
+                    block["_ka_idx"] = block["_ka_idx"].astype(np.int64)
             return payload
 
         monkeypatch.setattr(PagedLayerCache, "serialize", corrupting_serialize)
@@ -343,7 +343,7 @@ class TestBlockSerde:
     @pytest.mark.parametrize(
         "damage",
         [
-            "int64-codes", "int64-indices", "per-element-scale",
+            "float32-scale", "int64-indices", "per-element-scale",
             "missing-array", "unknown-array", "not-an-array", "truncated",
             "extra-block",
             "wrong-fill", "no-length", "no-tokens",
@@ -357,16 +357,18 @@ class TestBlockSerde:
         payload = cache.serialize()
         assert pool.accepts(payload)
         blocks = payload["blocks"]
-        if damage == "int64-codes":  # the format before codes narrowed
-            blocks[1]["_k_codes"] = blocks[1]["_k_codes"].astype(np.int64)
+        if damage == "float32-scale":
+            blocks[1]["_ka_scale"] = blocks[1]["_ka_scale"].astype(np.float32)
         elif damage == "int64-indices":  # the arena width before uint8
             blocks[1]["_va_idx"] = blocks[1]["_va_idx"].astype(np.int64)
-        elif damage == "per-element-scale":
-            blocks[0]["_k_scale"] = np.repeat(blocks[0]["_k_scale"], 8, axis=-1)
+        elif damage == "per-element-scale":  # one per value, not per group
+            blocks[0]["_va_scale"] = np.repeat(
+                blocks[0]["_va_scale"], pool.lut_k, axis=-2
+            )
         elif damage == "missing-array":
             del blocks[2]["_ka_idx"]
-        elif damage == "unknown-array":
-            blocks[0]["_va_deq"] = np.zeros((2, 8, 4))
+        elif damage == "unknown-array":  # the K codes pools once kept
+            blocks[0]["_k_codes"] = np.zeros((2, 4, 8), np.uint8)
         elif damage == "not-an-array":
             blocks[0]["_v"] = blocks[0]["_v"].tolist()
         elif damage == "truncated":

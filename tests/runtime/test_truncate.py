@@ -6,9 +6,8 @@ appends with token tracking, prefix adoption (shared blocks + CoW),
 releases (parked and scrubbed blocks, freed-block reuse). Then the test
 pool appends ``kept + dropped`` extra rows to a victim cache and rolls
 ``dropped`` back, while the oracle pool appends only ``kept``. Every
-piece of pool state — float slabs, K codes/scales, K/V plan arenas,
-fill, refcounts, free-list *order*, prefix index, parked set, stats —
-must match bit-for-bit, and both pools must keep evolving identically
+piece of pool state — float slabs, K/V plan arenas, fill, refcounts,
+free-list *order*, prefix index, parked set, stats — must match bit-for-bit, and both pools must keep evolving identically
 afterwards. This is the invariant speculative decoding's rejected-draft
 rollback stands on.
 """
@@ -66,22 +65,20 @@ def assert_pools_bit_equal(a: BlockAllocator, b: BlockAllocator) -> None:
 
 
 def assert_lazy_state_equal(a: BlockAllocator, b: BlockAllocator) -> None:
-    """Refresh both kinds of V arena on every live or parked block of
-    both pools, then compare the plan arenas (stamps may differ before
-    the refresh — rollback resets an arena the oracle still holds; both
+    """Refresh the V arenas of every live or parked block of both
+    pools, then compare the plan arenas (stamps may differ before the
+    refresh — rollback resets an arena the oracle still holds; both
     must rebuild bit-identically). Mutates plan-work stats, so call
     after the stats diff."""
     if a.bits is None:
         return
     for pool in (a, b):
         live = sorted(pool._in_use | set(pool._cached_free))
-        for deq in (False, True):
-            pool.refresh_v_arenas(live, deq)
-    for name in a._QUANT_ARRAYS + a._DEQ_ARRAYS:
-        if name.startswith(("_ka_", "_va_")):
-            np.testing.assert_array_equal(
-                getattr(a, name), getattr(b, name), err_msg=name
-            )
+        pool.refresh_v_arenas(live)
+    for name in a._QUANT_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(a, name), getattr(b, name), err_msg=name
+        )
 
 
 def assert_caches_equal(a: PagedLayerCache, b: PagedLayerCache) -> None:

@@ -6,8 +6,8 @@ request with one stacked quantize + column build;
 prompt's K rows once. Both lean on the same argument — scales are per weight row and
 every lookup column is per output column, so stacking changes no value.
 The property below pins the V side against per-block, per-head
-``quantize_weights`` → ``build_weight_plan`` plans over random pools,
-for the arenas of either kind of backend; the call-count tests pin that the
+``quantize_weights`` → ``build_weight_plan`` plans over random pools;
+the call-count tests pin that the
 batching is really one call on the shared quantize core or the compiled
 writer (a per-block loop fails them), that each KV head's query heads
 share one gathered row (a per-head gather fails them) and that no
@@ -33,15 +33,12 @@ from repro.runtime.paging import (
     fused_paged_decode_attention,
     fused_paged_verify_attention,
 )
-from tests.runtime.oracle import assert_parity, oracle_attention
+from tests.runtime.oracle import oracle_attention
 
-#: The arenas (fill stamp first) a table backend / a table-less backend
-#: maintains, keyed by ``refresh_v_arenas``' *deq* flag.
-_V_ARENAS = {
-    False: ("_va_fill",) + BlockAllocator._V_ARENAS[False],
-    True: ("_va_deq_fill",) + BlockAllocator._V_ARENAS[True],
-}
-_ALL_V_ARENAS = _V_ARENAS[False] + _V_ARENAS[True]
+#: The V lookup-column arenas the context dispatch reads, and with the
+#: fill stamp, everything ``refresh_v_arenas`` writes.
+_V_COLUMNS = ("_va_idx", "_va_scale", "_va_zero")
+_V_STATE = ("_va_fill",) + _V_COLUMNS
 
 
 def _rows(rng, n, pool):
@@ -54,20 +51,15 @@ def _cache(pool, rng, length):
     return cache
 
 
-def _assert_arena_matches_per_head_plans(pool, bid, deq):
-    """Block *bid*'s arena slabs of one kind equal its per-head plans,
-    built from the float slab alone, one head at a time, through
-    ``quantize_weights`` → ``build_weight_plan``."""
-    assert getattr(pool, _V_ARENAS[deq][0])[bid] == pool._fill[bid]
+def _assert_arena_matches_per_head_plans(pool, bid):
+    """Block *bid*'s arena slabs equal its per-head plans, built from the
+    float slab alone, one head at a time, through ``quantize_weights`` →
+    ``build_weight_plan``."""
+    assert pool._va_fill[bid] == pool._fill[bid]
     for h in range(pool.kv_heads):
         _, plan = _plan_of(
             pool._v[bid, h].T, pool.bits, pool._v_group, pool.lut_k
         )
-        if deq:
-            np.testing.assert_array_equal(
-                pool._va_deq[bid, h], plan.dequantized
-            )
-            continue
         np.testing.assert_array_equal(
             pool._va_idx[bid, h], plan.indices, strict=True
         )
@@ -96,16 +88,12 @@ class TestRefreshVArenas:
         rng = np.random.default_rng(seed)
         pool = BlockAllocator(kv_heads, head_dim, block_size, bits=bits)
         caches = [_cache(pool, rng, n) for n in lengths]
-        # Some arenas of either kind already built; then a grown block
-        # (stale again), a truncated one (reset to never-built if an
-        # arena saw the dead rows) and a freed-and-reused one (scrubbed
-        # to never-built).
-        deq = data.draw(st.booleans())
-        for kind in (deq, not deq):
-            pool.refresh_v_arenas(
-                data.draw(st.lists(st.sampled_from(sorted(pool._in_use)))),
-                kind,
-            )
+        # Some arenas already built; then a grown block (stale again), a
+        # truncated one (reset to never-built if its arena saw the dead
+        # rows) and a freed-and-reused one (scrubbed to never-built).
+        pool.refresh_v_arenas(
+            data.draw(st.lists(st.sampled_from(sorted(pool._in_use))))
+        )
         if caches[0].length % block_size:
             caches[0].append(*_rows(rng, 1, pool))
         caches[1].truncate_rows(
@@ -116,85 +104,36 @@ class TestRefreshVArenas:
 
         live = sorted(pool._in_use)
         request = data.draw(st.lists(st.sampled_from(live), max_size=12))
-        stamp = getattr(pool, _V_ARENAS[deq][0])
-        stale = {b for b in request if stamp[b] != pool._fill[b]}
-        before = {
-            name: getattr(pool, name).copy() for name in _ALL_V_ARENAS
-        }
+        stale = {b for b in request if pool._va_fill[b] != pool._fill[b]}
+        before = {name: getattr(pool, name).copy() for name in _V_STATE}
         cols = pool.stats["v_quant_cols"]
 
-        pool.refresh_v_arenas(request, deq)
+        pool.refresh_v_arenas(request)
 
         assert pool.stats["v_quant_cols"] - cols == (
             len(stale) * block_size * kv_heads
         )
-        # Only the stale blocks' arenas of the requested kind change.
+        # Only the stale blocks' arenas change.
         untouched = np.setdiff1d(np.arange(pool.capacity), sorted(stale))
-        for name in _V_ARENAS[deq]:
+        for name in _V_STATE:
             np.testing.assert_array_equal(
                 getattr(pool, name)[untouched], before[name][untouched],
                 err_msg=name,
             )
-        for name in _V_ARENAS[not deq]:
-            np.testing.assert_array_equal(
-                getattr(pool, name), before[name], err_msg=name
-            )
         for bid in set(request):
-            _assert_arena_matches_per_head_plans(pool, bid, deq)
+            _assert_arena_matches_per_head_plans(pool, bid)
 
         # Everything requested is fresh now: asking again, or for
         # nothing, does no work and writes nothing.
-        after = {
-            name: getattr(pool, name).copy() for name in _ALL_V_ARENAS
-        }
+        after = {name: getattr(pool, name).copy() for name in _V_STATE}
         cols = pool.stats["v_quant_cols"]
-        pool.refresh_v_arenas(request, deq)
-        pool.refresh_v_arenas([], deq)
+        pool.refresh_v_arenas(request)
+        pool.refresh_v_arenas([])
         assert pool.stats["v_quant_cols"] == cols
-        for name in _ALL_V_ARENAS:
+        for name in _V_STATE:
             np.testing.assert_array_equal(
                 getattr(pool, name), after[name], err_msg=name
             )
-
-
-    @pytest.mark.parametrize("first", ["lut-blocked", "reference"])
-    def test_alternating_backends_share_one_pool(self, first):
-        """``lut-blocked`` and ``reference`` dispatches alternate on one
-        pool across appends: each kind of backend maintains only its own
-        V arenas, so each must find *its* columns stale after the other
-        refreshed — a shared fill stamp would serve stale ones."""
-        rng = np.random.default_rng(11)
-        pool = BlockAllocator(2, 8, 8, bits=4)
-        caches = [_cache(pool, rng, n) for n in (3, 8, 13)]
-        backends = [first] + [
-            name for name in ("lut-blocked", "reference") if name != first
-        ]
-        for step in range(12):
-            backend = backends[step % 2]
-            queries = rng.normal(size=(3, 4, 8))
-            got = fused_paged_decode_attention(
-                queries, caches, repeat=2, backend=backend
-            )
-            want = np.stack([
-                oracle_attention(
-                    queries[i], cache, repeat=2, backend=backend
-                )
-                for i, cache in enumerate(caches)
-            ])
-            assert_parity(got, want, backend, msg=f"step {step}")
-            # Only the dispatching kind's stamp moved to the new fill.
-            trailing = [c.block_ids[-1] for c in caches]
-            fresh, other = (
-                (pool._va_deq_fill, pool._va_fill)
-                if backend == "reference"
-                else (pool._va_fill, pool._va_deq_fill)
-            )
-            np.testing.assert_array_equal(
-                fresh[trailing], pool._fill[trailing]
-            )
-            if step:
-                assert (other[trailing] != pool._fill[trailing]).all()
-            batched_decode_append(caches, *_rows(rng, 3, pool))
 
 
 @st.composite
@@ -218,8 +157,8 @@ def _plan_of(weight, bits, group, lut_k):
 
 class TestDirectColumns:
     """The pool's direct column build against ``quantize_weights`` →
-    ``build_weight_plan`` → ``indices`` / ``scale_gn`` / ``zero_gn`` /
-    ``dequantized``, one head at a time."""
+    ``build_weight_plan`` → ``indices`` / ``scale_gn`` / ``zero_gn``, one
+    head at a time."""
 
     @given(_column_cases(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -234,20 +173,13 @@ class TestDirectColumns:
         constant = data.draw(st.lists(st.integers(0, rows - 1), max_size=2))
         for r in constant:
             k_rows[r, 0] = rng.normal()  # span 0 -> scale 1.0
-        codes, scale, zero_point, idx, a_scale, a_zero = pool._k_columns(
-            k_rows
-        )
+        idx, a_scale, a_zero = pool._k_columns(k_rows)
         for r in range(rows):
             for h in range(kv_heads):
-                qw, plan = _plan_of(
+                _, plan = _plan_of(
                     k_rows[r, h][None], bits, pool._k_group, lut_k
                 )
                 at = f"row {r} head {h}"
-                np.testing.assert_array_equal(codes[r, h], qw.codes[0], at)
-                np.testing.assert_array_equal(scale[r, h], qw.scale[0], at)
-                np.testing.assert_array_equal(
-                    zero_point[r, h], qw.zero_point[0], at
-                )
                 np.testing.assert_array_equal(
                     idx[r, h], plan.indices[..., 0], at
                 )
@@ -258,7 +190,7 @@ class TestDirectColumns:
                     a_zero[r, h], plan.zero_gn[:, 0], at
                 )
         for r in constant:
-            assert (scale[r, 0] == 1.0).all()
+            assert (a_scale[r, 0] == 0.5).all()  # scale 1.0, halved
 
     @given(_column_cases(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -275,7 +207,6 @@ class TestDirectColumns:
         if data.draw(st.booleans()):
             v[0, 0, :, 0] = rng.normal()  # constant weight row
         idx, a_scale, a_zero = pool._v_arena_columns(v)
-        (deq,) = pool._v_arena_columns(v, deq=True)
         for c in range(slabs):
             for h in range(kv_heads):
                 _, plan = _plan_of(v[c, h].T, bits, pool._v_group, lut_k)
@@ -285,7 +216,6 @@ class TestDirectColumns:
                 )
                 np.testing.assert_array_equal(a_scale[c, h], plan.scale_gn, at)
                 np.testing.assert_array_equal(a_zero[c, h], plan.zero_gn, at)
-                np.testing.assert_array_equal(deq[c, h], plan.dequantized, at)
 
     def test_error_paths_keep_their_types(self):
         # A scale group that is not whole lookup groups: the scale would
@@ -519,7 +449,7 @@ class TestContextReadsTheArenasInPlace:
             score, pool, ("_ka_idx", "_ka_scale", "_ka_zero")
         )
         assert self._reads_the_pool(
-            context, pool, BlockAllocator._V_ARENAS[False]
+            context, pool, _V_COLUMNS
         )
 
     def test_decode(self, backend, gather_calls, masked_builds):
@@ -561,7 +491,7 @@ class TestContextReadsTheArenasInPlace:
         _, context = gather_calls.columns
         assert not any(
             c is getattr(pool, name)
-            for c, name in zip(context, BlockAllocator._V_ARENAS[False])
+            for c, name in zip(context, _V_COLUMNS)
         )
 
 
