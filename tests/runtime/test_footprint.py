@@ -14,7 +14,12 @@ import pytest
 
 from repro.models.configs import ModelConfig
 from repro.runtime import DecoderModel, RuntimeConfig
-from repro.runtime.paging import BlockAllocator, PagedLayerCache, spill_nbytes
+from repro.runtime.paging import (
+    BlockAllocator,
+    PagedLayerCache,
+    fused_paged_decode_attention,
+    spill_nbytes,
+)
 
 #: ``bench/workloads.py``'s one model: 655,360 four-bit weights.
 BENCH_128 = ModelConfig(
@@ -120,3 +125,34 @@ class TestPoolBlockBytes:
         cache = PagedLayerCache(pool)
         cache.append(*np.ones((2, 20, 4, 16)))
         assert spill_nbytes(cache.serialize()) == 2 * 26_628
+
+    @pytest.mark.parametrize("backend", ["reference", "lut-naive", "lut-blocked"])
+    def test_no_backend_adds_an_arena(self, backend):
+        """The pool's arrays are its block layout whatever backend
+        dispatches over it: a table-less one brings no arena of its own,
+        and a pool that doubles after the dispatch grows only those."""
+        pool = self._pool(bits=4)  # unbounded: 8 blocks, doubles on demand
+        self._decode(pool, backend, self._caches(pool))
+        filler = PagedLayerCache(pool)
+        filler.append(*np.zeros((2, 8 * 16, 4, 16)))  # 8 more blocks
+        assert pool.capacity == 16
+        arrays = {
+            name: arr for name, arr in vars(pool).items()
+            if isinstance(arr, np.ndarray)
+        }
+        assert sorted(arrays) == sorted(pool._resident)
+        # 26 KiB and the 20 B of stamps, as before the dispatch.
+        assert sum(arr[0].nbytes for arr in arrays.values()) == 26_644
+
+    def _caches(self, pool):
+        rng = np.random.default_rng(1)
+        caches = [PagedLayerCache(pool) for _ in range(2)]
+        for cache in caches:
+            cache.append(*rng.normal(size=(2, 20, 4, 16)))
+        return caches
+
+    def _decode(self, pool, backend, caches):
+        queries = np.random.default_rng(2).normal(size=(2, 8, 16))
+        return fused_paged_decode_attention(
+            queries, caches, repeat=2, backend=backend
+        )

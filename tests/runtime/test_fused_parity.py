@@ -553,6 +553,7 @@ class TestReferenceRunsTheLutAttention:
         )
         assert got.tobytes() == want.tobytes()
 
+
 class TestFloatKvFused:
     """The float branch: ``kv_bits=None`` pools no longer fall back to
     per-sequence decode — the fused batch gathers the float slabs and

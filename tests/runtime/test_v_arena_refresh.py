@@ -33,7 +33,7 @@ from repro.runtime.paging import (
     fused_paged_decode_attention,
     fused_paged_verify_attention,
 )
-from tests.runtime.oracle import oracle_attention
+from tests.runtime.oracle import assert_parity, oracle_attention
 
 #: The V lookup-column arenas the context dispatch reads, and with the
 #: fill stamp, everything ``refresh_v_arenas`` writes.
@@ -134,6 +134,42 @@ class TestRefreshVArenas:
             np.testing.assert_array_equal(
                 getattr(pool, name), after[name], err_msg=name
             )
+
+    @pytest.mark.parametrize("first", ["lut-blocked", "reference"])
+    def test_alternating_backends_share_one_pool(self, first):
+        """``lut-blocked`` and ``reference`` dispatches alternate on one
+        pool across appends. Both run the LUT attention over the same V
+        arenas under one fill stamp: whichever dispatches second at a
+        step finds every arena fresh, requantizes nothing and returns
+        the first one's bytes."""
+        rng = np.random.default_rng(11)
+        pool = BlockAllocator(2, 8, 8, bits=4)
+        caches = [_cache(pool, rng, n) for n in (3, 8, 13)]
+        backends = [first] + [
+            name for name in ("lut-blocked", "reference") if name != first
+        ]
+        for step in range(12):
+            queries = rng.normal(size=(3, 4, 8))
+            lead, follow = backends[step % 2], backends[1 - step % 2]
+            got = fused_paged_decode_attention(
+                queries, caches, repeat=2, backend=lead
+            )
+            want = np.stack([
+                oracle_attention(queries[i], cache, repeat=2, backend=lead)
+                for i, cache in enumerate(caches)
+            ])
+            assert_parity(got, want, lead, msg=f"step {step}")
+            trailing = [c.block_ids[-1] for c in caches]
+            np.testing.assert_array_equal(
+                pool._va_fill[trailing], pool._fill[trailing]
+            )
+            cols = pool.stats["v_quant_cols"]
+            again = fused_paged_decode_attention(
+                queries, caches, repeat=2, backend=follow
+            )
+            assert pool.stats["v_quant_cols"] == cols, f"step {step}"
+            assert again.tobytes() == got.tobytes(), f"step {step}"
+            batched_decode_append(caches, *_rows(rng, 3, pool))
 
 
 @st.composite
